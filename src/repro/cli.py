@@ -532,7 +532,7 @@ def cmd_eval_compare(args: argparse.Namespace) -> int:
     )
     from repro.eval.matrix import load_matrix_artifact
     from repro.eval.reporting import render_compare
-    from repro.eval.schema import SchemaError
+    from repro.schema import SchemaError
 
     try:
         per_class = parse_class_thresholds(args.class_threshold or [])

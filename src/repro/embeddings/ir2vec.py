@@ -188,15 +188,20 @@ class IR2VecEncoder:
                       modules: List[Module]) -> Optional[_ModuleIndex]:
         lookup = self._entity_row
         type_rows = self._type_rows
-        pos: Dict[int, int] = {}
+        # One position map per module: a batch may hold the same Module
+        # object twice (the compile memo returns it for a repeated
+        # source), and edges never cross modules.
+        positions: List[Dict[int, int]] = []
         insts: List[Instruction] = []
         bounds = [0]
         for module in modules:
+            pos: Dict[int, int] = {}
             for fn in module.defined_functions():
                 for block in fn.blocks:
                     for inst in block.instructions:
                         pos[id(inst)] = len(insts)
                         insts.append(inst)
+            positions.append(pos)
             bounds.append(len(insts))
         n = len(insts)
         if n == 0:
@@ -210,7 +215,7 @@ class IR2VecEncoder:
         ud_src: List[int] = []
         cf_dst: List[int] = []
         cf_src: List[int] = []
-        for module in modules:
+        for module, pos in zip(modules, positions):
             for fn in module.defined_functions():
                 # Per-function predecessor lists in one CFG pass (matching
                 # BasicBlock.predecessors(): unique, in block order).

@@ -22,7 +22,7 @@ from repro.eval.compare import (
     CompareThresholds,
     compare_artifacts,
 )
-from repro.eval.schema import SchemaError, validate_matrix_artifact
+from repro.schema import SchemaError
 
 __all__ = [
     "ReproConfig",
@@ -33,5 +33,5 @@ __all__ = [
     "MatrixSpec", "CellSpec", "run_matrix",
     "save_matrix_artifact", "load_matrix_artifact",
     "CompareThresholds", "CompareResult", "compare_artifacts",
-    "SchemaError", "validate_matrix_artifact",
+    "SchemaError",
 ]

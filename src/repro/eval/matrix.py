@@ -20,7 +20,7 @@ This module makes that grid a first-class, machine-comparable artifact:
   provenance: dataset content digests, the pipeline config hash, and
   the seed.
 * The result serializes to a schema-checked ``EVAL_matrix.json``
-  (:mod:`repro.eval.schema`); :mod:`repro.eval.compare` turns any two
+  (kind ``repro-eval-matrix`` in :mod:`repro.schema.kinds`); :mod:`repro.eval.compare` turns any two
   such artifacts into a pass/fail regression verdict.
 
 Identity cells (train == test) use a deterministic stratified split
@@ -345,9 +345,10 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
         "cells": cell_docs,
         "generalization": _generalization(cell_docs),
     }
-    from repro.eval.schema import validate_matrix_artifact
+    from repro.schema import validate_kind
+    from repro.schema.kinds import EVAL_MATRIX
 
-    validate_matrix_artifact(doc)      # never emit an invalid artifact
+    validate_kind(EVAL_MATRIX.name, doc)   # never emit an invalid artifact
     return doc
 
 
@@ -481,18 +482,18 @@ def _generalization(cell_docs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 def save_matrix_artifact(doc: Dict[str, Any], path: str) -> None:
     """Write the matrix in envelope form (kind + content digest)."""
-    from repro.eval.schema import MATRIX_KIND
     from repro.schema import save_envelope
+    from repro.schema.kinds import EVAL_MATRIX
 
-    save_envelope(doc, path, kind=MATRIX_KIND)
+    save_envelope(doc, path, kind=EVAL_MATRIX.name)
 
 
 def load_matrix_artifact(path: str) -> Dict[str, Any]:
     """Read a matrix artifact — envelope form, or a legacy flat file
     such as a committed baseline — and return the flat document."""
-    from repro.eval.schema import MATRIX_KIND
     from repro.schema import validate_kind
+    from repro.schema.kinds import EVAL_MATRIX
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return validate_kind(MATRIX_KIND, doc)
+    return validate_kind(EVAL_MATRIX.name, doc)

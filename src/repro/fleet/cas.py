@@ -65,6 +65,7 @@ from repro.schema import (
     register_kind,
     validate_envelope,
 )
+from repro.serve.http import ServiceRunner
 
 MAGIC = b"RC"
 PROTOCOL_VERSION = 1
@@ -372,67 +373,17 @@ class CASServer:
                 pass
 
 
-class BackgroundCAS:
+class BackgroundCAS(ServiceRunner):
     """A :class:`CASServer` on its own thread + loop (tests, benches)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  max_bytes: int = 256 * 1024 * 1024, spill: bool = True):
         self.server = CASServer(host, port, max_bytes, spill=spill)
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._error: Optional[BaseException] = None
+        super().__init__(self.server, name="repro-fleet-cas", timeout=60.0)
 
     @property
     def addr(self) -> str:
         return self.server.addr
-
-    def start(self) -> "BackgroundCAS":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-fleet-cas", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._error is not None:
-            raise self._error
-        if self.server.port is None:
-            raise RuntimeError("CAS server failed to start within 60s")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None \
-                and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    def __enter__(self) -> "BackgroundCAS":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            if self._error is None:
-                self._error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.server.stop()
 
 
 class CASClient:

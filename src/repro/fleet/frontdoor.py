@@ -36,10 +36,13 @@ Endpoints mirror the single-process service (``docs/fleet.md``):
 ``GET /v1/traces``          front-door trace ring summaries
 ==========================  ===============================================
 
-Cross-hop tracing: every forward carries ``X-Repro-Trace`` (the front
-door's trace id) and ``X-Repro-Parent`` (its root span id); replicas
-adopt both, so ``GET /v1/trace/<id>`` can stitch the full front-door →
-replica → engine → worker span tree from the replicas' rings.
+The front door speaks the same HTTP dialect as the replicas
+(:mod:`repro.serve.http` owns it, its limits and the connection loop),
+and relays a replica's reply body byte-for-byte.  Cross-hop tracing:
+every forward carries ``X-Repro-Trace`` (the front door's trace id) and
+``X-Repro-Parent`` (its root span id); replicas adopt both, so
+``GET /v1/trace/<id>`` can stitch the full front-door → replica →
+engine → worker span tree from the replicas' rings.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -57,13 +59,18 @@ from repro.obs.trace import TRACER, new_id
 from repro.fleet.cas import CASServer
 from repro.fleet.config import FleetConfig
 from repro.fleet.supervisor import Replica, ReplicaSupervisor
-from repro.serve.server import (
-    DetectionServer,
-    _RawResponse,
-    _PROM_CONTENT_TYPE,
-    _valid_trace_id,
+from repro.serve.http import (
+    PROM_CONTENT_TYPE,
+    TRACE_PREFIX,
+    HTTPService,
+    RawResponse,
+    Response,
+    ServiceRunner,
     error_response,
+    read_reply,
+    wants_prometheus,
 )
+from repro.serve.server import named_sources, parse_json
 
 #: path → allowed methods (front-door surface).
 _ROUTES = {
@@ -78,13 +85,15 @@ _ROUTES = {
     "/v1/traces": ("GET",),
 }
 
-_TRACE_PREFIX = "/v1/trace/"
-
 #: Paths forwarded to a digest-routed replica.
 _ROUTED_PATHS = ("/v1/check", "/v1/analyze", "/v1/repair")
 
 #: Idle keep-alive connections retained per replica address.
 _POOL_PER_REPLICA = 4
+
+#: A replica that is dead, dying or garbled: fail over to the next one.
+_FORWARD_ERRORS = (OSError, asyncio.TimeoutError,
+                   asyncio.IncompleteReadError, ValueError)
 
 _FLEET_REQ_TOTAL = METRICS.counter(
     "repro_fleet_requests_total",
@@ -150,26 +159,26 @@ class _ReplicaShed(Exception):
         self.retry_after = retry_after
 
 
-class FleetFrontDoor:
+class FleetFrontDoor(HTTPService):
     """Router + shared CAS + supervisor on one event loop."""
+
+    ROUTES = _ROUTES
+    REQUEST_SECONDS = _FLEET_REQ_SECONDS
+    REQUESTS_TOTAL = _FLEET_REQ_TOTAL
 
     def __init__(self, model_path: str,
                  config: Optional[FleetConfig] = None):
+        super().__init__()
         self.model_path = model_path
         self.config = config or FleetConfig.from_env()
         self.cas = CASServer(host=self.config.host,
                              max_bytes=self.config.cas_max_bytes,
                              spill=self.config.cas_spill)
         self.supervisor: Optional[ReplicaSupervisor] = None
-        self.requests_by_status: Dict[int, int] = {}
         self.counters: Dict[str, int] = {
             "routed": 0, "rerouted": 0, "shed": 0, "forward_errors": 0,
             "broadcasts": 0, "conn_opened": 0, "conn_reused": 0,
-            "restarts": 0,
         }
-        self.started_at: Optional[float] = None
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         # Idle keep-alive connections, keyed by replica address (not
         # index: a restarted replica gets a fresh port, so its dead
         # predecessor's sockets can never be confused with it).
@@ -177,17 +186,6 @@ class FleetFrontDoor:
                          List[Tuple[asyncio.StreamReader,
                                     asyncio.StreamWriter]]] = {}
         self._supervise_task: Optional[asyncio.Task] = None
-
-    # Raw HTTP plumbing is shared with the single-process service: the
-    # front door speaks exactly the dialect replicas do.
-    _read_request = DetectionServer._read_request
-    _reject = DetectionServer._reject
-    _count = DetectionServer._count
-    # These three are staticmethods on DetectionServer; re-wrap, or the
-    # class-body assignment would rebind them as instance methods.
-    _write_response = staticmethod(DetectionServer._write_response)
-    _parse_json = staticmethod(DetectionServer._parse_json)
-    _named_sources = staticmethod(DetectionServer._named_sources)
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
@@ -202,10 +200,7 @@ class FleetFrontDoor:
         # Readiness polling blocks; keep the loop (and the CAS it hosts)
         # serving while replicas warm up.
         await loop.run_in_executor(None, self.supervisor.start)
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.time()
+        await self._listen()
         if self.config.restart:
             self._supervise_task = asyncio.ensure_future(self._supervise())
         EVENTS.emit("fleet.start", port=self.port, cas=self.cas.addr,
@@ -220,10 +215,7 @@ class FleetFrontDoor:
             except asyncio.CancelledError:
                 pass
             self._supervise_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         for host, port in list(self._pool):
             self._drop_pool(host, port)
         if self.supervisor is not None:
@@ -258,7 +250,6 @@ class FleetFrontDoor:
                             error=f"{type(exc).__name__}: {exc}")
                 continue
             for index, old_port in restarted:
-                self.counters["restarts"] += 1
                 if METRICS.enabled:
                     _FLEET_RESTARTS.inc()
                 self._drop_pool(self.config.host, old_port)
@@ -313,22 +304,6 @@ class FleetFrontDoor:
             return
         idle.append((reader, writer))
 
-    async def _read_reply(self, reader: asyncio.StreamReader,
-                          ) -> Tuple[int, Dict[str, str], bytes]:
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(None, 2)
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        payload = await reader.readexactly(length) if length else b""
-        return status, headers, payload
-
     async def _forward(self, replica: Replica, method: str, path: str,
                        body: bytes, trace_id: str, parent_id: str,
                        ) -> Tuple[int, Dict[str, str], bytes]:
@@ -355,10 +330,9 @@ class FleetFrontDoor:
                 writer.write(head.encode("latin-1") + body)
                 await writer.drain()
                 status, headers, payload = await asyncio.wait_for(
-                    self._read_reply(reader),
+                    read_reply(reader),
                     timeout=self.config.request_timeout_s)
-            except (OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError, ValueError, IndexError):
+            except _FORWARD_ERRORS:
                 self._discard(writer)
                 if reused:
                     continue
@@ -374,11 +348,10 @@ class FleetFrontDoor:
             return status, headers, payload
 
     async def _route(self, method: str, path: str, body: bytes,
-                     trace_id: str, parent_id: str,
-                     ) -> Tuple[int, Any, Dict[str, str]]:
+                     trace_id: str, parent_id: str) -> Response:
         """Digest-route one request, failing over down the rendezvous
         order; raises nothing — degradation is encoded in the status."""
-        items = self._named_sources(self._parse_json(body))
+        items = named_sources(parse_json(body))
         digest = routing_digest(items)
         # Rendezvous order over the *whole* fleet, dead replicas skipped
         # at forward time: a request served by anyone but the full-fleet
@@ -400,8 +373,7 @@ class FleetFrontDoor:
             try:
                 status, headers, payload = await self._forward(
                     replica, method, path, body, trace_id, parent_id)
-            except (OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError, ValueError, IndexError):
+            except _FORWARD_ERRORS:
                 # Dead or dying replica (killed mid-campaign, connection
                 # refused/reset, garbled reply): fail over.  /v1/check
                 # and /v1/analyze are pure, so a replay is safe.
@@ -430,7 +402,7 @@ class FleetFrontDoor:
                           attrs={"replica": replica.index,
                                  "status": status,
                                  "rerouted": position > 0})
-            return status, _passthrough(payload), {}
+            return status, _relay(headers, payload), {}
         if shed_retry is not None:
             # Every live replica shed: propagate backpressure, never
             # queue at the front door (unbounded fleet-level backlogs
@@ -451,20 +423,15 @@ class FleetFrontDoor:
     # -- endpoints ----------------------------------------------------------
     async def handle(self, method: str, path: str, body: bytes,
                      headers: Optional[Dict[str, str]] = None,
-                     query: str = "", trace_id: str = "",
-                     parent_id: str = "",
-                     ) -> Tuple[int, Any, Dict[str, str]]:
-        allowed = _ROUTES.get(path)
-        if allowed is None and path.startswith(_TRACE_PREFIX):
-            allowed = ("GET",)
-        if allowed is None:
-            return error_response(404, "not_found",
-                                  f"no such endpoint {path}")
-        if method not in allowed:
-            return error_response(
-                405, "method_not_allowed",
-                f"{path} only accepts {' / '.join(allowed)}",
-                headers={"Allow": ", ".join(allowed)})
+                     query: str = "") -> Response:
+        """Route one request.  Forwards carry the ``x-repro-trace`` /
+        ``x-repro-parent`` ids the connection loop put in ``headers``."""
+        refused = self._route_error(method, path)
+        if refused is not None:
+            return refused
+        headers = headers or {}
+        trace_id = headers.get("x-repro-trace", "")
+        parent_id = headers.get("x-repro-parent", "")
         try:
             if path in _ROUTED_PATHS:
                 return await self._route(method, path, body, trace_id,
@@ -472,20 +439,18 @@ class FleetFrontDoor:
             if path == "/healthz":
                 return self._handle_health()
             if path == "/metrics":
-                return self._handle_metrics(headers or {}, query)
+                return self._handle_metrics(headers, query)
             if path == "/v1/model":
                 return await self._handle_model(trace_id, parent_id)
             if path == "/v1/fleet":
                 return self._handle_fleet()
             if path == "/v1/traces":
-                stats = TRACER.stats()
-                stats["traces"] = TRACER.recent()
-                return 200, stats, {}
-            if path.startswith(_TRACE_PREFIX):
-                return await self._handle_trace(path[len(_TRACE_PREFIX):])
+                return self._handle_traces()
+            if path.startswith(TRACE_PREFIX):
+                return await self._handle_trace(path[len(TRACE_PREFIX):])
             return await self._handle_reload(body, trace_id, parent_id)
         except ValueError as exc:
-            # _parse_json/_named_sources raise _BadRequest (a ValueError).
+            # parse_json/named_sources raise _BadRequest (a ValueError).
             return error_response(400, "bad_request", str(exc))
         except Exception as exc:
             EVENTS.emit("fleet.error", severity="error", path=path,
@@ -503,16 +468,13 @@ class FleetFrontDoor:
         return 200, {"status": "ok", "replicas_alive": len(alive),
                      "replicas_total": total, "cas": self.cas.addr}, {}
 
-    def _handle_metrics(self, headers: Dict[str, str], query: str,
-                        ) -> Tuple[int, Any, Dict[str, str]]:
-        accept = headers.get("accept", "")
-        wants_text = ("format=prometheus" in query
-                      or "text/plain" in accept or "openmetrics" in accept)
-        if wants_text:
+    def _handle_metrics(self, headers: Dict[str, str],
+                        query: str) -> Response:
+        if wants_prometheus(headers, query):
             if METRICS.enabled:
                 _FLEET_REPLICAS_ALIVE.set(len(self._alive()))
             body = METRICS.render_prometheus().encode("utf-8")
-            return 200, _RawResponse(_PROM_CONTENT_TYPE, body), {}
+            return 200, RawResponse(PROM_CONTENT_TYPE, body), {}
         return 200, self.metrics(), {}
 
     def metrics(self) -> Dict[str, Any]:
@@ -521,7 +483,7 @@ class FleetFrontDoor:
             if self.started_at else 0.0,
             "requests_by_status": {str(k): v for k, v in sorted(
                 self.requests_by_status.items())},
-            "fleet": dict(self.counters),
+            "fleet": self._routing(),
             "replicas": [r.as_dict() for r in
                          (self.supervisor.replicas if self.supervisor
                           else [])],
@@ -530,6 +492,12 @@ class FleetFrontDoor:
             "tracing": TRACER.stats(),
         }
 
+    def _routing(self) -> Dict[str, int]:
+        """Routing counters plus the supervisor's restart count (kept
+        there so it never lags the topology ``/healthz`` reports)."""
+        restarts = self.supervisor.restarts if self.supervisor else 0
+        return dict(self.counters, restarts=restarts)
+
     def _handle_fleet(self) -> Tuple[int, Any, Dict[str, str]]:
         return 200, {
             "model_path": self.model_path,
@@ -537,18 +505,17 @@ class FleetFrontDoor:
             "replicas": [r.as_dict() for r in
                          (self.supervisor.replicas if self.supervisor
                           else [])],
-            "routing": dict(self.counters),
+            "routing": self._routing(),
         }, {}
 
     async def _handle_model(self, trace_id: str, parent_id: str,
                             ) -> Tuple[int, Any, Dict[str, str]]:
         for replica in self._alive():
             try:
-                status, _headers, payload = await self._forward(
+                status, headers, payload = await self._forward(
                     replica, "GET", "/v1/model", b"", trace_id, parent_id)
-                return status, _passthrough(payload), {}
-            except (OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError, ValueError, IndexError):
+                return status, _relay(headers, payload), {}
+            except _FORWARD_ERRORS:
                 self.counters["forward_errors"] += 1
                 continue
         return error_response(503, "no_replicas",
@@ -557,7 +524,7 @@ class FleetFrontDoor:
     async def _handle_reload(self, body: bytes, trace_id: str,
                              parent_id: str,
                              ) -> Tuple[int, Any, Dict[str, str]]:
-        self._parse_json(body)                     # validate early → 400
+        parse_json(body)                           # validate early → 400
         self.counters["broadcasts"] += 1
         outcomes: List[Dict[str, Any]] = []
         worst = 200
@@ -568,10 +535,9 @@ class FleetFrontDoor:
                     parent_id)
                 outcomes.append({"replica": replica.index,
                                  "status": status,
-                                 "response": _passthrough(payload)})
+                                 "response": json.loads(payload)})
                 worst = max(worst, status)
-            except (OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError, ValueError, IndexError):
+            except _FORWARD_ERRORS:
                 self.counters["forward_errors"] += 1
                 outcomes.append({"replica": replica.index,
                                  "status": None, "response": None})
@@ -596,10 +562,9 @@ class FleetFrontDoor:
         for replica in self._alive():
             try:
                 status, _headers, payload = await self._forward(
-                    replica, "GET", _TRACE_PREFIX + trace_id, b"",
+                    replica, "GET", TRACE_PREFIX + trace_id, b"",
                     new_id(), "")
-            except (OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError, ValueError, IndexError):
+            except _FORWARD_ERRORS:
                 continue
             if status != 200:
                 continue
@@ -626,70 +591,11 @@ class FleetFrontDoor:
         out["replica_rings_consulted"] = replica_hits
         return 200, out, {}
 
-    # -- raw HTTP -----------------------------------------------------------
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    return
-                method, path, query, headers, body = request
-                started = time.perf_counter()
-                incoming = headers.get("x-repro-trace", "")
-                trace_id = incoming if _valid_trace_id(incoming) \
-                    else new_id()
-                if TRACER.enabled:
-                    with TRACER.start_trace(f"{method} {path}",
-                                            trace_id=trace_id) as root:
-                        status, payload, extra = await self.handle(
-                            method, path, body, headers, query,
-                            trace_id=trace_id, parent_id=root.span_id)
-                        root.set(status=status)
-                else:
-                    status, payload, extra = await self.handle(
-                        method, path, body, headers, query,
-                        trace_id=trace_id, parent_id="")
-                self._count(status)
-                extra = dict(extra)
-                extra["X-Repro-Trace"] = trace_id
-                if status >= 400 and isinstance(payload, dict) \
-                        and isinstance(payload.get("error"), dict):
-                    payload["error"].setdefault("trace_id", trace_id)
-                if METRICS.enabled:
-                    label = (path if path in _ROUTES
-                             else _TRACE_PREFIX + "<id>"
-                             if path.startswith(_TRACE_PREFIX) else "other")
-                    _FLEET_REQ_SECONDS.labels(label).observe(
-                        time.perf_counter() - started)
-                    _FLEET_REQ_TOTAL.labels(label, status).inc()
-                keep_alive = headers.get("connection",
-                                         "keep-alive").lower() != "close"
-                self._write_response(writer, status, payload, extra,
-                                     keep_alive)
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, TimeoutError, ValueError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
-
-def _passthrough(payload: bytes) -> Any:
-    """Decode a replica's JSON body for re-serialization to the client;
-    non-JSON bodies (shouldn't happen) pass through as text."""
-    if not payload:
-        return {}
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except ValueError:
-        return {"raw": payload.decode("utf-8", "replace")}
+def _relay(headers: Dict[str, str], body: bytes) -> RawResponse:
+    """A replica's reply body, passed to the client byte-for-byte."""
+    return RawResponse(headers.get("content-type", "application/json"),
+                       body)
 
 
 # ---------------------------------------------------------------------------
@@ -700,25 +606,17 @@ def serve_fleet(model_path: str,
                 config: Optional[FleetConfig] = None) -> None:
     """Blocking entry point: run the fleet until interrupted."""
     config = config or FleetConfig.from_env()
+    door = FleetFrontDoor(model_path, config)
 
-    async def _main() -> None:
-        door = FleetFrontDoor(model_path, config)
-        await door.start()
-        print(f"fleet front door on http://{config.host}:{door.port} "
-              f"({config.replicas} replicas, CAS {door.cas.addr})",
-              flush=True)
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await door.stop()
+    def banner() -> str:
+        return (f"fleet front door on http://{config.host}:{door.port} "
+                f"({config.replicas} replicas, CAS {door.cas.addr})")
 
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
+    ServiceRunner(door, name="repro-fleet",
+                  timeout=config.startup_timeout_s + 60).run(banner)
 
 
-class BackgroundFleet:
+class BackgroundFleet(ServiceRunner):
     """A :class:`FleetFrontDoor` on its own thread + event loop.
 
     >>> with BackgroundFleet(model_path, FleetConfig(port=0)) as fleet:
@@ -729,76 +627,24 @@ class BackgroundFleet:
                  config: Optional[FleetConfig] = None):
         self.model_path = model_path
         self.config = config or FleetConfig.from_env(port=0)
-        self.door: Optional[FleetFrontDoor] = None
-        self.port: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._error: Optional[BaseException] = None
+        self.door = FleetFrontDoor(model_path, self.config)
+        super().__init__(self.door, name="repro-fleet",
+                         timeout=self.config.startup_timeout_s + 60)
 
     @property
     def base_url(self) -> str:
         return f"http://{self.config.host}:{self.port}"
 
-    def start(self) -> "BackgroundFleet":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-fleet", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=self.config.startup_timeout_s + 60)
-        if self._error is not None:
-            raise self._error
-        if self.port is None:
-            raise RuntimeError("fleet failed to start in time")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None \
-                and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=120)
-            self._thread = None
-
     def kill_replica(self, index: int) -> None:
         """Failure injection: decommission one replica mid-campaign
         (the supervisor will *not* restart it — dead stays dead)."""
-        if self.door is None or self.door.supervisor is None:
+        if self.door.supervisor is None:
             raise RuntimeError("fleet is not running")
         self.door.supervisor.kill(index)
 
     def crash_replica(self, index: int) -> None:
         """Failure injection: simulate an *unexpected* replica crash —
         the supervision loop is expected to restart it."""
-        if self.door is None or self.door.supervisor is None:
+        if self.door.supervisor is None:
             raise RuntimeError("fleet is not running")
         self.door.supervisor.crash(index)
-
-    def __enter__(self) -> "BackgroundFleet":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            if self._error is None:
-                self._error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self.door = FleetFrontDoor(self.model_path, self.config)
-        try:
-            await self.door.start()
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self.port = self.door.port
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.door.stop()

@@ -193,6 +193,9 @@ class ReplicaSupervisor:
                 pass
             old.log_file = None
         replica = self._spawn(index)
+        # Counted before it is published: /healthz counts the respawned
+        # process alive from here on, and ``restarts`` must not lag it.
+        self.restarts += 1
         self.replicas[index] = replica
         self._await_ready(replica,
                           time.time() + self.config.startup_timeout_s)
@@ -224,7 +227,6 @@ class ReplicaSupervisor:
             self._backoff[index] = (attempts + 1, now + delay)
             old_port = replica.port
             self.restart(index)
-            self.restarts += 1
             restarted.append((index, old_port))
         return restarted
 

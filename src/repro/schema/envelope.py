@@ -193,7 +193,7 @@ def validate_envelope(doc: Any) -> Dict[str, Any]:
 def validate_kind(name: str, doc: Any) -> Dict[str, Any]:
     """Like :func:`validate_envelope`, pinned to one kind.
 
-    The per-kind shims (``validate_matrix_artifact``, ...) use this so a
+    Per-kind loaders (``load_matrix_artifact``, ...) use this so a
     structurally valid document of the *wrong* kind is still rejected.
     """
     _ensure_builtin_kinds()

@@ -5,9 +5,9 @@ project ships: the evaluation matrix (``EVAL_matrix.json``), the fuzz
 campaign report (``FUZZ_report.json``), the perf profile
 (``PERF_profile.json``), and the pipeline-artifact manifest
 (``manifest.json``).  Importing this module registers them all; the
-legacy modules (:mod:`repro.eval.schema`, :mod:`repro.fuzz.report`,
-:mod:`repro.perf`, :mod:`repro.pipeline.artifact`) re-export their old
-names as thin shims over this registry.
+legacy modules (:mod:`repro.fuzz.report`, :mod:`repro.perf`,
+:mod:`repro.pipeline.artifact`) re-export their old names as thin shims
+over this registry.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ Entry points: ``repro serve`` / ``repro bench-serve`` on the CLI,
 
 from repro.serve.batching import BatcherMetrics, MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
+from repro.serve.http import error_response
 from repro.serve.loadgen import (
     ServeClient,
     batching_delta,
@@ -27,7 +28,6 @@ from repro.serve.server import (
     BackgroundServer,
     DetectionServer,
     build_engine,
-    error_response,
     serve,
 )
 

@@ -1,8 +1,10 @@
 """Asyncio HTTP front door for the detection pipeline.
 
-Stdlib-only: a minimal HTTP/1.1 JSON server on ``asyncio.start_server``
-(keep-alive supported), routing four endpoints onto the micro-batching
-scheduler and the hot-reloadable model registry:
+Stdlib-only: a :class:`~repro.serve.http.HTTPService` (the HTTP/1.1
+dialect, its limits and the keep-alive connection loop live in
+:mod:`repro.serve.http`, shared with the fleet front door) routing these
+endpoints onto the micro-batching scheduler and the hot-reloadable
+model registry:
 
 ==========================  ===============================================
 endpoint                    behavior
@@ -42,23 +44,19 @@ reference at dispatch, so a hot reload never fails an in-flight request.
 
 Telemetry (docs/observability.md): every response carries an
 ``X-Repro-Trace`` header, and every non-2xx JSON body the one error
-shape ``{"error": {"code", "message", "trace_id"}}`` built by
-:func:`error_response` (the fleet front door uses the same helper, so
-clients see one surface no matter which tier refused them).  With
-tracing enabled (the serve default) the request becomes a trace whose
-spans follow the sample through queue → batch → engine → worker; a
-well-formed incoming ``X-Repro-Trace``/``X-Repro-Parent`` pair (sent by
-the front door) is adopted, making the replica's spans a subtree of the
-fleet-level trace.
+shape built by :func:`~repro.serve.http.error_response`.  With tracing
+enabled (the serve default) the request becomes a trace whose spans
+follow the sample through queue → batch → engine → worker; a trace id
+forwarded by the front door is adopted, making the replica's spans a
+subtree of the fleet-level trace.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
@@ -66,18 +64,17 @@ from repro.obs.trace import TRACER, new_id
 from repro.pipeline.artifact import ArtifactError
 from repro.serve.batching import MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
-from repro.serve.registry import LoadedModel, ModelRegistry
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-#: Header-section bound (count); header *lines* are already bounded by
-#: the StreamReader's per-line limit.
-_MAX_HEADERS = 128
+from repro.serve.http import (
+    PROM_CONTENT_TYPE,
+    TRACE_PREFIX,
+    HTTPService,
+    RawResponse,
+    Response,
+    ServiceRunner,
+    error_response,
+    wants_prometheus,
+)
+from repro.serve.registry import ModelRegistry
 
 #: path → allowed methods (for 404-vs-405 decisions).
 _ROUTES = {
@@ -90,11 +87,6 @@ _ROUTES = {
     "/v1/reload": ("POST",),
     "/v1/traces": ("GET",),
 }
-
-#: The one prefix route: ``GET /v1/trace/<trace_id>``.
-_TRACE_PREFIX = "/v1/trace/"
-
-_PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _REQ_SECONDS = METRICS.histogram(
     "repro_serve_request_seconds", "HTTP request handling latency by path.",
@@ -150,50 +142,45 @@ class _QueuedSample:
         self.submitted_at = submitted_at
 
 
-class _RawResponse:
-    """A non-JSON response body (Prometheus text exposition)."""
-
-    __slots__ = ("content_type", "body")
-
-    def __init__(self, content_type: str, body: bytes):
-        self.content_type = content_type
-        self.body = body
-
-
-def error_response(status: int, code: str, message: str, *,
-                   headers: Optional[Dict[str, str]] = None,
-                   retry_after: Optional[int] = None,
-                   **fields: Any) -> Tuple[int, Dict[str, Any],
-                                           Dict[str, str]]:
-    """The one error surface every non-2xx JSON body uses — here and in
-    the fleet front door::
-
-        {"error": {"code": "queue_full", "message": "...",
-                   "trace_id": "..."}}
-
-    ``code`` is a stable machine-readable slug; ``message`` is for
-    humans.  The connection handler stamps ``trace_id`` into the error
-    object at write time (it owns the id).  Extra ``fields`` land at the
-    top level next to ``"error"`` (e.g. the per-sample ``results`` of an
-    all-failed bulk check); ``retry_after`` also sets the ``Retry-After``
-    header so load-balancers can honor backpressure without parsing JSON.
-    """
-    body: Dict[str, Any] = {"error": {"code": code, "message": message}}
-    body.update(fields)
-    extra = dict(headers or {})
-    if retry_after is not None:
-        body["retry_after_s"] = retry_after
-        extra["Retry-After"] = str(retry_after)
-    return status, body, extra
+def parse_json(body: bytes) -> Dict[str, Any]:
+    """A request body as a JSON object (empty body → ``{}``)."""
+    if not body:
+        return {}
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise _BadRequest(f"request body is not valid JSON: {exc}") \
+            from None
+    if not isinstance(payload, dict):
+        raise _BadRequest("request body must be a JSON object")
+    return payload
 
 
-def _valid_trace_id(value: str) -> bool:
-    """Shape check for ids arriving in ``X-Repro-Trace`` /
-    ``X-Repro-Parent`` headers (16 lowercase hex chars, the shape
-    :func:`repro.obs.trace.new_id` mints) so a hostile client can't
-    inject arbitrary strings into trace storage or response headers."""
-    return (len(value) == 16
-            and all(c in "0123456789abcdef" for c in value))
+def named_sources(payload: Dict[str, Any]) -> List[Tuple[str, str]]:
+    """The ``(name, source)`` samples of a ``{"source"}`` or
+    ``{"sources": [...]}`` payload."""
+    if "sources" in payload:
+        raw = payload["sources"]
+        if not isinstance(raw, list) or not raw:
+            raise _BadRequest("'sources' must be a non-empty list")
+        items: List[Tuple[str, str]] = []
+        for i, entry in enumerate(raw):
+            if isinstance(entry, str):
+                items.append((f"request{i}.c", entry))
+            elif isinstance(entry, dict) and isinstance(
+                    entry.get("source"), str):
+                items.append((str(entry.get("name", f"request{i}.c")),
+                              entry["source"]))
+            else:
+                raise _BadRequest(
+                    f"sources[{i}] must be a string or an object "
+                    "with a 'source' string")
+        return items
+    source = payload.get("source")
+    if not isinstance(source, str):
+        raise _BadRequest(
+            "body must carry 'source' (string) or 'sources' (list)")
+    return [(str(payload.get("name", "input.c")), source)]
 
 
 def build_engine(config: ServeConfig):
@@ -216,23 +203,24 @@ def build_engine(config: ServeConfig):
         cas_addr=os.environ.get("REPRO_CAS_ADDR") or None))
 
 
-class DetectionServer:
+class DetectionServer(HTTPService):
     """Wires registry + batcher + HTTP endpoints onto one event loop."""
+
+    ROUTES = _ROUTES
+    REQUEST_SECONDS = _REQ_SECONDS
+    REQUESTS_TOTAL = _REQ_TOTAL
 
     def __init__(self, registry: ModelRegistry,
                  config: Optional[ServeConfig] = None):
+        super().__init__()
         self.registry = registry
         self.config = config or ServeConfig.from_env()
         self.batcher = MicroBatcher(self._run_batch,
                                     max_batch=self.config.max_batch,
                                     max_wait_ms=self.config.max_wait_ms,
                                     max_queue=self.config.max_queue)
-        self.requests_by_status: Dict[int, int] = {}
         self.polls = 0
         self.poll_reloads = 0
-        self.started_at: Optional[float] = None
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._poll_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -250,10 +238,7 @@ class DetectionServer:
         if self.registry._current is None:
             await loop.run_in_executor(None, self.registry.load)
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.time()
+        await self._listen()
         EVENTS.emit("serve.start", port=self.port,
                     model_version=self.registry.current.version)
         if self.config.poll_interval_s > 0:
@@ -268,10 +253,7 @@ class DetectionServer:
             except asyncio.CancelledError:
                 pass
             self._poll_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         await self.batcher.stop(drain=True)
         # Deterministic teardown: drop the engine's worker pool now
         # rather than at interpreter exit.
@@ -380,21 +362,12 @@ class DetectionServer:
     # -- routing ------------------------------------------------------------
     async def handle(self, method: str, path: str, body: bytes,
                      headers: Optional[Dict[str, str]] = None,
-                     query: str = "",
-                     ) -> Tuple[int, Any, Dict[str, str]]:
+                     query: str = "") -> Response:
         """Route one request; returns (status, payload, headers) where
-        the payload is a JSON-able dict or a :class:`_RawResponse`."""
-        allowed = _ROUTES.get(path)
-        if allowed is None and path.startswith(_TRACE_PREFIX):
-            allowed = ("GET",)
-        if allowed is None:
-            return error_response(404, "not_found",
-                                  f"no such endpoint {path}")
-        if method not in allowed:
-            return error_response(
-                405, "method_not_allowed",
-                f"{path} only accepts {' / '.join(allowed)}",
-                headers={"Allow": ", ".join(allowed)})
+        the payload is a JSON-able dict or a :class:`RawResponse`."""
+        refused = self._route_error(method, path)
+        if refused is not None:
+            return refused
         try:
             if path == "/healthz":
                 return self._handle_health()
@@ -410,8 +383,8 @@ class DetectionServer:
                 return await self._handle_repair(body)
             if path == "/v1/traces":
                 return self._handle_traces()
-            if path.startswith(_TRACE_PREFIX):
-                return self._handle_trace(path[len(_TRACE_PREFIX):])
+            if path.startswith(TRACE_PREFIX):
+                return self._handle_trace(path[len(TRACE_PREFIX):])
             return await self._handle_reload(body)
         except _BadRequest as exc:
             return error_response(400, "bad_request", str(exc))
@@ -432,25 +405,13 @@ class DetectionServer:
         return 200, {"status": "ok", "model_version": model.version,
                      "generation": model.generation}, {}
 
-    def _handle_metrics(self, headers: Dict[str, str], query: str,
-                        ) -> Tuple[int, Any, Dict[str, str]]:
-        """JSON by default; Prometheus text when the client asks for it
-        (``Accept: text/plain`` / ``application/openmetrics-text``, or
-        ``?format=prometheus``)."""
-        accept = headers.get("accept", "")
-        wants_text = ("format=prometheus" in query
-                      or "text/plain" in accept
-                      or "openmetrics" in accept)
-        if wants_text:
+    def _handle_metrics(self, headers: Dict[str, str],
+                        query: str) -> Response:
+        if wants_prometheus(headers, query):
             self._sync_scrape_gauges()
             body = METRICS.render_prometheus().encode("utf-8")
-            return 200, _RawResponse(_PROM_CONTENT_TYPE, body), {}
+            return 200, RawResponse(PROM_CONTENT_TYPE, body), {}
         return 200, self.metrics(), {}
-
-    def _handle_traces(self) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        stats = TRACER.stats()
-        stats["traces"] = TRACER.recent()
-        return 200, stats, {}
 
     def _handle_trace(self, trace_id: str,
                       ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
@@ -483,48 +444,9 @@ class DetectionServer:
                         "artifact_mtime": model.mtime})
         return 200, payload, {}
 
-    @staticmethod
-    def _parse_json(body: bytes) -> Dict[str, Any]:
-        if not body:
-            return {}
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"request body is not valid JSON: {exc}") \
-                from None
-        if not isinstance(payload, dict):
-            raise _BadRequest("request body must be a JSON object")
-        return payload
-
-    @staticmethod
-    def _named_sources(payload: Dict[str, Any]) -> List[Tuple[str, str]]:
-        if "sources" in payload:
-            raw = payload["sources"]
-            if not isinstance(raw, list) or not raw:
-                raise _BadRequest("'sources' must be a non-empty list")
-            items: List[Tuple[str, str]] = []
-            for i, entry in enumerate(raw):
-                if isinstance(entry, str):
-                    items.append((f"request{i}.c", entry))
-                elif isinstance(entry, dict) and isinstance(
-                        entry.get("source"), str):
-                    items.append((str(entry.get("name",
-                                                f"request{i}.c")),
-                                  entry["source"]))
-                else:
-                    raise _BadRequest(
-                        f"sources[{i}] must be a string or an object "
-                        "with a 'source' string")
-            return items
-        source = payload.get("source")
-        if not isinstance(source, str):
-            raise _BadRequest(
-                "body must carry 'source' (string) or 'sources' (list)")
-        return [(str(payload.get("name", "input.c")), source)]
-
     async def _handle_check(self, body: bytes,
                             ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        items = self._named_sources(self._parse_json(body))
+        items = named_sources(parse_json(body))
         if len(items) > self.config.max_queue:
             # Could never be admitted, so a 429 "retry later" would lie.
             raise _BadRequest(
@@ -573,8 +495,8 @@ class DetectionServer:
         """Static analysis needs no model and no batcher (there is no
         classifier call to amortize), but it is CPU-bound, so it still
         runs off-loop to keep the server accepting while it works."""
-        payload = self._parse_json(body)
-        items = self._named_sources(payload)
+        payload = parse_json(body)
+        items = named_sources(payload)
         nprocs = payload.get("nprocs", 3)
         if not isinstance(nprocs, int) or not 2 <= nprocs <= 8:
             raise _BadRequest("'nprocs' must be an integer in [2, 8]")
@@ -612,8 +534,8 @@ class DetectionServer:
         mutation-operator name used as a localization hint)."""
         from repro.repair import INVERSE_RULES, repair_source
 
-        payload = self._parse_json(body)
-        items = self._named_sources(payload)
+        payload = parse_json(body)
+        items = named_sources(payload)
         nprocs = payload.get("nprocs", 3)
         if not isinstance(nprocs, int) or not 2 <= nprocs <= 8:
             raise _BadRequest("'nprocs' must be an integer in [2, 8]")
@@ -649,7 +571,7 @@ class DetectionServer:
 
     async def _handle_reload(self, body: bytes,
                              ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        payload = self._parse_json(body)
+        payload = parse_json(body)
         path = payload.get("path")
         if path is not None and not isinstance(path, str):
             raise _BadRequest("'path' must be a string")
@@ -691,158 +613,6 @@ class DetectionServer:
             "tracing": TRACER.stats(),
         }
 
-    # -- raw HTTP -----------------------------------------------------------
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    return
-                method, path, query, headers, body = request
-                started = time.perf_counter()
-                # Every request gets an id — even untraced ones — so
-                # error bodies and the X-Repro-Trace header are always
-                # correlatable (the ring only fills while tracing is on).
-                # A well-formed incoming X-Repro-Trace (the fleet front
-                # door forwarding a request) is adopted instead, and the
-                # optional X-Repro-Parent makes this request's root span
-                # a child of the forwarder's — one trace across the hop.
-                incoming = headers.get("x-repro-trace", "")
-                trace_id = incoming if _valid_trace_id(incoming) \
-                    else new_id()
-                parent = headers.get("x-repro-parent", "")
-                parent_id = parent if _valid_trace_id(parent) else None
-                if TRACER.enabled:
-                    with TRACER.start_trace(f"{method} {path}",
-                                            trace_id=trace_id,
-                                            parent_id=parent_id) as root:
-                        status, payload, extra = await self.handle(
-                            method, path, body, headers, query)
-                        root.set(status=status)
-                else:
-                    status, payload, extra = await self.handle(
-                        method, path, body, headers, query)
-                self._count(status)
-                extra = dict(extra)
-                extra["X-Repro-Trace"] = trace_id
-                if status >= 400 and isinstance(payload, dict) \
-                        and isinstance(payload.get("error"), dict):
-                    payload["error"].setdefault("trace_id", trace_id)
-                if METRICS.enabled:
-                    # Bound label cardinality: arbitrary 404 paths must
-                    # not mint unbounded metric series.
-                    label = (path if path in _ROUTES
-                             else _TRACE_PREFIX + "<id>"
-                             if path.startswith(_TRACE_PREFIX) else "other")
-                    _REQ_SECONDS.labels(label).observe(
-                        time.perf_counter() - started)
-                    _REQ_TOTAL.labels(label, status).inc()
-                keep_alive = headers.get("connection",
-                                         "keep-alive").lower() != "close"
-                self._write_response(writer, status, payload, extra,
-                                     keep_alive)
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError, TimeoutError, ValueError):
-            # ValueError covers StreamReader's per-line limit overrun
-            # (pathologically long header/request lines): drop the
-            # connection rather than crash the handler task.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _count(self, status: int) -> None:
-        self.requests_by_status[status] = \
-            self.requests_by_status.get(status, 0) + 1
-
-    def _reject(self, writer: asyncio.StreamWriter, status: int,
-                code: str, message: str) -> None:
-        """Protocol-level refusal: respond, count it, close after."""
-        self._count(status)
-        trace_id = new_id()
-        _status, body, _extra = error_response(status, code, message)
-        body["error"]["trace_id"] = trace_id
-        self._write_response(writer, status, body,
-                             {"X-Repro-Trace": trace_id},
-                             keep_alive=False)
-
-    async def _read_request(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            ) -> Optional[Tuple[str, str, str,
-                                                Dict[str, str], bytes]]:
-        request_line = await reader.readline()
-        if not request_line:
-            return None                       # clean EOF between requests
-        try:
-            method, target, _version = \
-                request_line.decode("latin-1").split(None, 2)
-        except ValueError:
-            self._reject(writer, 400, "bad_request",
-                         "malformed request line")
-            return None
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(headers) >= _MAX_HEADERS:
-                # Keep the whole server bounded: queue, body, *and*
-                # header section.
-                self._reject(writer, 400, "bad_request",
-                             f"too many headers (max {_MAX_HEADERS})")
-                return None
-            name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if headers.get("transfer-encoding"):
-            # Without decoding chunked bodies we could not stay in sync
-            # on a keep-alive stream; refuse + close instead of
-            # misreading the chunks as the next request.
-            self._reject(writer, 400, "bad_request",
-                         "Transfer-Encoding is not supported; send a "
-                         "Content-Length body")
-            return None
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = -1
-        if length < 0:                  # unparsable or negative
-            self._reject(writer, 400, "bad_request", "bad Content-Length")
-            return None
-        if length > self.config.max_body_bytes:
-            self._reject(writer, 413, "payload_too_large",
-                         f"body exceeds {self.config.max_body_bytes} bytes")
-            return None
-        body = await reader.readexactly(length) if length else b""
-        path, _sep, query = target.partition("?")
-        return method.upper(), path, query, headers, body
-
-    @staticmethod
-    def _write_response(writer: asyncio.StreamWriter, status: int,
-                        payload: Any, extra: Dict[str, str],
-                        keep_alive: bool) -> None:
-        if isinstance(payload, _RawResponse):
-            body = payload.body
-            content_type = payload.content_type
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        headers = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        headers.extend(f"{name}: {value}" for name, value in extra.items())
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1")
-                     + body)
-
 
 # ---------------------------------------------------------------------------
 # Running servers: blocking (CLI) and background-thread (tests, bench)
@@ -852,26 +622,18 @@ def serve(model_path: str, config: Optional[ServeConfig] = None) -> None:
     """Blocking entry point: serve ``model_path`` until interrupted."""
     config = config or ServeConfig.from_env()
     registry = ModelRegistry(model_path, engine=build_engine(config))
+    server = DetectionServer(registry, config)
 
-    async def _main() -> None:
-        server = DetectionServer(registry, config)
-        await server.start()
+    def banner() -> str:
         model = registry.current
-        print(f"serving {model.info.get('method')} model "
-              f"{model.version} (generation {model.generation}) "
-              f"on http://{config.host}:{server.port}", flush=True)
-        try:
-            await asyncio.Event().wait()      # until cancelled / ^C
-        finally:
-            await server.stop()
+        return (f"serving {model.info.get('method')} model "
+                f"{model.version} (generation {model.generation}) "
+                f"on http://{config.host}:{server.port}")
 
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
+    ServiceRunner(server, name="repro-serve", timeout=120.0).run(banner)
 
 
-class BackgroundServer:
+class BackgroundServer(ServiceRunner):
     """A :class:`DetectionServer` on its own thread + event loop.
 
     Context-manager shaped, used by the test suite, the serving
@@ -891,62 +653,9 @@ class BackgroundServer:
             registry = ModelRegistry(model_path,
                                      engine=build_engine(self.config))
         self.registry = registry
-        self.server: Optional[DetectionServer] = None
-        self.port: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._error: Optional[BaseException] = None
+        self.server = DetectionServer(registry, self.config)
+        super().__init__(self.server, name="repro-serve", timeout=120.0)
 
     @property
     def base_url(self) -> str:
         return f"http://{self.config.host}:{self.port}"
-
-    def start(self) -> "BackgroundServer":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-serve", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=120)
-        if self._error is not None:
-            raise self._error
-        if self.port is None:
-            raise RuntimeError("server failed to start within 120s")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None \
-                and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=60)
-            self._thread = None
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surface startup/loop failures
-            if self._error is None:
-                self._error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self.server = DetectionServer(self.registry, self.config)
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self.port = self.server.port
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.server.stop()

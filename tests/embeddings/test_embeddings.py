@@ -89,6 +89,20 @@ def test_encoder_dims_and_determinism():
     assert enc.flow_aware(m).shape == (64,)
 
 
+def test_repeated_module_object_in_one_batch():
+    """The compile memo hands back one Module object for a repeated
+    source; every copy in a batch must encode like the module alone."""
+    triples = extract_triplets(_module())
+    seeds = train_seed_embeddings(triples, dim=64, seed=1, epochs=10)
+    enc = IR2VecEncoder(seeds)
+    m = _module()
+    other = _module(SRC.replace("MPI_Send(", "MPI_Ssend("))
+    X = enc.encode_batch([m, other, m])
+    alone = enc.encode_batch([m])[0]
+    assert X[0].tobytes() == X[2].tobytes() == alone.tobytes()
+    assert X[1].tobytes() == enc.encode_batch([other])[0].tobytes()
+
+
 def test_flow_aware_differs_from_symbolic():
     triples = extract_triplets(_module())
     seeds = train_seed_embeddings(triples, dim=64, seed=1, epochs=10)

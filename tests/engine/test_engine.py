@@ -75,6 +75,16 @@ def test_parallel_embeddings_byte_identical_to_serial():
     assert X_serial.tobytes() == X_parallel.tobytes()
 
 
+def test_repeated_source_in_one_batch_embeds_like_a_single():
+    named = _named_sources(1)
+    fe = CFrontend(CFrontendConfig(opt_level="Os"))
+    feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+    engine = ExecutionEngine(EngineConfig(workers=0))
+    X = engine.featurize_sources(fe, feat, named * 2)
+    alone = engine.featurize_sources(fe, feat, named)
+    assert X[0].tobytes() == X[1].tobytes() == alone[0].tobytes()
+
+
 def test_compile_sources_order_preserved_across_chunkings():
     named = _named_sources(7)
     fe = CFrontend(CFrontendConfig(opt_level="O0"))

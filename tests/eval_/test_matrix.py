@@ -10,15 +10,15 @@ from repro.eval import (
     CompareThresholds,
     MatrixSpec,
     ReproConfig,
-    SchemaError,
     compare_artifacts,
     load_matrix_artifact,
     run_matrix,
     save_matrix_artifact,
-    validate_matrix_artifact,
 )
 from repro.eval.matrix import CellSpec
 from repro.ml.genetic import GAConfig
+from repro.schema import SchemaError, validate_kind
+from repro.schema.kinds import EVAL_MATRIX
 
 
 def _tiny_config(**overrides):
@@ -238,14 +238,14 @@ def test_matrix_warm_rerun_does_zero_recompiles(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_schema_accepts_real_artifact(tiny_doc):
-    validate_matrix_artifact(tiny_doc)       # must not raise
+    validate_kind(EVAL_MATRIX.name, tiny_doc)   # must not raise
 
 
 def test_schema_rejects_missing_key(tiny_doc):
     doc = copy.deepcopy(tiny_doc)
     del doc["cells"][0]["per_class"]
     with pytest.raises(SchemaError) as exc:
-        validate_matrix_artifact(doc)
+        validate_kind(EVAL_MATRIX.name, doc)
     assert "per_class" in str(exc.value)
 
 
@@ -253,7 +253,7 @@ def test_schema_rejects_wrong_type(tiny_doc):
     doc = copy.deepcopy(tiny_doc)
     doc["cells"][0]["overall"]["f1"] = "0.9"
     with pytest.raises(SchemaError) as exc:
-        validate_matrix_artifact(doc)
+        validate_kind(EVAL_MATRIX.name, doc)
     assert ".f1" in str(exc.value)
 
 
@@ -261,17 +261,17 @@ def test_schema_rejects_duplicate_cells_and_bad_version(tiny_doc):
     doc = copy.deepcopy(tiny_doc)
     doc["cells"].append(copy.deepcopy(doc["cells"][0]))
     with pytest.raises(SchemaError):
-        validate_matrix_artifact(doc)
+        validate_kind(EVAL_MATRIX.name, doc)
     doc = copy.deepcopy(tiny_doc)
     doc["schema_version"] = 99
     with pytest.raises(SchemaError):
-        validate_matrix_artifact(doc)
+        validate_kind(EVAL_MATRIX.name, doc)
 
 
 def test_schema_allows_null_metrics(tiny_doc):
     doc = copy.deepcopy(tiny_doc)
     doc["cells"][0]["overall"]["f1"] = None
-    validate_matrix_artifact(doc)
+    validate_kind(EVAL_MATRIX.name, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_report_roundtrips_and_rejects_corruption(tmp_path):
     loaded = load_fuzz_report(path)
     assert loaded == doc
 
-    from repro.eval.schema import SchemaError
+    from repro.schema import SchemaError
 
     bad = dict(doc)
     bad["counts"] = dict(doc["counts"])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.datasets.loader import Sample
 from repro.engine import EngineConfig, ExecutionEngine
-from repro.eval.schema import SchemaError
+from repro.schema import SchemaError
 from repro.perf import (
     PERF,
     PerfRegistry,
