@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core import localize_call_sites, localize_error
 from repro.datasets import load_mbi
-from repro.models import IR2vecModel, ir2vec_feature_matrix
+from repro.models import IR2vecModel, featurize_dataset
+from repro.pipeline import IR2VecFeaturizer
 
 BUGGY = """
 #include <mpi.h>
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
 def main() -> None:
     print("training binary IR2vec model on the MBI-style suite ...")
     dataset = load_mbi(subsample=300)
-    X = ir2vec_feature_matrix(dataset, "Os")
+    X = featurize_dataset(IR2VecFeaturizer(opt_level="Os"), dataset)
     y = np.array([s.binary for s in dataset])
     model = IR2vecModel(use_ga=False)
     model.fit(X, y)

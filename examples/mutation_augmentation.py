@@ -15,7 +15,7 @@ that loop end-to-end with the library's mutation engine:
 Run:  python examples/mutation_augmentation.py
 """
 
-from repro import MPIErrorDetector
+from repro import DetectionPipeline
 from repro.datasets import CORRECT, MutationEngine, load_mbi
 from repro.eval import ReproConfig
 from repro.eval.experiments import mutation_detection, render_mutation_detection
@@ -33,10 +33,10 @@ def main() -> None:
         print(f"  {m.operator:<18} -> {m.sample.label}")
 
     # -- 3: train on the plain suite, check the mutants (one batch) ------
-    detector = MPIErrorDetector(method="ir2vec",
-                                ga_config=config.ga).train(dataset)
+    pipeline = DetectionPipeline.from_method(
+        "ir2vec", ga_config=config.ga).fit(dataset)
     print("\nverdicts on unseen mutants:")
-    results = detector.check_samples([m.sample for m in mutants])
+    results = pipeline.predict_batch([m.sample for m in mutants])
     for m, result in zip(mutants, results):
         marker = "HIT " if not result.is_correct else "MISS"
         print(f"  [{marker}] {m.operator:<18} predicted={result.label}")

@@ -1,8 +1,8 @@
 """repro — reproduction of "MPI Errors Detection using GNN Embedding and
 Vector Embedding over LLVM IR" (arXiv:2403.02518).
 
-The detection pipeline is composable: a ``Frontend`` compiles C to IR
-(content-hash cached), a ``Featurizer`` turns IR into features (built-ins
+The detection pipeline is composable: a ``Frontend`` compiles C to IR,
+a ``Featurizer`` turns IR into features (built-ins
 ``ir2vec`` and ``programl``), and a ``Classifier`` labels them
 (``decision-tree``, ``gnn``).  Stages are built by name from registries,
 chained by the batch-first :class:`~repro.pipeline.DetectionPipeline`,
@@ -17,7 +17,6 @@ and persisted as versioned artifacts (JSON manifest + per-stage blobs):
 Custom stages plug in without core-code edits via
 :func:`~repro.pipeline.register_featurizer` /
 :func:`~repro.pipeline.register_classifier`; see ``docs/pipeline.md``.
-:class:`MPIErrorDetector` remains as a thin back-compat facade.
 
 Subpackages
 -----------
@@ -33,11 +32,11 @@ Subpackages
     numpy autograd + GATv2 GNN; decision tree, GA, metrics, CV.
 ``engine``
     parallel corpus execution engine: worker-pool fan-out plus the
-    persistent content-addressed compile/feature cache.
+    content-addressed compile/feature store (memory, disk, fleet CAS).
 ``pipeline``
     stage protocols, registries, DetectionPipeline, artifact format.
 ``models`` / ``core``
-    the paper's two stage stacks and the back-compat detector facade.
+    the paper's two stage stacks and error localization.
 ``verify``
     baseline tools: ITAC, MUST, PARCOACH, MPI-Checker analogues.
 ``eval``
@@ -45,8 +44,6 @@ Subpackages
 """
 
 from repro.core import (
-    DetectionResult,
-    MPIErrorDetector,
     SuspectCallSite,
     SuspectFunction,
     localize_call_sites,
@@ -55,13 +52,14 @@ from repro.core import (
 from repro.datasets import MutationEngine
 from repro.pipeline import (
     DetectionPipeline,
+    DetectionResult,
     register_classifier,
     register_featurizer,
 )
 
 __version__ = "1.2.0"
 __all__ = [
-    "MPIErrorDetector", "DetectionResult", "DetectionPipeline",
+    "DetectionResult", "DetectionPipeline",
     "register_featurizer", "register_classifier",
     "localize_error", "localize_call_sites",
     "SuspectFunction", "SuspectCallSite",

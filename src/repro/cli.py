@@ -312,7 +312,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"error: {args.model} holds an unfitted pipeline; "
               "train it before checking files", file=sys.stderr)
         return 1
-    # One batch: shared compile cache, one vectorized classifier call.
+    # One batch: one engine pass, one vectorized classifier call.
     sources = [(os.path.basename(path), _read_source(path))
                for path in args.files]
     results = pipeline.predict_batch(sources)
@@ -346,33 +346,31 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
-    from repro.core import MPIErrorDetector
     from repro.core.localize import localize_call_sites, localize_error
     from repro.models.ir2vec_model import IR2vecModel
-    from repro.pipeline import ArtifactError
+    from repro.pipeline import ArtifactError, DetectionPipeline
 
     try:
-        detector = MPIErrorDetector.load(args.model)
+        pipeline = DetectionPipeline.load(args.model)
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if detector.method != "ir2vec" or not isinstance(detector.model,
-                                                     IR2vecModel):
+    model = getattr(pipeline.classifier, "model", None)
+    if pipeline.method != "ir2vec" or not isinstance(model, IR2vecModel):
         print("error: localization requires an ir2vec detector",
               file=sys.stderr)
         return 1
+    opt_level = pipeline.frontend.opt_level
+    seed = getattr(pipeline.featurizer, "seed", 42)
     source = _read_source(args.file)
     print("function-level suspects:")
-    for s in localize_error(source, detector.model,
-                            opt_level=detector.opt_level,
-                            embedding_seed=detector.embedding_seed):
+    for s in localize_error(source, model, opt_level=opt_level,
+                            embedding_seed=seed):
         print(f"  #{s.rank} {s.name:<20} isolated={s.isolated_verdict:<10} "
               f"influence={s.influence:.3f}")
     print("call-site suspects:")
-    suspects = localize_call_sites(source, detector.model,
-                                   opt_level=detector.opt_level,
-                                   embedding_seed=detector.embedding_seed,
-                                   top=args.top)
+    suspects = localize_call_sites(source, model, opt_level=opt_level,
+                                   embedding_seed=seed, top=args.top)
     for s in suspects:
         print(f"  {s}")
     if not suspects:
@@ -741,7 +739,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     per-stage timers and write the schema-checked profile artifact."""
     import json
 
-    from repro.engine import default_engine
+    from repro.engine import ExecutionEngine, default_engine
     from repro.eval.config import ReproConfig
     from repro.perf import collect_profile, save_profile
 
@@ -753,9 +751,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if not samples:
         print("error: empty dataset", file=sys.stderr)
         return 1
-    doc = collect_profile(args.dataset, samples, method=args.method,
-                          opt_level=args.opt, engine=default_engine(),
-                          classify=not args.no_classify)
+    # A fresh engine with the default's knobs: the run is cold even
+    # when this process already featurized the same samples.
+    with ExecutionEngine(default_engine().config) as engine:
+        doc = collect_profile(args.dataset, samples, method=args.method,
+                              opt_level=args.opt, engine=engine,
+                              classify=not args.no_classify)
     save_profile(doc, args.output)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

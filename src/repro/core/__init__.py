@@ -1,10 +1,5 @@
-"""Back-compat facade: train / apply MPI error detectors on C source.
+"""Error localization over a trained IR2vec detector."""
 
-New code should prefer :mod:`repro.pipeline` — the composable,
-batch-first API this facade now wraps.
-"""
-
-from repro.core.detector import DetectionResult, MPIErrorDetector
 from repro.core.localize import (
     SuspectCallSite,
     SuspectFunction,
@@ -13,7 +8,6 @@ from repro.core.localize import (
 )
 
 __all__ = [
-    "MPIErrorDetector", "DetectionResult",
     "localize_error", "localize_call_sites",
     "SuspectFunction", "SuspectCallSite",
 ]

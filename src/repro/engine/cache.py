@@ -3,18 +3,19 @@
 Two cache shapes live here:
 
 :class:`LRUCache`
-    A bounded in-process mapping with hit/miss/eviction counters.  The
-    frontend's per-process compile memo uses it so long-lived processes
-    (servers, paper-scale experiment sweeps over many opt levels) stop
-    growing without bound.
+    A bounded in-process mapping with hit/miss/eviction counters.
 :class:`ContentStore`
-    A persistent on-disk content-addressed store shared by every engine
-    stage.  Keys are SHA-256 digests over (stage name, stage config,
-    code version, input identity); values are pickled per-sample results
-    (IR modules, embedding rows, program graphs).  Writes are atomic
-    (tmp file + ``os.replace``) so concurrent workers and concurrent
-    engine processes can share one store without locks; a corrupted or
-    truncated entry is deleted and treated as a miss, never an error.
+    The one content-addressed store behind every engine stage.  Keys are
+    SHA-256 digests over (stage name, stage config, code version, input
+    identity); values are per-sample results (IR modules, embedding
+    rows, program graphs).  Lookups go through a bounded in-memory LRU
+    tier per stage, then — when the store has a root directory — a
+    persistent on-disk tier.  Disk writes are atomic (tmp file +
+    ``os.replace``) so concurrent workers and concurrent engine
+    processes can share one tree without locks; a corrupted or truncated
+    entry is deleted and treated as a miss, never an error.  The fleet's
+    :class:`~repro.fleet.cas.TieredStore` adds the network CAS as a
+    third tier behind both.
 
 Neither class imports anything above :mod:`repro`'s leaf layers, so the
 frontend and the engine can both depend on this module.
@@ -27,12 +28,28 @@ import hashlib
 import os
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: Bump to invalidate every persisted entry after a change to how any
 #: stage computes its results (the on-disk layout namespaces on it).
 ENGINE_CACHE_VERSION = "2"
+
+#: Store subtrees, one per engine stage.
+COMPILE_STAGE = "compile"
+FEATURE_STAGE = "features"
+
+#: Memory-tier bound per stage, in entries.  2048 IR modules keep the
+#: largest suite (MBI, 1861 programs) resident at one opt level; 8192
+#: feature rows keep a paper-profile ``table4_options`` pass (full MBI
+#: at three opt levels, 5583 rows) resident with headroom — at 4 KiB
+#: per IR2vec row that is at most 32 MiB.
+MEMORY_ENTRIES = {COMPILE_STAGE: 2048, FEATURE_STAGE: 8192}
+#: Bound for any other stage.
+DEFAULT_MEMORY_ENTRIES = 2048
+
+_MISS = object()
 
 
 def code_version() -> str:
@@ -44,7 +61,7 @@ def code_version() -> str:
 
 @dataclasses.dataclass
 class CacheStats:
-    """Counters for one cache (in-process or persistent)."""
+    """Counters for one cache tier, or one stage across tiers."""
 
     hits: int = 0
     misses: int = 0
@@ -63,15 +80,13 @@ class CacheStats:
     def as_dict(self) -> Dict[str, Any]:
         return {**dataclasses.asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
-    def clear(self) -> None:
-        self.hits = self.misses = self.stores = self.evictions = self.errors = 0
-
 
 class LRUCache:
     """Bounded mapping with least-recently-used eviction and counters.
 
-    ``maxsize=0`` disables storage entirely (every lookup misses) —
-    the supported way to switch a memo off via configuration.
+    ``maxsize=0`` disables storage entirely (every lookup misses).  Safe
+    to share across threads (a server's executor threads share the
+    default engine's store).
     """
 
     def __init__(self, maxsize: int = 2048):
@@ -80,36 +95,36 @@ class LRUCache:
         self.maxsize = maxsize
         self.stats = CacheStats()
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def get(self, key: Any, default: Any = None) -> Any:
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.stats.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.stats.hits += 1
-        return value
+        with self._lock:
+            try:
+                value = self._data[key]
+            except KeyError:
+                self.stats.misses += 1
+                return default
+            self._data.move_to_end(key)
+            self.stats.hits += 1
+            return value
 
     def put(self, key: Any, value: Any) -> None:
         if self.maxsize == 0:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        self.stats.stores += 1
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+            self._data[key] = value
+            self.stats.stores += 1
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.stats.evictions += 1
 
     def __len__(self) -> int:
         return len(self._data)
 
     def __contains__(self, key: Any) -> bool:
         return key in self._data
-
-    def clear(self) -> None:
-        self._data.clear()
 
 
 def digest_parts(parts: Iterable[Any]) -> str:
@@ -126,20 +141,30 @@ def digest_parts(parts: Iterable[Any]) -> str:
 
 
 class ContentStore:
-    """Persistent content-addressed store, one subtree per stage.
+    """Content-addressed store: memory tier, then an optional disk tier.
 
-    Layout (``version`` namespaces the whole tree, so bumping the code
-    version simply orphans old entries rather than corrupting reads)::
+    ``root=None`` keeps the store in memory only.  Each stage's memory
+    tier is an :class:`LRUCache` bounded by :data:`MEMORY_ENTRIES`.
+    ``stats`` counts lookups per stage across all tiers; ``memory``
+    holds the memory tier itself, with its own counters.
+
+    Disk layout (``version`` namespaces the whole tree, so bumping the
+    code version simply orphans old entries rather than corrupting
+    reads)::
 
         <root>/v<version-digest>/<stage>/<digest[:2]>/<digest>.pkl
     """
 
-    def __init__(self, root: str, version: Optional[str] = None):
-        self.root = os.path.abspath(os.path.expanduser(root))
+    def __init__(self, root: Optional[str] = None,
+                 version: Optional[str] = None):
+        self.root = (os.path.abspath(os.path.expanduser(root))
+                     if root else None)
         self.version = version if version is not None else code_version()
-        self._tree = os.path.join(
+        self._tree = (os.path.join(
             self.root, f"v{digest_parts([self.version])[:16]}")
+            if self.root else None)
         self.stats: Dict[str, CacheStats] = {}
+        self.memory: Dict[str, LRUCache] = {}
 
     # -- keys ---------------------------------------------------------------
     def key(self, stage: str, parts: Iterable[Any]) -> str:
@@ -152,32 +177,66 @@ class ContentStore:
     def _stage_stats(self, stage: str) -> CacheStats:
         return self.stats.setdefault(stage, CacheStats())
 
+    def _memory_tier(self, stage: str) -> LRUCache:
+        tier = self.memory.get(stage)
+        if tier is None:                 # setdefault: one tier per stage
+            tier = self.memory.setdefault(stage, LRUCache(
+                MEMORY_ENTRIES.get(stage, DEFAULT_MEMORY_ENTRIES)))
+        return tier
+
     # -- read / write -------------------------------------------------------
     def get(self, stage: str, key: str) -> Tuple[bool, Any]:
-        """Return ``(found, value)``; corrupted entries recover as misses."""
+        """Return ``(found, value)``, trying each tier in turn; a lower
+        tier's hit is promoted into the memory tier."""
         stats = self._stage_stats(stage)
+        tier = self._memory_tier(stage)
+        value = tier.get(key, _MISS)
+        if value is not _MISS:
+            stats.hits += 1
+            return True, value
+        found, value = self._load(stage, key)
+        if not found:
+            stats.misses += 1
+            return False, None
+        stats.hits += 1
+        tier.put(key, value)
+        return True, value
+
+    def put(self, stage: str, key: str, value: Any) -> None:
+        """Write ``value`` through every tier."""
+        self.remember(stage, key, value)
+        self._save(stage, key, value)
+        self._stage_stats(stage).stores += 1
+
+    def remember(self, stage: str, key: str, value: Any) -> None:
+        """Write the memory tier only (a worker already wrote the rest)."""
+        self._memory_tier(stage).put(key, value)
+
+    def _load(self, stage: str, key: str) -> Tuple[bool, Any]:
+        """Read below the memory tier; corrupted entries recover as misses."""
+        if self._tree is None:
+            return False, None
         path = self._path(stage, key)
         try:
             with open(path, "rb") as fh:
-                value = pickle.load(fh)
+                return True, pickle.load(fh)
         except FileNotFoundError:
-            stats.misses += 1
             return False, None
         except Exception:
             # Truncated write from a killed process, disk corruption, or
             # an unpicklable-for-this-code-version blob: drop the entry
             # and recompute rather than failing the run.
-            stats.errors += 1
-            stats.misses += 1
+            self._stage_stats(stage).errors += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return False, None
-        stats.hits += 1
-        return True, value
 
-    def put(self, stage: str, key: str, value: Any) -> None:
+    def _save(self, stage: str, key: str, value: Any) -> None:
+        """Write below the memory tier."""
+        if self._tree is None:
+            return
         path = self._path(stage, key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -191,13 +250,35 @@ class ContentStore:
             except OSError:
                 pass
             raise
-        self._stage_stats(stage).stores += 1
+
+    # -- stats --------------------------------------------------------------
+    def stats_dict(self) -> Dict[str, Dict[str, Any]]:
+        """``{stage: {hits, misses, …, memory: {…}}}``: hits over all
+        tiers, with the memory tier's own counters and size inside."""
+        out: Dict[str, Dict[str, Any]] = {}
+        for stage, stats in self.stats.items():
+            entry = out[stage] = stats.as_dict()
+            tier = self.memory.get(stage)
+            if tier is not None:
+                entry["memory"] = {**tier.stats.as_dict(),
+                                   "entries": len(tier),
+                                   "maxsize": tier.maxsize}
+        return out
+
+    def memory_stats(self) -> CacheStats:
+        """The memory tier's counters summed over stages."""
+        total = CacheStats()
+        for tier in self.memory.values():
+            for field in dataclasses.fields(CacheStats):
+                setattr(total, field.name, getattr(total, field.name)
+                        + getattr(tier.stats, field.name))
+        return total
 
     # -- maintenance --------------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, int]]:
         """On-disk entry/byte counts per stage, across *all* versions."""
         out: Dict[str, Dict[str, int]] = {}
-        if not os.path.isdir(self.root):
+        if self.root is None or not os.path.isdir(self.root):
             return out
         for version_dir in sorted(os.listdir(self.root)):
             vpath = os.path.join(self.root, version_dir)
@@ -221,10 +302,12 @@ class ContentStore:
         return out
 
     def clear(self, stage: Optional[str] = None) -> int:
-        """Delete persisted entries (one stage, or everything); returns
-        the number of entries removed."""
+        """Delete entries (one stage, or everything) from every tier;
+        returns the number of on-disk entries removed."""
+        for name in ([stage] if stage is not None else list(self.memory)):
+            self.memory.pop(name, None)
         removed = 0
-        if not os.path.isdir(self.root):
+        if self.root is None or not os.path.isdir(self.root):
             return removed
         for version_dir in os.listdir(self.root):
             vpath = os.path.join(self.root, version_dir)

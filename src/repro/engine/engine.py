@@ -19,11 +19,14 @@ both facts:
   from the observed per-sample latency (EWMA), targeting
   ``~50 ms`` of work per task while keeping at least four chunks per
   worker for load balance.  A fixed ``chunk_size > 0`` opts out.
-* **Never redo work** — every stage is backed by the persistent
-  content-addressed :class:`~repro.engine.cache.ContentStore`.  A warm
-  re-run of ``fit``, ``predict_batch``, an eval scenario, or a benchmark
-  skips compilation and featurization entirely; cache keys mix in the
-  stage config and the code version, so changing any input recomputes.
+* **Never redo work** — every engine owns one content-addressed
+  :class:`~repro.engine.cache.ContentStore`: a bounded memory tier,
+  then the on-disk tier when ``cache_dir`` is set, then the fleet CAS
+  when ``cas_addr`` is.  A re-run of ``fit``, ``predict_batch``, an eval
+  scenario, or a benchmark — in-process or, with a disk tier, in a new
+  process — skips compilation and featurization entirely; cache keys
+  mix in the stage config and the code version, so changing any input
+  recomputes.  A caller that wants a cold cache uses a fresh engine.
 
 Parallel and serial runs are bit-identical by construction: per-sample
 results are computed independently and reassembled in input order, and
@@ -65,7 +68,13 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.cache import CacheStats, ContentStore, digest_parts
+from repro.engine.cache import (
+    COMPILE_STAGE,
+    FEATURE_STAGE,
+    CacheStats,
+    ContentStore,
+    digest_parts,
+)
 from repro.engine.shm import load_matrix, share_rows
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
@@ -86,10 +95,6 @@ _OBS_CHUNK_SIZE = METRICS.gauge(
     "repro_engine_chunk_size", "Most recent adaptive chunk size.")
 _OBS_WORKER_BUSY = METRICS.histogram(
     "repro_engine_worker_busy_seconds", "Busy seconds per worker task.")
-
-#: Store subtrees, one per engine stage.
-COMPILE_STAGE = "compile"
-FEATURE_STAGE = "features"
 
 #: Adaptive chunking targets ~this much work per task: big enough to
 #: amortize scheduling, small enough to load-balance a 4-worker pool.
@@ -128,15 +133,13 @@ def _cacheable(stage: Any) -> bool:
 
 
 def _build_store(cache_dir: Optional[str], cas_addr: Optional[str],
-                 version: Optional[str] = None) -> Optional[ContentStore]:
-    """The engine's stage store: plain local disk, or — when a fleet
-    CAS address is configured — the two-tier store (local disk in front
-    of the shared network CAS) so one replica's cold compile becomes
-    every replica's warm hit.  Imported lazily: the engine must not
-    depend on the fleet layer unless a fleet is actually in play."""
-    if not cache_dir:
-        return None
-    if cas_addr:
+                 version: Optional[str] = None) -> ContentStore:
+    """The engine's stage store: memory only without ``cache_dir``,
+    memory → disk with one, and memory → disk → fleet CAS when a CAS
+    address is configured too, so one replica's cold compile becomes
+    every replica's warm hit.  The fleet layer is imported lazily: the
+    engine must not depend on it unless a fleet is actually in play."""
+    if cache_dir and cas_addr:
         from repro.fleet.cas import TieredStore
 
         return TieredStore(cache_dir, cas_addr, version)
@@ -269,8 +272,12 @@ def _stage_chunk_worker(payload: bytes) -> Tuple[str, Any, float,
     PERF.enabled = True
     try:
         with TRACER.worker_scope(ctx) as spans:
-            store = _build_store(state.cache_dir, state.cas_addr,
-                                 state.version)
+            # A worker's store lives for one chunk: it exists to write
+            # the lower tiers, and the parent's memory tier keeps what
+            # the chunk returns.
+            store = (_build_store(state.cache_dir, state.cas_addr,
+                                  state.version)
+                     if state.cache_dir else None)
             rows = _process_chunk(store, state.frontend, state.featurizer,
                                   chunk)
     finally:
@@ -301,8 +308,8 @@ class EngineConfig:
     """Knobs of the execution engine.
 
     ``workers=0`` runs serially in-process; ``workers=N`` fans chunks out
-    to N worker processes.  ``cache_dir=None`` disables the persistent
-    store (in-process memos still apply).
+    to N worker processes.  ``cache_dir=None`` keeps the engine's store
+    in memory only.
 
     ``chunk_size=0`` (default) sizes chunks adaptively from observed
     per-sample latency (~50 ms of work per task, at least four tasks per
@@ -347,7 +354,7 @@ class ExecutionEngine:
 
     def __init__(self, config: Optional[EngineConfig] = None, **overrides):
         self.config = config or EngineConfig(**overrides)
-        self.store: Optional[ContentStore] = _build_store(
+        self.store: ContentStore = _build_store(
             self.config.cache_dir, self.config.cas_addr)
         #: Parent-side work counters (worker-side compiles land in the
         #: shared store but are not mirrored here).  ``tasks`` /
@@ -392,8 +399,9 @@ class ExecutionEngine:
 
     @property
     def stats(self) -> Dict[str, CacheStats]:
-        """Per-stage persistent-store counters seen by this process."""
-        return self.store.stats if self.store is not None else {}
+        """Per-stage store counters (hits over all tiers) seen by this
+        process."""
+        return self.store.stats
 
     def stats_dict(self) -> Dict[str, Any]:
         tasks = self.counters["tasks"]
@@ -430,7 +438,7 @@ class ExecutionEngine:
                 "min_samples_per_worker": self.config.min_samples_per_worker,
                 "chunk_size": self.config.chunk_size,
             },
-            "store": {stage: s.as_dict() for stage, s in self.stats.items()},
+            "store": self.store.stats_dict(),
             # Two-tier fleet CAS counters (None on plain local stores).
             "cas": (self.store.cas_stats()
                     if hasattr(self.store, "cas_stats") else None),
@@ -608,7 +616,8 @@ class ExecutionEngine:
              named_sources: Iterable[Tuple[str, str]]) -> List[Any]:
         results: List[Any] = []
         misses: List[Tuple[int, str, str]] = []
-        cacheable = (self.store is not None and _cacheable(frontend)
+        keys: Dict[int, str] = {}
+        cacheable = (_cacheable(frontend)
                      and (featurizer is None or _cacheable(featurizer)))
         for index, (name, source) in enumerate(named_sources):
             results.append(None)
@@ -617,8 +626,8 @@ class ExecutionEngine:
                          if featurizer is None
                          else _feature_parts(frontend, featurizer, name,
                                              source))
-                found, value = self.store.get(stage, self.store.key(stage,
-                                                                    parts))
+                key = keys[index] = self.store.key(stage, parts)
+                found, value = self.store.get(stage, key)
                 if found:
                     results[index] = value
                     continue
@@ -630,17 +639,22 @@ class ExecutionEngine:
 
             chunks = list(iter_sample_chunks(
                 misses, self._effective_chunk_size(len(misses))))
-            for chunk, values in self._map_chunks(frontend, featurizer,
-                                                  chunks):
+            for chunk, values, remote in self._map_chunks(
+                    frontend, featurizer, chunks):
                 for (index, _name, _source), value in zip(chunk, values):
                     results[index] = value
+                    # Workers wrote their lower tiers; the parent's
+                    # memory tier takes what came back.
+                    if remote and cacheable:
+                        self.store.remember(stage, keys[index], value)
         return results
 
     def _map_chunks(self, frontend: Any, featurizer: Optional[Any],
                     chunks: List[List[Tuple[int, str, str]]],
                     ) -> Iterator[Tuple[List[Tuple[int, str, str]],
-                                        List[Any]]]:
-        """Yield ``(chunk, per-sample values)`` in submission order."""
+                                        List[Any], bool]]:
+        """Yield ``(chunk, per-sample values, computed in a worker)`` in
+        submission order."""
         self.counters["chunks"] += len(chunks)
         n_samples = sum(len(chunk) for chunk in chunks)
         if len(chunks) > 1 and self._parallel_worthwhile(n_samples):
@@ -654,8 +668,8 @@ class ExecutionEngine:
                 self._warmup(featurizer)
                 state = _WorkerState(
                     token, frontend, featurizer, self.config.cache_dir,
-                    self.store.version if self.store is not None else None,
-                    self.config.shm_min_bytes, self.config.cas_addr)
+                    self.store.version, self.config.shm_min_bytes,
+                    self.config.cas_addr)
                 wall_start = time.perf_counter()
                 pool = self._ensure_pool(state)
                 try:
@@ -700,7 +714,7 @@ class ExecutionEngine:
                             values = _split_batch(matrix, matrix.shape[0])
                         else:
                             values = value
-                        yield chunk, values
+                        yield chunk, values, True
                 except BrokenProcessPool:
                     # A dead worker poisons the whole executor; drop it
                     # so the next run starts a healthy pool.
@@ -725,16 +739,15 @@ class ExecutionEngine:
             values = _process_chunk(self.store, frontend, featurizer, named)
             self._observe_sample_sec((time.perf_counter() - start)
                                      / max(1, len(chunk)))
-            yield chunk, values
+            yield chunk, values, False
 
     def _stage_token(self, frontend: Any, featurizer: Optional[Any]) -> str:
         """Identity of the worker-side state a pool must hold to run
         these stages (stage configs + store coordinates)."""
-        version = self.store.version if self.store is not None else ""
         return digest_parts([
             stage_identity(frontend),
             stage_identity(featurizer) if featurizer is not None else "",
-            self.config.cache_dir or "", version,
+            self.config.cache_dir or "", self.store.version,
             self.config.cas_addr or "",
         ])
 
@@ -794,7 +807,7 @@ class ExecutionEngine:
             if state is not None:
                 if context.get_start_method() == "fork":
                     # Zero-copy hand-off: forked workers inherit the
-                    # parent's global (and every warm memo under it).
+                    # parent's global (and the warmed state under it).
                     _install_worker_state(state)
                 else:
                     initializer = _init_worker
@@ -867,8 +880,8 @@ def default_engine() -> ExecutionEngine:
     """The process-wide engine every pipeline uses unless given its own.
 
     First use builds it from the ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``
-    / ``REPRO_CAS_ADDR`` environment variables (serial, uncached when
-    unset); ``REPRO_CAS_ADDR`` is how fleet replica subprocesses attach
+    / ``REPRO_CAS_ADDR`` environment variables (serial, memory tier
+    only when unset); ``REPRO_CAS_ADDR`` is how fleet replica subprocesses attach
     their engines to the shared network CAS.
     """
     global _DEFAULT_ENGINE

@@ -18,14 +18,13 @@ import numpy as np
 from repro.datasets.loader import Dataset
 from repro.eval.config import ReproConfig
 from repro.ml.crossval import stratified_kfold_indices
-from repro.models.features import ir2vec_feature_matrix
 from repro.pipeline import make_classifier
 
 
 def _ablation_accuracy(dataset: Dataset, excluded: Sequence[str],
                        config: ReproConfig) -> Dict[str, float]:
     """Detection accuracy of each excluded label when absent in training."""
-    X = ir2vec_feature_matrix(dataset, config.ir2vec_opt, config.embedding_seed)
+    X = config.ir2vec_features(dataset)
     labels = np.array([s.label for s in dataset.samples])
     binary = np.array([s.binary for s in dataset.samples])
     excluded_set = set(excluded)

@@ -63,6 +63,18 @@ class ReproConfig:
             object.__setattr__(self, "_engine_key", (workers, cache_dir))
         return self._engine
 
+    def ir2vec_features(self, dataset, seed: Optional[int] = None):
+        """The ``(n, 512)`` IR2vec matrix of ``dataset`` at ``ir2vec_opt``
+        (embedding seed ``seed``, default ``embedding_seed``), computed
+        on :meth:`engine`."""
+        from repro.models.features import featurize_dataset
+        from repro.pipeline import IR2VecFeaturizer
+
+        featurizer = IR2VecFeaturizer(
+            opt_level=self.ir2vec_opt,
+            seed=self.embedding_seed if seed is None else seed)
+        return featurize_dataset(featurizer, dataset, engine=self.engine())
+
     @staticmethod
     def paper() -> "ReproConfig":
         return ReproConfig()

@@ -318,7 +318,6 @@ def seed_sensitivity(config: ReproConfig, alt_seed: int = 1337) -> List[dict]:
     meaningful only in the embedding basis they were selected in.
     """
     from repro.ml.crossval import stratified_kfold_indices
-    from repro.models.features import ir2vec_feature_matrix
     from repro.pipeline import make_classifier
 
     mbi = config.mbi()
@@ -331,11 +330,8 @@ def seed_sensitivity(config: ReproConfig, alt_seed: int = 1337) -> List[dict]:
             fixed_features=tuple(fixed) if fixed is not None else None)
 
     def intra(ds) -> Tuple[float, float]:
-        X_a = ir2vec_feature_matrix(ds, config.ir2vec_opt,
-                                    config.embedding_seed,
-                                    engine=config.engine())
-        X_b = ir2vec_feature_matrix(ds, config.ir2vec_opt, alt_seed,
-                                    engine=config.engine())
+        X_a = config.ir2vec_features(ds)
+        X_b = config.ir2vec_features(ds, alt_seed)
         y = np.array([s.binary for s in ds.samples])
         hits_a = hits_b = total = 0
         for tr, va in stratified_kfold_indices(
@@ -350,16 +346,10 @@ def seed_sensitivity(config: ReproConfig, alt_seed: int = 1337) -> List[dict]:
     def cross(train_ds, val_ds) -> Tuple[float, float]:
         y_tr = np.array([s.binary for s in train_ds.samples])
         y_va = np.array([s.binary for s in val_ds.samples])
-        Xtr_a = ir2vec_feature_matrix(train_ds, config.ir2vec_opt,
-                                      config.embedding_seed,
-                                      engine=config.engine())
-        Xva_a = ir2vec_feature_matrix(val_ds, config.ir2vec_opt,
-                                      config.embedding_seed,
-                                      engine=config.engine())
-        Xtr_b = ir2vec_feature_matrix(train_ds, config.ir2vec_opt, alt_seed,
-                                      engine=config.engine())
-        Xva_b = ir2vec_feature_matrix(val_ds, config.ir2vec_opt, alt_seed,
-                                      engine=config.engine())
+        Xtr_a = config.ir2vec_features(train_ds)
+        Xva_a = config.ir2vec_features(val_ds)
+        Xtr_b = config.ir2vec_features(train_ds, alt_seed)
+        Xva_b = config.ir2vec_features(val_ds, alt_seed)
         model_a = _model().fit(Xtr_a, y_tr)
         acc_a = float(np.mean(model_a.predict(Xva_a) == y_va))
         model_b = _model(model_a.selected).fit(Xtr_b, y_tr)
@@ -405,7 +395,6 @@ def ir2vec_encoding_ablation(config: ReproConfig) -> List[dict]:
     full 512-d concatenation.
     """
     from repro.ml.crossval import stratified_kfold_indices
-    from repro.models.features import ir2vec_feature_matrix
     from repro.pipeline import make_classifier
 
     dim = 256
@@ -417,9 +406,7 @@ def ir2vec_encoding_ablation(config: ReproConfig) -> List[dict]:
     rows: List[dict] = []
     for suite in ("MBI", "CORR"):
         ds = config.dataset(suite)
-        X_full = ir2vec_feature_matrix(ds, config.ir2vec_opt,
-                                       config.embedding_seed,
-                                       engine=config.engine())
+        X_full = config.ir2vec_features(ds)
         y = np.array([s.binary for s in ds.samples])
         strata = [s.label for s in ds.samples]
         for encoding, sl in slices.items():
@@ -447,11 +434,12 @@ def gnn_design_ablation(config: ReproConfig, suite: str = "CORR") -> List[dict]:
     Intra CV with binary labels.
     """
     from repro.ml.crossval import stratified_kfold_indices
-    from repro.models.features import graph_dataset
-    from repro.pipeline import make_classifier, take
+    from repro.models.features import featurize_dataset
+    from repro.pipeline import ProGraMLFeaturizer, make_classifier, take
 
     ds = config.dataset(suite)
-    graphs = graph_dataset(ds, config.gnn_opt, engine=config.engine())
+    graphs = featurize_dataset(ProGraMLFeaturizer(opt_level=config.gnn_opt),
+                               ds, engine=config.engine())
     y = np.array([s.binary for s in ds.samples])
     strata = [s.label for s in ds.samples]
 
@@ -509,7 +497,6 @@ def mutation_detection(config: ReproConfig, suite: str = "MBI",
     codes — new incorrect programs the model has never seen.
     """
     from repro.datasets.mutation import MutationEngine
-    from repro.models.features import ir2vec_feature_matrix
     from repro.pipeline import make_classifier
 
     ds = config.dataset(suite)
@@ -518,8 +505,7 @@ def mutation_detection(config: ReproConfig, suite: str = "MBI",
     if not mutants:
         return []
 
-    X = ir2vec_feature_matrix(ds, config.ir2vec_opt, config.embedding_seed,
-                              engine=config.engine())
+    X = config.ir2vec_features(ds)
     y = np.array([s.binary for s in ds.samples])
     model = make_classifier("decision-tree",
                             normalization=config.normalization,
@@ -530,9 +516,7 @@ def mutation_detection(config: ReproConfig, suite: str = "MBI",
 
     mutant_ds = Dataset(f"{ds.name}-mutants",
                         [m.sample for m in mutants])
-    Xm = ir2vec_feature_matrix(mutant_ds, config.ir2vec_opt,
-                               config.embedding_seed,
-                               engine=config.engine())
+    Xm = config.ir2vec_features(mutant_ds)
     pred = model.predict(Xm)
 
     rows: List[dict] = []
@@ -604,7 +588,6 @@ def render_mutation_cross(rows: List[dict]) -> str:
 def table6_hypre(config: ReproConfig) -> List[dict]:
     """Reproduce Table VI: cross-trained models applied to the Hypre pair."""
     from repro.datasets.hypre import hypre_pair
-    from repro.models.features import ir2vec_feature_matrix
     from repro.pipeline import IR2VecFeaturizer, make_classifier, make_frontend
 
     ok, ko = hypre_pair()
@@ -620,9 +603,7 @@ def table6_hypre(config: ReproConfig) -> List[dict]:
     rows: List[dict] = []
     for train_name in ("MBI", "MPI-CorrBench"):
         ds = config.mbi() if train_name == "MBI" else config.corrbench()
-        X = ir2vec_feature_matrix(ds, config.ir2vec_opt,
-                                  config.embedding_seed,
-                                  engine=config.engine())
+        X = config.ir2vec_features(ds)
         y = np.array([s.binary for s in ds.samples])
         for features_mode in ("all", "GA"):
             model = make_classifier("decision-tree",

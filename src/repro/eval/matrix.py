@@ -290,7 +290,7 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
             static_preds[name] = list(
                 engine.map(_static_predict_worker, jobs))
 
-    # Featurize once per (backend, dataset) through the shared cache.
+    # Featurize once per (backend, dataset) on the engine.
     methods: Dict[str, _MethodFeatures] = {}
     for method in spec.methods:
         if method == "static":

@@ -6,12 +6,12 @@ on the other with binary labels (the suites' error taxonomies differ).
 
 Both scenarios are method-agnostic: stages come from the pipeline
 registries via :func:`repro.pipeline.method_stage_specs`, features from
-the shared :func:`~repro.models.features.featurize_dataset` cache, and
-fold selection uses :func:`repro.pipeline.take` — one code path for
-matrices and graph lists alike.  Feature extraction runs on the config's
-execution engine (``ReproConfig.workers`` / ``cache_dir``), so scenario
-sweeps fan out across processes and warm persistent caches skip the
-compile/featurize work entirely.
+:func:`~repro.models.features.featurize_dataset`, and fold selection
+uses :func:`repro.pipeline.take` — one code path for matrices and graph
+lists alike.  Feature extraction runs on the config's execution engine
+(``ReproConfig.workers`` / ``cache_dir``), so scenario sweeps fan out
+across processes and the engine's store (memory, then disk) skips the
+compile/featurize work for anything seen before.
 """
 
 from __future__ import annotations

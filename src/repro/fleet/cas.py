@@ -1,9 +1,10 @@
-"""Fleet-shared network CAS: one cache tier above every replica's disk.
+"""Fleet-shared network CAS: the third cache tier, behind every replica's
+memory and disk tiers.
 
 The execution engine already never redoes work *within* a process tree,
-because every stage result lands in the persistent content-addressed
-:class:`~repro.engine.cache.ContentStore`.  A replica fleet breaks that
-economy: each replica has its own cache directory, so the same source
+because every stage result lands in the content-addressed
+:class:`~repro.engine.cache.ContentStore` (memory tier, then disk).  A
+replica fleet breaks that economy: each replica has its own cache directory, so the same source
 digest compiles cold once per replica.  This module closes the gap with
 a tiny content-addressed cache service that the front door hosts and
 every replica (and every pool worker forked by a replica) consults:
@@ -16,9 +17,9 @@ every replica (and every pool worker forked by a replica) consults:
     A blocking, reconnecting client (one per process per address —
     see :func:`shared_client`; sockets never survive a ``fork``).
 :class:`TieredStore`
-    A drop-in :class:`ContentStore` whose misses consult the fleet tier
-    and whose writes publish to it — the engine builds one whenever
-    ``EngineConfig.cas_addr`` (or ``REPRO_CAS_ADDR``) is set.  Cold
+    A drop-in :class:`ContentStore` whose memory and disk misses consult
+    the fleet tier and whose writes publish to it — the engine builds one
+    whenever ``EngineConfig.cas_addr`` (or ``REPRO_CAS_ADDR``) is set.  Cold
     compile on replica A, warm hit on replica B.
 
 Wire protocol (version 1), length-prefixed binary over TCP::
@@ -493,14 +494,15 @@ def shared_client(addr: str, timeout: float = 10.0) -> CASClient:
 
 
 class TieredStore(ContentStore):
-    """Local disk tier in front of the fleet CAS tier.
+    """The fleet CAS as a third tier, behind memory and local disk.
 
-    Reads: local hit wins; a local miss consults the fleet, and a fleet
-    hit is written through to local disk so the *next* read (and every
-    forked worker sharing the directory) stays local.  Writes: local
-    first (correctness never depends on the network), then published to
-    the fleet best-effort.  Any CAS failure counts in ``cas_errors``
-    and degrades the store to plain local behavior.
+    Reads: a memory or local-disk hit wins; a miss in both consults the
+    fleet, and a fleet hit is written through to local disk so the
+    *next* read (and every forked worker sharing the directory) stays
+    local.  Writes: local first (correctness never depends on the
+    network), then published to the fleet best-effort.  Any CAS failure
+    counts in ``cas_errors`` and degrades the store to plain local
+    behavior.
     """
 
     def __init__(self, root: str, cas_addr: str,
@@ -515,8 +517,8 @@ class TieredStore(ContentStore):
     def _cas_key(self, stage: str, key: str) -> str:
         return f"{stage}:{key}"
 
-    def get(self, stage: str, key: str) -> Tuple[bool, Any]:
-        found, value = super().get(stage, key)
+    def _load(self, stage: str, key: str) -> Tuple[bool, Any]:
+        found, value = super()._load(stage, key)
         if found:
             return True, value
         try:
@@ -534,11 +536,11 @@ class TieredStore(ContentStore):
             self.cas_counters["cas_errors"] += 1
             return False, None
         self.cas_counters["cas_hits"] += 1
-        super().put(stage, key, value)        # warm the local tier
+        super()._save(stage, key, value)      # warm the local tier
         return True, value
 
-    def put(self, stage: str, key: str, value: Any) -> None:
-        super().put(stage, key, value)
+    def _save(self, stage: str, key: str, value: Any) -> None:
+        super()._save(stage, key, value)
         try:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:

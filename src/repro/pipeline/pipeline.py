@@ -1,10 +1,9 @@
 """Batch-first detection pipeline composed of registry-built stages.
 
 A :class:`DetectionPipeline` chains a frontend, a featurizer, and a
-classifier.  It is batch-first: ``predict_batch`` compiles every source
-through the content-hash compile cache, runs the featurizer once over
-all modules, and issues a *single* vectorized classifier call — instead
-of the old one-sample-at-a-time facade loop.
+classifier.  It is batch-first: ``predict_batch`` compiles and
+featurizes every source on the execution engine (whose store answers
+anything seen before), and issues a *single* vectorized classifier call.
 
 Build one from stage objects, by stage names, or from the paper's two
 method presets:
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.datasets.labels import CORRECT
 from repro.datasets.loader import Dataset, Sample
-from repro.engine import ExecutionEngine, default_engine
+from repro.engine import CacheStats, ExecutionEngine, default_engine
 from repro.pipeline.registry import (
     CLASSIFIERS,
     FEATURIZERS,
@@ -55,6 +54,12 @@ METHOD_STAGES = {
     "ir2vec": ("ir2vec", "decision-tree"),
     "gnn": ("programl", "gnn"),
 }
+
+
+def compile_cache_stats() -> CacheStats:
+    """Memory-tier lookups of the default engine's store, summed over
+    stages (the tier that answers a repeated source in-process)."""
+    return default_engine().store.memory_stats()
 
 
 @dataclass
@@ -188,21 +193,8 @@ class DetectionPipeline:
         return self
 
     def _featurize_dataset(self, dataset: Dataset):
-        """Dataset features through whatever frontend this pipeline has.
-
-        The default frontend routes through the shared per-dataset feature
-        cache (which compiles with identical settings); custom frontends
-        (or ``verify=True``) run through the engine directly so training
-        and serving always see the same IR.  Either way the work lands on
-        this pipeline's execution engine (worker pool + persistent store).
-        """
-        if (isinstance(self.frontend, CFrontend)
-                and not self.frontend.config.verify):
-            from repro.models.features import featurize_dataset
-
-            return featurize_dataset(self.featurizer, dataset,
-                                     opt_level=self.frontend.opt_level,
-                                     engine=self.engine)
+        """Dataset features on this pipeline's engine, through the same
+        frontend serving uses."""
         return self.engine.featurize_samples(self.frontend, self.featurizer,
                                              dataset.samples)
 
@@ -222,8 +214,8 @@ class DetectionPipeline:
 
         Sources stream through the execution engine — chunked over the
         worker pool when ``workers>0``, skipping compilation/featurization
-        for anything already in the persistent store — and are classified
-        in one vectorized model call.  Accepts any iterable.
+        for anything already in its store — and are classified in one
+        vectorized model call.  Accepts any iterable.
         """
         if not self.fitted:
             raise RuntimeError("call fit() before predict_batch()")
@@ -246,7 +238,7 @@ class DetectionPipeline:
         return self.predict_batch([(name, source)])[0]
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Label array for a whole dataset, via the cached feature path."""
+        """Label array for a whole dataset."""
         if not self.fitted:
             raise RuntimeError("call fit() before predict_dataset()")
         return self.classifier.predict(self._featurize_dataset(dataset))

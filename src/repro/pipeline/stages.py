@@ -4,9 +4,8 @@ The paper's detector decomposes into three stages, each behind a small
 structural protocol so alternatives plug in without touching core code:
 
 ``Frontend``
-    C source → IR module.  The built-in ``mini-c`` frontend memoizes on a
-    content hash of the source, so re-checking unchanged files (or the
-    same file at the same opt level in a batch) never recompiles.
+    C source → IR module.  The built-in ``mini-c`` frontend just
+    compiles; the execution engine's store caches its modules.
 ``Featurizer``
     IR modules → a feature batch.  ``ir2vec`` yields a dense
     ``(n, 512)`` matrix; ``programl`` yields a list of program graphs.
@@ -24,7 +23,6 @@ All stages carry a frozen config dataclass (JSON-serializable via
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from dataclasses import dataclass
 from typing import (
@@ -40,7 +38,6 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.cache import CacheStats, LRUCache
 from repro.ir.module import Module
 from repro.ml.genetic import GAConfig
 
@@ -97,39 +94,18 @@ def take(features: FeatureBatch, indices: Sequence[int]) -> FeatureBatch:
 
 
 def source_digest(source: str) -> str:
-    """Stable content hash used as the compile/feature cache key."""
+    """Stable content hash of a source (routing and provenance key)."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# Frontend: mini-C → IR, content-hash cached
+# Frontend: mini-C → IR
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CFrontendConfig:
     opt_level: str = "O0"
     verify: bool = False
-
-
-def _compile_cache_size(default: int = 2048) -> int:
-    """``REPRO_COMPILE_CACHE_SIZE``: 0 disables the memo; malformed or
-    negative values fall back to the default rather than breaking import."""
-    raw = os.environ.get("REPRO_COMPILE_CACHE_SIZE")
-    try:
-        size = int(raw) if raw else default
-    except ValueError:
-        return default
-    return size if size >= 0 else default
-
-
-#: LRU-bounded per-process compile memo.  Long-lived processes (servers,
-#: paper-scale sweeps over several opt levels) previously grew an
-#: unbounded dict for their whole lifetime; the bound keeps the working
-#: set of the largest suite resident while evicting cold entries.
-COMPILE_CACHE_SIZE = _compile_cache_size()
-
-_COMPILE_CACHE: LRUCache = LRUCache(maxsize=COMPILE_CACHE_SIZE)
-_COMPILE_MISS = object()
 
 
 class CFrontend:
@@ -145,28 +121,10 @@ class CFrontend:
         return self.config.opt_level
 
     def compile(self, source: str, name: str = "input.c") -> Module:
-        # name participates in the key: identical content under two file
-        # names must not alias one Module (its .name feeds diagnostics).
-        key = (source_digest(source), name, self.config.opt_level,
-               self.config.verify)
-        module = _COMPILE_CACHE.get(key, _COMPILE_MISS)
-        if module is _COMPILE_MISS:
-            from repro.frontend import compile_c
+        from repro.frontend import compile_c
 
-            module = compile_c(source, name, self.config.opt_level,
-                               verify=self.config.verify)
-            _COMPILE_CACHE.put(key, module)
-        return module
-
-
-def clear_compile_cache() -> None:
-    _COMPILE_CACHE.clear()
-    _COMPILE_CACHE.stats.clear()
-
-
-def compile_cache_stats() -> CacheStats:
-    """Hit/miss/eviction counters of the in-process compile memo."""
-    return _COMPILE_CACHE.stats
+        return compile_c(source, name, self.config.opt_level,
+                         verify=self.config.verify)
 
 
 # ---------------------------------------------------------------------------

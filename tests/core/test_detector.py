@@ -1,10 +1,10 @@
-"""Public detector facade."""
+"""The paper's two methods through the public DetectionPipeline API."""
 
 import pytest
 
-from repro.core import MPIErrorDetector
 from repro.datasets import load_mbi
 from repro.ml import GAConfig
+from repro.pipeline import DetectionPipeline
 
 CORRECT_SRC = """
 #include <mpi.h>
@@ -22,15 +22,13 @@ int main(int argc, char** argv) {
 
 @pytest.fixture(scope="module")
 def trained():
-    detector = MPIErrorDetector(
-        method="ir2vec",
-        ga_config=GAConfig(population_size=40, generations=3))
-    detector.train(load_mbi(subsample=200), labels="binary")
-    return detector
+    pipeline = DetectionPipeline.from_method(
+        "ir2vec", ga_config=GAConfig(population_size=40, generations=3))
+    return pipeline.fit(load_mbi(subsample=200), labels="binary")
 
 
 def test_check_returns_result(trained):
-    result = trained.check(CORRECT_SRC)
+    result = trained.predict_source(CORRECT_SRC)
     assert result.label in ("Correct", "Incorrect")
     assert result.method == "ir2vec"
     assert result.is_correct == (result.label == "Correct")
@@ -38,38 +36,39 @@ def test_check_returns_result(trained):
 
 def test_untrained_raises():
     with pytest.raises(RuntimeError):
-        MPIErrorDetector().check(CORRECT_SRC)
+        DetectionPipeline.from_method("ir2vec").predict_source(CORRECT_SRC)
 
 
 def test_invalid_method_rejected():
     with pytest.raises(ValueError):
-        MPIErrorDetector(method="transformer")
+        DetectionPipeline.from_method("transformer")
 
 
 def test_invalid_labels_rejected():
     with pytest.raises(ValueError):
-        MPIErrorDetector().train(load_mbi(subsample=100), labels="wrong")
+        DetectionPipeline.from_method("ir2vec").fit(
+            load_mbi(subsample=100), labels="wrong")
 
 
 def test_type_label_mode():
-    detector = MPIErrorDetector(method="ir2vec", use_ga=False)
-    detector.train(load_mbi(subsample=200), labels="type")
-    result = detector.check(CORRECT_SRC)
+    pipeline = DetectionPipeline.from_method("ir2vec", use_ga=False)
+    pipeline.fit(load_mbi(subsample=200), labels="type")
+    result = pipeline.predict_source(CORRECT_SRC)
     from repro.datasets.labels import CORRECT, MBI_LABELS
 
     assert result.label in set(MBI_LABELS) | {CORRECT}
 
 
 def test_gnn_detector_smoke():
-    detector = MPIErrorDetector(method="gnn", epochs=2, lr=3e-3)
-    detector.train(load_mbi(subsample=120))
-    assert detector.opt_level == "O0"         # paper default for GNN
-    result = detector.check(CORRECT_SRC)
+    pipeline = DetectionPipeline.from_method("gnn", epochs=2, lr=3e-3)
+    pipeline.fit(load_mbi(subsample=120))
+    assert pipeline.frontend.opt_level == "O0"   # paper default for GNN
+    result = pipeline.predict_source(CORRECT_SRC)
     assert result.label in ("Correct", "Incorrect")
 
 
 def test_defaults_match_paper():
-    ir2 = MPIErrorDetector(method="ir2vec")
-    gnn = MPIErrorDetector(method="gnn")
-    assert ir2.opt_level == "Os"
-    assert gnn.opt_level == "O0"
+    ir2 = DetectionPipeline.from_method("ir2vec")
+    gnn = DetectionPipeline.from_method("gnn")
+    assert ir2.frontend.opt_level == "Os"
+    assert gnn.frontend.opt_level == "O0"

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.localize import localize_error
 from repro.datasets import load_mbi
-from repro.models import IR2vecModel, ir2vec_feature_matrix
+from repro.models import IR2vecModel, featurize_dataset
+from repro.pipeline import IR2VecFeaturizer
 
 BUGGY_MULTIFUNCTION = """
 #include <mpi.h>
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
 @pytest.fixture(scope="module")
 def model():
     ds = load_mbi(subsample=300)
-    X = ir2vec_feature_matrix(ds, "Os")
+    X = featurize_dataset(IR2VecFeaturizer(opt_level="Os"), ds)
     y = np.array([s.binary for s in ds])
     m = IR2vecModel(use_ga=False)
     m.fit(X, y)

@@ -1,11 +1,18 @@
-"""Unit tests for the engine's caching primitives (LRU + content store)."""
+"""Unit tests for the engine's caching primitives (LRU + tiered store)."""
 
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
-from repro.engine.cache import ContentStore, LRUCache, digest_parts
+from repro.engine.cache import (
+    MEMORY_ENTRIES,
+    ContentStore,
+    LRUCache,
+    digest_parts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -46,21 +53,6 @@ def test_lru_maxsize_zero_disables_storage():
     assert cache.get("a") is None
     assert len(cache) == 0
     assert cache.stats.stores == 0
-
-
-def test_compile_cache_size_env_parsing(monkeypatch):
-    from repro.pipeline.stages import _compile_cache_size
-
-    monkeypatch.delenv("REPRO_COMPILE_CACHE_SIZE", raising=False)
-    assert _compile_cache_size(99) == 99
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "0")
-    assert _compile_cache_size(99) == 0          # explicit disable
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "17")
-    assert _compile_cache_size(99) == 17
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "-5")
-    assert _compile_cache_size(99) == 99         # nonsense → default
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "lots")
-    assert _compile_cache_size(99) == 99         # malformed → default
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +100,12 @@ def test_store_version_namespaces_entries(tmp_path):
 
 
 def test_store_corrupted_entry_recovers_as_miss(tmp_path):
+    writer = ContentStore(str(tmp_path), version="t1")
+    key = writer.key("features", ["s"])
+    writer.put("features", key, [1, 2, 3])
+    # A second store on the same tree reads the disk tier (its memory
+    # tier is empty), as another process would.
     store = ContentStore(str(tmp_path), version="t1")
-    key = store.key("features", ["s"])
-    store.put("features", key, [1, 2, 3])
     path = store._path("features", key)
     with open(path, "wb") as fh:
         fh.write(b"\x80garbage-not-a-pickle")
@@ -155,3 +150,98 @@ def test_store_values_survive_process_roundtrip(tmp_path):
     second = ContentStore(str(tmp_path), version="t1")
     found, value = second.get("compile", key)
     assert found and pickle.loads(value) == b"payload"
+
+
+# ---------------------------------------------------------------------------
+# Memory tier
+# ---------------------------------------------------------------------------
+
+def test_memory_only_store_roundtrips_without_a_root():
+    store = ContentStore(version="t1")
+    key = store.key("compile", ["src"])
+    assert store.get("compile", key) == (False, None)
+    store.put("compile", key, "module")
+    assert store.get("compile", key) == (True, "module")
+    assert store.summary() == {}          # nothing on disk
+    assert store.clear() == 0
+    assert store.get("compile", key) == (False, None)
+
+
+def test_memory_tier_answers_before_disk(tmp_path):
+    store = ContentStore(str(tmp_path), version="t1")
+    key = store.key("features", ["s"])
+    store.put("features", key, [1, 2])
+    os.unlink(store._path("features", key))      # disk copy gone
+    assert store.get("features", key) == (True, [1, 2])
+    entry = store.stats_dict()["features"]
+    assert (entry["hits"], entry["misses"], entry["stores"]) == (1, 0, 1)
+    assert entry["memory"]["hits"] == 1
+    assert entry["memory"]["entries"] == 1
+    assert entry["memory"]["maxsize"] == MEMORY_ENTRIES["features"]
+
+
+def test_disk_hit_is_promoted_into_memory(tmp_path):
+    writer = ContentStore(str(tmp_path), version="t1")
+    key = writer.key("compile", ["x"])
+    writer.put("compile", key, "v")
+    store = ContentStore(str(tmp_path), version="t1")
+    assert store.get("compile", key) == (True, "v")      # disk hit
+    os.unlink(store._path("compile", key))
+    assert store.get("compile", key) == (True, "v")      # memory hit
+    entry = store.stats_dict()["compile"]
+    assert entry["hits"] == 2 and entry["misses"] == 0
+    assert (entry["memory"]["hits"], entry["memory"]["misses"]) == (1, 1)
+
+
+def test_memory_tier_is_bounded_per_stage(monkeypatch):
+    monkeypatch.setitem(MEMORY_ENTRIES, "compile", 2)
+    store = ContentStore(version="t1")
+    keys = [store.key("compile", [str(i)]) for i in range(3)]
+    for i, key in enumerate(keys):
+        store.put("compile", key, i)
+        store.put("features", key, i)             # other stage, own bound
+    assert store.get("compile", keys[0]) == (False, None)  # evicted
+    assert store.get("compile", keys[2]) == (True, 2)
+    assert store.get("features", keys[0]) == (True, 0)
+    assert store.stats_dict()["compile"]["memory"]["evictions"] == 1
+
+
+def test_remember_fills_memory_only(tmp_path):
+    store = ContentStore(str(tmp_path), version="t1")
+    key = store.key("features", ["r"])
+    store.remember("features", key, "row")
+    assert store.summary() == {}                  # disk untouched
+    assert store.get("features", key) == (True, "row")
+    assert store.stats["features"].stores == 0
+
+
+def test_lru_shared_across_threads_keeps_bound_and_counts():
+    cache = LRUCache(maxsize=16)
+    errors = []
+    rounds, n_threads = 2000, 8
+
+    def worker(offset):
+        try:
+            for i in range(rounds):
+                cache.put((i + offset) % 24, i)   # keys shared by all
+                cache.get((i * 7 + offset) % 24)
+        except Exception as exc:          # surfaced by the assert below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(cache) <= 16
+    # A lost read-modify-write on a counter would break these totals.
+    assert cache.stats.stores == n_threads * rounds
+    assert cache.stats.lookups == n_threads * rounds

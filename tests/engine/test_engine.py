@@ -17,8 +17,6 @@ from repro.pipeline.stages import (
     IR2VecFeaturizer,
     IR2VecFeaturizerConfig,
     ProGraMLFeaturizer,
-    clear_compile_cache,
-    compile_cache_stats,
 )
 
 _TEMPLATE = """
@@ -79,9 +77,10 @@ def test_repeated_source_in_one_batch_embeds_like_a_single():
     named = _named_sources(1)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    engine = ExecutionEngine(EngineConfig(workers=0))
-    X = engine.featurize_sources(fe, feat, named * 2)
-    alone = engine.featurize_sources(fe, feat, named)
+    X = ExecutionEngine(EngineConfig(workers=0)).featurize_sources(
+        fe, feat, named * 2)
+    alone = ExecutionEngine(EngineConfig(workers=0)).featurize_sources(
+        fe, feat, named)
     assert X[0].tobytes() == X[1].tobytes() == alone[0].tobytes()
 
 
@@ -265,20 +264,66 @@ def test_engine_accepts_lazy_iterables(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# In-process compile LRU
+# Memory tier
 # ---------------------------------------------------------------------------
 
-def test_compile_cache_counts_hits_and_misses():
-    clear_compile_cache()
+def _boom(self, source, name="input.c"):
+    raise AssertionError("compiled a source the store should answer")
+
+
+def test_compile_cache_counts_hits_and_misses(monkeypatch):
+    import repro.engine.engine as engine_module
+    from repro.pipeline import compile_cache_stats
+
+    engine = ExecutionEngine(EngineConfig(workers=0))
+    monkeypatch.setattr(engine_module, "_DEFAULT_ENGINE", engine)
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
-    name, source = _named_sources(1)[0]
-    fe.compile(source, name)
-    fe.compile(source, name)
-    stats = compile_cache_stats()
-    assert stats.misses == 1
-    assert stats.hits == 1
-    clear_compile_cache()
-    assert compile_cache_stats().lookups == 0
+    named = _named_sources(1)
+    first = engine.compile_sources(fe, named)
+    cold = compile_cache_stats()
+    second = engine.compile_sources(fe, named)
+    warm = compile_cache_stats()
+    assert first[0] is second[0]                 # answered from memory
+    assert cold.hits == 0 and cold.misses > 0
+    assert (warm.hits, warm.misses) == (1, cold.misses)
+
+
+def test_rows_byte_identical_cold_memory_disk_parallel(tmp_path,
+                                                       monkeypatch):
+    """One matrix from four sources: a cold run, a memory-tier hit, a
+    disk-tier hit on a new engine, and a parallel run whose repeat the
+    parent's memory tier answers without compiling."""
+    named = _named_sources(8)
+    fe = CFrontend(CFrontendConfig(opt_level="Os"))
+    feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+    store = str(tmp_path / "store")
+
+    engine = ExecutionEngine(EngineConfig(workers=0, cache_dir=store))
+    cold = engine.featurize_sources(fe, feat, named)
+    parallel_engine = ExecutionEngine(EngineConfig(
+        workers=2, chunk_size=2, min_samples_per_worker=1))
+    with parallel_engine:
+        parallel = parallel_engine.featurize_sources(fe, feat, named)
+        chunks = parallel_engine.counters["parallel_chunks"]
+        assert chunks > 0
+
+        monkeypatch.setattr(CFrontend, "compile", _boom)
+        memory = engine.featurize_sources(fe, feat, named)
+        disk_engine = ExecutionEngine(EngineConfig(workers=0,
+                                                   cache_dir=store))
+        disk = disk_engine.featurize_sources(fe, feat, named)
+        repeat = parallel_engine.featurize_sources(fe, feat, named)
+        assert parallel_engine.counters["parallel_chunks"] == chunks
+
+    def memory_hits(e):
+        return e.stats_dict()["store"]["features"]["memory"]["hits"]
+
+    assert memory_hits(engine) == len(named)
+    assert memory_hits(disk_engine) == 0
+    assert disk_engine.stats["features"].hits == len(named)
+    assert memory_hits(parallel_engine) == len(named)
+    for other in (memory, disk, parallel, repeat):
+        assert other.tobytes() == cold.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +355,14 @@ def test_pipeline_predict_batch_parallel_equals_serial(tmp_path):
 
 
 def test_detector_builds_private_engine(tmp_path):
-    from repro.core import MPIErrorDetector
+    from repro.engine import default_engine
+    from repro.pipeline import DetectionPipeline
 
-    det = MPIErrorDetector(workers=3, cache_dir=str(tmp_path))
-    assert det.engine.workers == 3
-    assert det.engine.cache_dir == str(tmp_path)
+    engine = ExecutionEngine(workers=3, cache_dir=str(tmp_path))
+    pipe = DetectionPipeline.from_method("ir2vec", engine=engine)
+    assert pipe.engine is engine and engine is not default_engine()
+    assert pipe.engine.workers == 3
+    assert pipe.engine.cache_dir == str(tmp_path)
 
 
 def test_repro_config_engine_resolution(tmp_path):
@@ -371,10 +419,12 @@ def test_parallel_pool_persists_across_runs_and_closes():
                                           min_samples_per_worker=1))
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+    # Each run gets new sources, so the store cannot answer it.
+    named = _named_sources(18)
     assert not engine.pool_active
-    engine.featurize_sources(fe, feat, _named_sources(6))
+    engine.featurize_sources(fe, feat, named[:6])
     assert engine.pool_active
-    engine.featurize_sources(fe, feat, _named_sources(6))
+    engine.featurize_sources(fe, feat, named[6:12])
     # Reused, not restarted: serving-loop batches must not pay pool
     # startup per predict_batch call.
     assert engine.counters["pool_starts"] == 1
@@ -382,7 +432,7 @@ def test_parallel_pool_persists_across_runs_and_closes():
     assert not engine.pool_active
     engine.close()                       # idempotent
     # Still usable afterwards — the next parallel run starts a new pool.
-    X = engine.featurize_sources(fe, feat, _named_sources(6))
+    X = engine.featurize_sources(fe, feat, named[12:])
     assert X.shape[0] == 6
     assert engine.counters["pool_starts"] == 2
     engine.close()

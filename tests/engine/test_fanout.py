@@ -107,13 +107,16 @@ def test_batch_rows_independent_of_batch_composition():
 # ---------------------------------------------------------------------------
 
 def test_pool_reused_across_runs_with_same_stages():
-    named = _named_sources(8)
+    named = _named_sources(12)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
     with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
                                       min_samples_per_worker=1)) as engine:
-        engine.featurize_sources(fe, feat, named)
-        engine.featurize_sources(fe, feat, named[:4])
+        engine.featurize_sources(fe, feat, named[:8])
+        chunks = engine.counters["parallel_chunks"]
+        # New sources, so the store cannot answer and the pool must.
+        engine.featurize_sources(fe, feat, named[8:])
+        assert engine.counters["parallel_chunks"] > chunks
         assert engine.counters["pool_starts"] == 1
 
 

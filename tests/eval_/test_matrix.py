@@ -210,15 +210,12 @@ def test_matrix_artifact_roundtrip(tiny_doc, tmp_path):
 
 
 def test_matrix_warm_rerun_does_zero_recompiles(tmp_path):
-    import repro.models.features as features
-
     spec = MatrixSpec(train_datasets=("corrbench",),
                       test_datasets=("corrbench",),
                       methods=("ir2vec",), mutation_levels=(0, 1))
     cache_dir = str(tmp_path / "cache")
     cold_cfg = _tiny_config(corr_subsample=20, cache_dir=cache_dir)
     cold = run_matrix(spec, cold_cfg, profile="tiny")
-    features.clear_caches()                  # drop in-process memos
     warm_cfg = _tiny_config(corr_subsample=20, cache_dir=cache_dir)
     warm = run_matrix(spec, warm_cfg, profile="tiny")
     stats = warm_cfg.engine().stats

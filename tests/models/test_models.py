@@ -7,12 +7,18 @@ from repro.datasets import load_mbi
 from repro.eval.config import ReproConfig
 from repro.graphs.vocab import build_vocabulary
 from repro.ml import GAConfig
-from repro.models import (
-    GNNModel,
-    IR2vecModel,
-    graph_dataset,
-    ir2vec_feature_matrix,
-)
+from repro.engine import ExecutionEngine
+from repro.models import GNNModel, IR2vecModel, featurize_dataset
+from repro.pipeline import IR2VecFeaturizer, ProGraMLFeaturizer
+
+
+def ir2vec_feature_matrix(ds, opt_level, engine=None):
+    return featurize_dataset(IR2VecFeaturizer(opt_level=opt_level), ds,
+                             engine=engine)
+
+
+def graph_dataset(ds, opt_level):
+    return featurize_dataset(ProGraMLFeaturizer(opt_level=opt_level), ds)
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +30,13 @@ def small():
 
 def test_feature_matrix_shape_and_cache(small):
     ds, _ = small
-    X1 = ir2vec_feature_matrix(ds, "Os")
-    X2 = ir2vec_feature_matrix(ds, "Os")
+    engine = ExecutionEngine()
+    X1 = ir2vec_feature_matrix(ds, "Os", engine)
+    X2 = ir2vec_feature_matrix(ds, "Os", engine)
     assert X1.shape == (len(ds), 512)
-    assert X1 is X2                       # cached
-    X0 = ir2vec_feature_matrix(ds, "O0")
+    assert X1.tobytes() == X2.tobytes()
+    assert engine.stats["features"].hits == len(ds)   # second call cached
+    X0 = ir2vec_feature_matrix(ds, "O0", engine)
     assert not np.allclose(X0, X1)
 
 
@@ -51,23 +59,24 @@ def test_feature_cache_keys_on_full_content(small):
     from repro.datasets.loader import Dataset
 
     twin = Dataset(ds.name, samples)      # same name/len/first5/last5 names
-    X_orig = ir2vec_feature_matrix(ds, "Os")
-    X_twin = ir2vec_feature_matrix(twin, "Os")
-    assert X_orig is not X_twin
+    engine = ExecutionEngine()
+    X_orig = ir2vec_feature_matrix(ds, "Os", engine)
+    X_twin = ir2vec_feature_matrix(twin, "Os", engine)
+    assert engine.stats["features"].misses == len(ds) + 1
     assert not np.allclose(X_orig[len(ds) // 2], X_twin[len(ds) // 2])
 
 
 def test_featurize_dataset_generic_cache(small):
-    from repro.models import featurize_dataset
-    from repro.pipeline import IR2VecFeaturizer
-
     ds, _ = small
+    engine = ExecutionEngine()
     feat = IR2VecFeaturizer(opt_level="Os", seed=42)
-    X1 = featurize_dataset(feat, ds)
-    # A *different instance* with equal config must hit the same entry.
-    X2 = featurize_dataset(IR2VecFeaturizer(opt_level="Os", seed=42), ds)
-    assert X1 is X2
-    assert np.array_equal(X1, ir2vec_feature_matrix(ds, "Os", 42))
+    X1 = featurize_dataset(feat, ds, engine=engine)
+    # A *different instance* with equal config must hit the same entries.
+    X2 = featurize_dataset(IR2VecFeaturizer(opt_level="Os", seed=42), ds,
+                           engine=engine)
+    assert engine.stats["features"].hits == len(ds)
+    assert np.array_equal(X1, X2)
+    assert np.array_equal(X1, ir2vec_feature_matrix(ds, "Os"))
 
 
 def test_ir2vec_model_beats_chance(small):

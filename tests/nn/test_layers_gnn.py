@@ -179,11 +179,12 @@ int main(int argc, char** argv) {
 
 def test_gnn_model_variant_knobs_train():
     from repro.datasets import load_corrbench
-    from repro.models.features import graph_dataset
+    from repro.models.features import featurize_dataset
     from repro.models.gnn_model import GNNModel
+    from repro.pipeline import ProGraMLFeaturizer
 
     ds = load_corrbench(subsample=24)
-    graphs = graph_dataset(ds, "O0")
+    graphs = featurize_dataset(ProGraMLFeaturizer(opt_level="O0"), ds)
     y = [s.binary for s in ds.samples]
     for overrides in ({"pooling": "mean"}, {"attention": False},
                       {"hetero": False}):

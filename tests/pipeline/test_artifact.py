@@ -7,7 +7,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import MPIErrorDetector
 from repro.datasets import load_corrbench
 from repro.ml import GAConfig
 from repro.pipeline import (
@@ -164,21 +163,22 @@ def test_legacy_pickle_rejected_with_deprecation(tmp_path, dataset):
     with pytest.warns(DeprecationWarning, match="raw-pickle"):
         with pytest.raises(ArtifactError, match="legacy raw-pickle"):
             load_pipeline(legacy)
-    # The back-compat facade rejects it the same way.
+    # The pipeline's own loader rejects it the same way.
     with pytest.warns(DeprecationWarning):
         with pytest.raises(ArtifactError, match="retrain"):
-            MPIErrorDetector.load(legacy)
+            DetectionPipeline.load(legacy)
 
 
 def test_detector_facade_roundtrip(tmp_path, dataset):
-    detector = MPIErrorDetector(method="ir2vec", ga_config=SMOKE_GA)
-    detector.train(dataset)
+    """A method preset round-trips its IR level and embedding seed."""
+    pipeline = DetectionPipeline.from_method(
+        "ir2vec", ga_config=SMOKE_GA, embedding_seed=7).fit(dataset)
     path = str(tmp_path / "detector.rpd")
-    detector.save(path)
-    loaded = MPIErrorDetector.load(path)
+    pipeline.save(path)
+    loaded = DetectionPipeline.load(path)
     assert loaded.method == "ir2vec"
-    assert loaded.opt_level == detector.opt_level
-    assert loaded.embedding_seed == detector.embedding_seed
-    before = [r.label for r in detector.check_samples(dataset.samples[:10])]
-    after = [r.label for r in loaded.check_samples(dataset.samples[:10])]
+    assert loaded.frontend.opt_level == pipeline.frontend.opt_level
+    assert loaded.featurizer.seed == pipeline.featurizer.seed == 7
+    before = [r.label for r in pipeline.predict_batch(dataset.samples[:10])]
+    after = [r.label for r in loaded.predict_batch(dataset.samples[:10])]
     assert before == after

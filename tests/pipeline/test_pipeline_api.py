@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.core import MPIErrorDetector
 from repro.datasets import load_corrbench
 from repro.ml import GAConfig
 from repro.pipeline import (
@@ -99,15 +98,6 @@ def test_batch_matches_per_sample_check(which, dataset, ir2vec_pipeline,
     assert [r.label for r in batch] == [r.label for r in singles]
 
 
-def test_detector_check_samples_uses_batch_path(dataset):
-    detector = MPIErrorDetector(method="ir2vec", ga_config=SMOKE_GA)
-    detector.train(dataset)
-    samples = dataset.samples[:10]
-    batch = detector.check_samples(samples)
-    singles = [detector.check(s.source, s.name) for s in samples]
-    assert [r.label for r in batch] == [r.label for r in singles]
-
-
 def test_predict_dataset_matches_batch(ir2vec_pipeline, dataset):
     labels = ir2vec_pipeline.predict_dataset(dataset)
     batch = ir2vec_pipeline.predict_batch(dataset.samples)
@@ -187,15 +177,16 @@ def test_pipeline_close_shuts_down_engine_pool(dataset):
         "ir2vec", "decision-tree",
         classifier_config=DecisionTreeStageConfig(use_ga=False),
         engine=engine).fit(dataset)
-    # predict_batch always routes through the engine (fit may answer
-    # from the per-dataset feature memo), so it is what starts the pool.
-    assert len(pipeline.predict_batch(dataset.samples[:4])) == 4
+    # Sources the engine's store has not seen, so the pool does the work.
+    unseen = [(s.name, s.source + "\n/* unseen */\n")
+              for s in dataset.samples[:8]]
+    assert len(pipeline.predict_batch(unseen[:4])) == 4
     assert engine.pool_active
     pipeline.close()
     assert not engine.pool_active
     # close() is teardown, not a lobotomy: predicting again just
     # restarts the pool.
-    assert len(pipeline.predict_batch(dataset.samples[4:8])) == 4
+    assert len(pipeline.predict_batch(unseen[4:])) == 4
     assert engine.pool_active
     pipeline.close()
     assert not engine.pool_active

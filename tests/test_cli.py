@@ -154,40 +154,32 @@ def test_experiment_fig1(capsys):
 
 
 def test_detector_save_load_roundtrip(tmp_path):
-    from repro.core import MPIErrorDetector
     from repro.datasets import load_corrbench
+    from repro.ml.genetic import GAConfig
+    from repro.pipeline import DetectionPipeline
 
     ds = load_corrbench(subsample=40)
-    from repro.ml.genetic import GAConfig
-
-    detector = MPIErrorDetector(method="ir2vec",
-                                ga_config=GAConfig(population_size=20,
-                                                   generations=2))
-    detector.train(ds)
-    path = str(tmp_path / "d.pkl")
-    detector.save(path)
-    loaded = MPIErrorDetector.load(path)
-    assert loaded.check(CORRECT_SRC).label in ("Correct", "Incorrect")
-
-
-def test_detector_save_untrained_raises(tmp_path):
-    from repro.core import MPIErrorDetector
-
-    with pytest.raises(RuntimeError):
-        MPIErrorDetector().save(str(tmp_path / "x.pkl"))
+    pipeline = DetectionPipeline.from_method(
+        "ir2vec", ga_config=GAConfig(population_size=20, generations=2))
+    pipeline.fit(ds)
+    path = str(tmp_path / "d.rpd")
+    pipeline.save(path)
+    loaded = DetectionPipeline.load(path)
+    assert loaded.predict_source(CORRECT_SRC).label in ("Correct",
+                                                        "Incorrect")
 
 
 def test_gnn_detector_pickles(tmp_path):
-    from repro.core import MPIErrorDetector
     from repro.datasets import load_corrbench
+    from repro.pipeline import DetectionPipeline
 
     ds = load_corrbench(subsample=30)
-    detector = MPIErrorDetector(method="gnn", epochs=1)
-    detector.train(ds)
-    path = str(tmp_path / "gnn.pkl")
-    detector.save(path)
-    loaded = MPIErrorDetector.load(path)
-    assert loaded.check(CORRECT_SRC).label in ("Correct", "Incorrect")
+    pipeline = DetectionPipeline.from_method("gnn", epochs=1).fit(ds)
+    path = str(tmp_path / "gnn.rpd")
+    pipeline.save(path)
+    loaded = DetectionPipeline.load(path)
+    assert loaded.predict_source(CORRECT_SRC).label in ("Correct",
+                                                        "Incorrect")
 
 
 def test_localize_subcommand(tmp_path, deadlock_file, capsys):
@@ -203,13 +195,13 @@ def test_localize_subcommand(tmp_path, deadlock_file, capsys):
 
 
 def test_localize_rejects_gnn_model(tmp_path, deadlock_file, capsys):
-    from repro.core import MPIErrorDetector
     from repro.datasets import load_corrbench
+    from repro.pipeline import DetectionPipeline
 
-    detector = MPIErrorDetector(method="gnn", epochs=1)
-    detector.train(load_corrbench(subsample=24))
-    path = str(tmp_path / "g.pkl")
-    detector.save(path)
+    pipeline = DetectionPipeline.from_method("gnn", epochs=1)
+    pipeline.fit(load_corrbench(subsample=24))
+    path = str(tmp_path / "g.rpd")
+    pipeline.save(path)
     assert main(["localize", path, deadlock_file]) == 1
     assert "requires an ir2vec detector" in capsys.readouterr().err
 
@@ -273,9 +265,6 @@ def test_cache_stats_and_stagewise_clear(tmp_path, capsys):
 
 
 def test_cache_populated_by_train_then_cleared(tmp_path, capsys):
-    from repro.models.features import clear_caches
-
-    clear_caches()    # else the in-process memo bypasses the store
     cache_dir = str(tmp_path / "cache")
     model_path = str(tmp_path / "model.rpd")
     assert main(["train", "-d", "corrbench", "-m", "ir2vec",
@@ -289,6 +278,25 @@ def test_cache_populated_by_train_then_cleared(tmp_path, capsys):
     assert "removed" in capsys.readouterr().out
     assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
     assert "(empty)" in capsys.readouterr().out
+
+
+def test_train_with_cache_dir_after_in_process_featurize(tmp_path, capsys):
+    """Features already computed in this process must not stop a train
+    run from filling the store it was asked to use: ``--cache-dir``
+    gives the run a new engine, and that engine's store does the work."""
+    from repro.engine import ContentStore
+    from repro.eval.config import ReproConfig
+
+    config = ReproConfig.smoke()
+    config.ir2vec_features(config.corrbench())   # the same rows train needs
+    cache_dir = str(tmp_path / "cache")
+    assert main(["train", "-d", "corrbench", "-m", "ir2vec",
+                 "--profile", "smoke", "--cache-dir", cache_dir,
+                 "-o", str(tmp_path / "model.rpd")]) == 0
+    capsys.readouterr()
+    summary = ContentStore(cache_dir).summary()
+    assert summary["compile"]["entries"] > 0
+    assert summary["features"]["entries"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,12 @@ def test_both_suites_fully_compile_at_model_opt_levels():
 
 def test_feature_matrix_has_no_degenerate_columns_after_ga_input_norm():
     from repro.embeddings.normalize import normalize_features
-    from repro.models import ir2vec_feature_matrix
+    from repro.models import featurize_dataset
+    from repro.pipeline import IR2VecFeaturizer
 
     ds = load_mbi(subsample=150)
-    X = normalize_features(ir2vec_feature_matrix(ds, "Os"), "vector")
+    X = normalize_features(
+        featurize_dataset(IR2VecFeaturizer(opt_level="Os"), ds), "vector")
     assert np.isfinite(X).all()
     assert np.abs(X).max() <= 1.0 + 1e-9
     # At least half the coordinates vary across programs.
@@ -88,4 +90,4 @@ def test_top_level_public_api_surface():
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
     # The headline objects are importable from the package root.
-    from repro import MPIErrorDetector, MutationEngine, localize_error  # noqa: F401
+    from repro import DetectionPipeline, MutationEngine, localize_error  # noqa: F401
