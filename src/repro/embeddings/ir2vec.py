@@ -30,7 +30,7 @@ from repro.embeddings.triplets import (
 from repro.ir.instructions import Instruction
 from repro.ir.module import Module
 from repro.ir.types import Type
-from repro.perf import PERF
+from repro.obs.trace import TRACER
 
 W_OPCODE = 1.0
 W_TYPE = 0.5
@@ -150,7 +150,7 @@ class IR2VecEncoder:
         """
         if not modules:
             return np.zeros((0, 2 * self.dim))
-        with PERF.stage("embed"):
+        with TRACER.stage("embed"):
             outputs: List[np.ndarray] = []
             block: List[Module] = []
             rows = 0
@@ -334,21 +334,25 @@ def default_encoder(seed: int = 42, corpus: Optional[List[Module]] = None,
     """Encoder with seed embeddings trained on a small canonical corpus.
 
     IR2vec ships pretrained seed embeddings; we train ours once per seed
-    on a fixed mini-corpus of MPI kernels and cache the encoder.
+    on a fixed mini-corpus of MPI kernels and cache the encoder.  The
+    build (corpus compile plus TransE training) is the ``seed_embed``
+    stage.
     """
     if seed not in _DEFAULT_ENCODERS:
         from repro.frontend import compile_c
 
-        if corpus is None:
-            from repro.datasets import load_mbi
+        with TRACER.stage("seed_embed"):
+            if corpus is None:
+                from repro.datasets import load_mbi
 
-            samples = list(load_mbi())[::9][:160]
-            corpus = [compile_c(s.source, s.name, "O0") for s in samples]
-        triples = []
-        for module in corpus:
-            triples.extend(extract_triplets(module))
-        seeds = train_seed_embeddings(triples, dim=dim, seed=seed,
-                                      epochs=25, batch_size=8192)
+                samples = list(load_mbi())[::9][:160]
+                corpus = [compile_c(s.source, s.name, "O0")
+                          for s in samples]
+            triples = []
+            for module in corpus:
+                triples.extend(extract_triplets(module))
+            seeds = train_seed_embeddings(triples, dim=dim, seed=seed,
+                                          epochs=25, batch_size=8192)
         _DEFAULT_ENCODERS[seed] = IR2VecEncoder(seeds)
     return _DEFAULT_ENCODERS[seed]
 

@@ -33,10 +33,12 @@ results are computed independently and reassembled in input order, and
 the featurizers themselves guarantee batch-composition independence.
 ``workers=0`` is the serial fallback and the default.
 
-Workers also time their stages against :data:`repro.perf.PERF` and ship
-the snapshot home with each chunk, so ``repro profile`` sees per-stage
-seconds even for fanned-out runs; ``stats_dict()`` exposes the transport
-counters (payload bytes per task, shared-memory usage, pool utilization).
+Under a trace, workers record their spans (stage frames included) and
+ship them home with each chunk — the one thing a worker returns beside
+its rows — so request traces, ``/metrics`` stage latency and ``repro
+profile`` all see fanned-out stage time; ``stats_dict()`` exposes the
+transport counters (payload bytes per task, shared-memory usage, pool
+utilization).
 
 >>> engine = ExecutionEngine(workers=4, cache_dir="~/.cache/repro")
 >>> X = engine.featurize_sources(frontend, featurizer, named_sources)
@@ -79,7 +81,6 @@ from repro.engine.shm import load_matrix, share_rows
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.perf import PERF
 
 #: Engine fan-out telemetry (observations dropped until METRICS is
 #: enabled; sites below guard with one attribute check to keep the
@@ -254,13 +255,12 @@ def _init_worker(blob: bytes) -> None:
 
 
 def _stage_chunk_worker(payload: bytes) -> Tuple[str, Any, float,
-                                                 Dict[str, Any],
                                                  List[Dict[str, Any]]]:
     """Process one ``(stage token, chunk, trace ctx)`` payload against
-    the installed state.  Returns ``(transport, value, busy_sec,
-    perf_snapshot, spans)`` where transport is ``"shm"`` (value = matrix
-    handle) or ``"rows"``; ``spans`` are trace spans recorded in this
-    worker (empty unless the parent shipped a trace context)."""
+    the installed state.  Returns ``(transport, value, busy_sec, spans)``
+    where transport is ``"shm"`` (value = matrix handle) or ``"rows"``;
+    ``spans`` are trace spans recorded in this worker (empty unless the
+    parent shipped a trace context)."""
     token, chunk, ctx = pickle.loads(payload)
     state = _WORKER_STATE
     if state is None or state.token != token:
@@ -268,27 +268,21 @@ def _stage_chunk_worker(payload: bytes) -> Tuple[str, Any, float,
             f"engine worker has no installed state for stage token {token!r}"
             " (pool restarted under a different stage?)")
     start = time.perf_counter()
-    PERF.reset()
-    PERF.enabled = True
-    try:
-        with TRACER.worker_scope(ctx) as spans:
-            # A worker's store lives for one chunk: it exists to write
-            # the lower tiers, and the parent's memory tier keeps what
-            # the chunk returns.
-            store = (_build_store(state.cache_dir, state.cas_addr,
-                                  state.version)
-                     if state.cache_dir else None)
-            rows = _process_chunk(store, state.frontend, state.featurizer,
-                                  chunk)
-    finally:
-        PERF.enabled = False
+    with TRACER.worker_scope(ctx) as spans:
+        # A worker's store lives for one chunk: it exists to write the
+        # lower tiers, and the parent's memory tier keeps what the chunk
+        # returns.
+        store = (_build_store(state.cache_dir, state.cas_addr,
+                              state.version)
+                 if state.cache_dir else None)
+        rows = _process_chunk(store, state.frontend, state.featurizer,
+                              chunk)
     busy = time.perf_counter() - start
-    snapshot = PERF.snapshot()
     if state.featurizer is not None:
         handle = share_rows(rows, state.shm_min_bytes)
         if handle is not None:
-            return ("shm", handle, busy, snapshot, spans)
-    return ("rows", rows, busy, snapshot, spans)
+            return ("shm", handle, busy, spans)
+    return ("rows", rows, busy, spans)
 
 
 def _map_worker(payload: bytes) -> Any:
@@ -696,12 +690,9 @@ class ExecutionEngine:
                 wall_t0 = time.time()
                 try:
                     for chunk, future in zip(chunks, futures):
-                        transport, value, busy, snapshot, spans = \
-                            future.result()
+                        transport, value, busy, spans = future.result()
                         self._worker_busy_sec += busy
                         self._observe_sample_sec(busy / max(1, len(chunk)))
-                        if PERF.enabled and snapshot:
-                            PERF.merge(snapshot)
                         if spans:
                             TRACER.merge_spans(spans)
                         if METRICS.enabled:

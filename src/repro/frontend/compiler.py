@@ -11,8 +11,8 @@ from repro.frontend.preprocessor import PreprocessError, count_loc, preprocess
 from repro.frontend.sema import SemaError
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
+from repro.obs.trace import TRACER
 from repro.passes import run_pipeline
-from repro.perf import PERF
 
 
 class CompileError(ValueError):
@@ -28,7 +28,7 @@ def compile_c(source: str, name: str = "module", opt_level: str = "O0",
     accepted).  Raises :class:`CompileError` on any front-end failure.
     """
     try:
-        with PERF.stage("compile"):
+        with TRACER.stage("compile"):
             text = preprocess(source, extra_headers)
             unit = parse_c(text)
             module = generate_module(unit, name)
@@ -43,17 +43,17 @@ def compile_c(source: str, name: str = "module", opt_level: str = "O0",
             f"{name}: program nesting exceeds the compiler's limits") \
             from None
     if verify:
-        with PERF.stage("verify"):
+        with TRACER.stage("verify"):
             verify_module(module)
     try:
-        with PERF.stage("passes"):
+        with TRACER.stage("passes"):
             run_pipeline(module, opt_level)
     except RecursionError:
         raise CompileError(
             f"{name}: optimizing {opt_level} exceeded the compiler's "
             "recursion limits") from None
     if verify:
-        with PERF.stage("verify"):
+        with TRACER.stage("verify"):
             verify_module(module)
     return module
 

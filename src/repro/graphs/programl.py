@@ -31,6 +31,7 @@ from repro.ir.values import (
     UndefValue,
     Value,
 )
+from repro.obs.trace import TRACER
 
 NODE_TYPES = ("control", "variable", "constant")
 EDGE_TYPES = ("control", "data", "call")
@@ -71,9 +72,7 @@ def _instruction_text(inst: Instruction) -> str:
 
 
 def build_program_graph(module: Module) -> ProgramGraph:
-    from repro.perf import PERF
-
-    with PERF.stage("graph"):
+    with TRACER.stage("graph"):
         return _build_program_graph(module)
 
 

@@ -7,7 +7,7 @@ pays one attribute check per instrumentation site:
   through worker threads and pool workers, plus the bounded ring behind
   ``GET /v1/trace/<id>`` (:mod:`repro.obs.trace`);
 * :data:`METRICS` — counters / gauges / fixed-bucket histograms with
-  worker snapshot merging and Prometheus text exposition
+  Prometheus text exposition
   (:mod:`repro.obs.metrics`);
 * :data:`EVENTS` — rate-limited structured JSON-lines event log with
   severity and trace context (:mod:`repro.obs.log`).

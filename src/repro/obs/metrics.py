@@ -1,22 +1,21 @@
 """Metric primitives: counters, gauges, fixed-bucket histograms.
 
-One process-wide :data:`METRICS` registry mirrors how :data:`repro.perf.PERF`
-works: instruments are registered at import time (cheap — a dict entry),
-but *observations* are dropped until the registry is enabled, so library
-code paths pay one attribute check when telemetry is off.  The serve
-layer enables the registry at startup; ``repro profile`` and the fuzz
-campaign can do the same.
+One process-wide :data:`METRICS` registry: instruments are registered at
+import time (cheap — a dict entry), but *observations* are dropped until
+the registry is enabled, so library code paths pay one attribute check
+when telemetry is off.  The serve layer enables the registry at startup;
+the fuzz campaign can do the same.
 
 Design points, all in service of the serve→engine→worker pipeline:
 
-* **Fixed buckets** — histograms pre-declare their bucket bounds, which
-  is what makes worker-side snapshots mergeable parent-side by plain
-  elementwise addition (exactly like perf registries) and lets p50/p90/
-  p99 be derived by linear interpolation inside the winning bucket.
-* **Snapshot/merge is commutative and associative** — counters and
-  histogram bucket counts add, so ``merge(a, b) == merge(b, a)`` and
-  fold order across worker chunks never changes the totals.  Gauges add
-  too; use a per-process label when you need distinct last-values.
+* **Observed in the serving process** — pool workers are forked copies
+  whose registries nobody reads, so nothing is shipped home from them.
+  Worker time reaches ``/metrics`` through the one worker transport,
+  trace spans: the parent observes ``repro_stage_seconds`` as it merges
+  the stage spans a chunk returns (:meth:`repro.obs.trace.Tracer.merge_spans`).
+* **Fixed buckets** — histograms pre-declare their bucket bounds, so
+  p50/p90/p99 are derived by linear interpolation inside the winning
+  bucket.
 * **Prometheus text exposition** — :meth:`MetricsRegistry.render_prometheus`
   emits the ``text/plain; version=0.0.4`` format (``# HELP`` / ``# TYPE``
   comments, cumulative ``_bucket{le=...}`` series, ``_sum`` / ``_count``);
@@ -206,11 +205,8 @@ class Histogram(_Family):
         return self._children[()].quantile(q)
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """Process-wide instrument registry with worker snapshot merging."""
+    """Process-wide instrument registry."""
 
     def __init__(self):
         self.enabled = False
@@ -259,59 +255,6 @@ class MetricsRegistry:
                         child.count = 0
                     else:
                         child.value = 0.0
-
-    # -- worker transport ---------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """A picklable copy of every series (worker → parent), same
-        contract as :meth:`repro.perf.PerfRegistry.snapshot`."""
-        out: Dict[str, Any] = {}
-        with self._lock:
-            for name, family in self._families.items():
-                children = []
-                for values, child in family.children():
-                    if isinstance(child, _HistChild):
-                        if not child.count:
-                            continue
-                        payload: Any = {"buckets": list(child.buckets),
-                                        "counts": list(child.counts),
-                                        "sum": child.sum,
-                                        "count": child.count}
-                    else:
-                        if not child.value:
-                            continue
-                        payload = child.value
-                    children.append([list(values), payload])
-                if children:
-                    out[name] = {"kind": family.kind,
-                                 "help": family.help,
-                                 "labelnames": list(family.labelnames),
-                                 "children": children}
-        return out
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` into this registry (additive for every
-        kind, hence commutative and associative across workers)."""
-        for name, entry in snapshot.items():
-            cls = _KINDS[entry["kind"]]
-            kwargs = {}
-            if cls is Histogram and entry["children"]:
-                kwargs["buckets"] = entry["children"][0][1]["buckets"]
-            family = self._register(cls, name, entry["help"],
-                                    entry["labelnames"], **kwargs)
-            for values, payload in entry["children"]:
-                child = family.labels(*values)
-                if isinstance(child, _HistChild):
-                    if list(child.buckets) != payload["buckets"]:
-                        raise ValueError(
-                            f"histogram {name!r} bucket mismatch on merge")
-                    with self._lock:
-                        for i, c in enumerate(payload["counts"]):
-                            child.counts[i] += int(c)
-                        child.sum += float(payload["sum"])
-                        child.count += int(payload["count"])
-                else:
-                    with self._lock:
-                        child.value += float(payload)
 
     # -- exposition ---------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:

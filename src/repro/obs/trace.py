@@ -15,15 +15,21 @@ drops ``contextvars``:
 * parent → pool worker: the engine ships the captured context inside
   each chunk payload, the worker records spans into a collect buffer
   (:meth:`Tracer.worker_scope`) and returns them with the chunk result,
-  and the parent folds them into the still-open traces — the same
-  snapshot/merge shape perf registries use.
+  and the parent folds them into the still-open traces
+  (:meth:`Tracer.merge_spans`).  Spans are the only thing a worker
+  ships home.
+
+:meth:`Tracer.stage` is the one stage-timing primitive: every
+``compile``/``verify``/``passes``/``graph``/``embed``/``classify`` site
+wraps its hot region in ``with TRACER.stage(name):``.  Disabled, that
+is one attribute check and the shared no-op span.  Enabled, the frame
+becomes a ``stage.<name>`` span (kind ``stage``) under every trace in
+context, nested stages become its children, and its elapsed time feeds
+the ``repro_stage_seconds`` histogram.  ``repro profile`` folds the
+same spans into exclusive per-stage seconds (:mod:`repro.perf`).
 
 Completed traces land in a bounded in-memory ring served by
-``GET /v1/trace/<trace_id>``.  ``repro.perf`` stage frames become child
-spans through the ``span_sink`` hook, so with tracing enabled every
-``compile``/``embed``/``classify`` timing joins back to its request —
-and with telemetry disabled the stage sites stay at one attribute check
-(see :meth:`repro.perf.PerfRegistry.stage`).
+``GET /v1/trace/<trace_id>``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import METRICS
 
@@ -45,8 +51,9 @@ TraceContext = Tuple[Tuple[str, str], ...]
 _CTX: "contextvars.ContextVar[Optional[TraceContext]]" = \
     contextvars.ContextVar("repro_obs_ctx", default=None)
 
-#: Stage latency by stage name, fed by the perf span sink so /metrics
-#: carries the same per-stage seconds `repro profile` reports.
+#: Stage latency by stage name, fed by every stage frame (worker frames
+#: as the parent merges them) so /metrics carries the same per-stage
+#: seconds `repro profile` reports.
 _STAGE_SEC = METRICS.histogram(
     "repro_stage_seconds", "Pipeline stage latency by stage.",
     labelnames=("stage",))
@@ -93,43 +100,55 @@ class _Activation:
 
 class _Span:
     """A live span context manager, fanned out over every open trace
-    in the current context."""
+    in the current context.
 
-    __slots__ = ("_tracer", "name", "kind", "_attrs", "_entries", "_ids",
-                 "_token", "_wall", "_start")
+    A pipeline stage frame (``stage`` set) is a ``stage.<name>`` span
+    that also observes ``repro_stage_seconds``; a collecting process
+    (pool worker, profile run) leaves that observation to whoever folds
+    its spans."""
+
+    __slots__ = ("_tracer", "name", "kind", "_attrs", "_stage", "_entries",
+                 "_ids", "_token", "_wall", "_start")
 
     def __init__(self, tracer: "Tracer", name: str, kind: str,
-                 attrs: Dict[str, Any]):
+                 attrs: Dict[str, Any], stage: Optional[str] = None):
         self._tracer = tracer
         self.name = name
         self.kind = kind
         self._attrs = attrs
+        self._stage = stage
 
     def set(self, **attrs) -> None:
         self._attrs.update(attrs)
 
     def __enter__(self):
-        self._entries = _CTX.get() or ()
-        self._ids = tuple(new_id() for _ in self._entries)
-        if self._entries:
-            self._token = _CTX.set(tuple(
-                (trace_id, span_id)
-                for (trace_id, _parent), span_id
-                in zip(self._entries, self._ids)))
-        else:
-            self._token = None
-        self._wall = time.time()
+        # Clock first: the span's own set-up falls inside its interval,
+        # so a profile fold covers it instead of losing it between spans.
         self._start = perf_counter()
+        self._wall = time.time()
+        entries = self._entries = _CTX.get() or ()
+        ids = self._ids = [new_id() for _ in entries]
+        self._token = _CTX.set(tuple([
+            (trace_id, span_id)
+            for (trace_id, _parent), span_id in zip(entries, ids)])) \
+            if entries else None
         return self
 
     def __exit__(self, *exc_info):
-        elapsed = perf_counter() - self._start
         if self._token is not None:
             _CTX.reset(self._token)
-        for (trace_id, parent_id), span_id in zip(self._entries, self._ids):
-            self._tracer.record_span(trace_id, span_id, parent_id,
-                                     self.name, self.kind, self._wall,
-                                     elapsed, self._attrs or None)
+        spans = [self._tracer.record_span(trace_id, span_id, parent_id,
+                                          self.name, self.kind, self._wall,
+                                          0.0, self._attrs or None)
+                 for (trace_id, parent_id), span_id
+                 in zip(self._entries, self._ids)]
+        # Clock last, so recording falls inside the interval as well.
+        elapsed = perf_counter() - self._start
+        for span in spans:
+            if span is not None:
+                span["elapsed_s"] = round(elapsed, 6)
+        if self._stage is not None and self._tracer._collect is None:
+            _STAGE_SEC.labels(self._stage).observe(elapsed)
         return False
 
 
@@ -191,25 +210,19 @@ class Tracer:
         self._lock = threading.Lock()
         self._open: Dict[str, List[Dict[str, Any]]] = {}
         self._ring: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        #: Worker collect buffer (pool workers only, single-threaded).
+        #: Uncapped collect buffer (see :meth:`collect`; single-threaded).
         self._collect: Optional[List[Dict[str, Any]]] = None
         self.dropped = 0
         self.recorded_traces = 0
 
     # -- lifecycle ----------------------------------------------------------
     def enable(self, ring_size: Optional[int] = None) -> None:
-        from repro.perf import PERF
-
         if ring_size is not None:
             self.ring_size = max(1, int(ring_size))
         self.enabled = True
-        PERF.set_span_sink(self._stage_sink)
 
     def disable(self) -> None:
-        from repro.perf import PERF
-
         self.enabled = False
-        PERF.set_span_sink(None)
         with self._lock:
             self._open.clear()
 
@@ -246,6 +259,13 @@ class Tracer:
             return _NOOP_SPAN
         return _Span(self, name, kind, attrs)
 
+    def stage(self, name: str) -> Any:
+        """Time pipeline stage ``name`` (one of :data:`repro.perf.STAGES`)
+        as a ``stage.<name>`` span; the shared no-op while disabled."""
+        if not self.enabled:
+            return _NOOP_SPAN
+        return _Span(self, "stage." + name, "stage", {}, name)
+
     def record(self, name: str, kind: str = "internal",
                start_s: float = 0.0, elapsed_s: float = 0.0,
                attrs: Optional[Dict[str, Any]] = None,
@@ -266,8 +286,10 @@ class Tracer:
     def record_span(self, trace_id: str, span_id: str,
                     parent_id: Optional[str], name: str, kind: str,
                     start_s: float, elapsed_s: float,
-                    attrs: Optional[Dict[str, Any]] = None) -> None:
-        """Low-level append of one completed span to one open trace."""
+                    attrs: Optional[Dict[str, Any]] = None,
+                    ) -> Optional[Dict[str, Any]]:
+        """Low-level append of one completed span to one open trace;
+        returns the recorded span (``None`` when dropped)."""
         span = {"trace_id": trace_id, "span_id": span_id,
                 "parent_id": parent_id, "name": name, "kind": kind,
                 "start_s": round(start_s, 6),
@@ -277,60 +299,69 @@ class Tracer:
             span["attrs"] = attrs
         if self._collect is not None:
             self._collect.append(span)
-            return
+            return span
         with self._lock:
             spans = self._open.get(trace_id)
             if spans is None or len(spans) >= self.max_spans_per_trace:
                 self.dropped += 1       # completed/evicted trace, or full
-                return
+                return None
             spans.append(span)
+        return span
 
-    # -- perf bridge --------------------------------------------------------
-    def _stage_sink(self, name: str, start_s: float,
-                    elapsed_s: float) -> None:
-        """Installed as ``PERF.span_sink``: every stage frame becomes a
-        ``stage.<name>`` span under the current context and feeds the
-        per-stage latency histogram."""
-        _STAGE_SEC.labels(name).observe(elapsed_s)
-        entries = _CTX.get()
-        if not entries:
-            return
-        for trace_id, parent_id in entries:
-            self.record_span(trace_id, new_id(), parent_id,
-                             f"stage.{name}", "stage", start_s, elapsed_s)
-
-    # -- worker transport ---------------------------------------------------
+    # -- collect buffers and the worker transport --------------------------
     @contextmanager
-    def worker_scope(self, ctx: Optional[TraceContext]):
-        """Pool-worker recording scope.
-
-        With a context: spans (including perf stage frames) accumulate
-        in a buffer that the worker ships home with its chunk result.
-        Without one — including forked workers that inherited an
-        enabled tracer whose ring is a useless copy-on-write copy —
-        recording is neutralized.  Yields the buffer.
-        """
-        from repro.perf import PERF
-
-        if not ctx:
-            self.enabled = False
-            PERF.set_span_sink(None)
-            yield []
-            return
+    def collect(self, ctx: TraceContext):
+        """Record every span under ``ctx`` into an uncapped buffer (the
+        yielded list) instead of the ring, tracing on for the scope.
+        The tracer's prior state comes back on exit.  Pool workers ship
+        the buffer home with their chunk; ``repro profile`` folds it."""
         buffer: List[Dict[str, Any]] = []
-        self._collect = buffer
-        self.enabled = True
-        PERF.set_span_sink(self._stage_sink)
+        saved = self.enabled, self._collect
+        self.enabled, self._collect = True, buffer
         token = _CTX.set(tuple(ctx))
         try:
             yield buffer
         finally:
             _CTX.reset(token)
-            self._collect = None
+            self.enabled, self._collect = saved
 
-    def merge_spans(self, spans: Iterable[Dict[str, Any]]) -> None:
-        """Fold worker-recorded spans into their (still open) traces."""
+    @contextmanager
+    def worker_scope(self, ctx: Optional[TraceContext]):
+        """Pool-worker recording scope.
+
+        With a context, spans (stage frames included) :meth:`collect`
+        into the buffer the worker ships home.  Without one — including
+        forked workers that inherited an enabled tracer whose ring is a
+        useless copy-on-write copy — recording is neutralized.  Yields
+        the buffer.
+        """
+        if ctx:
+            with self.collect(ctx) as buffer:
+                yield buffer
+            return
+        enabled, self.enabled = self.enabled, False
+        try:
+            yield []
+        finally:
+            self.enabled = enabled
+
+    def merge_spans(self, spans: List[Dict[str, Any]]) -> None:
+        """Fold worker-recorded spans home: into the collect buffer while
+        this process collects, else into their (still open) traces.
+
+        Workers leave ``repro_stage_seconds`` to the parent, which
+        observes each worker stage frame here once.  A frame under k
+        coalesced traces arrives as k copies, recorded in context order,
+        so the copies under the first span's trace are the ones counted.
+        """
+        if self._collect is not None:
+            self._collect.extend(spans)
+            return
+        first = spans[0]["trace_id"] if spans else None
         for span in spans:
+            if span["kind"] == "stage" and span["trace_id"] == first:
+                _STAGE_SEC.labels(span["name"][len("stage."):]).observe(
+                    span["elapsed_s"])
             with self._lock:
                 open_spans = self._open.get(span["trace_id"])
                 if open_spans is None \

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.ir.module import Module
 from repro.ml.genetic import GAConfig
+from repro.obs.trace import TRACER
 
 #: A feature batch is either a dense matrix or a list of graphs.
 FeatureBatch = Union[np.ndarray, List[Any]]
@@ -232,16 +233,12 @@ class DecisionTreeStage:
         )
 
     def fit(self, features: np.ndarray, y: Sequence[str]) -> "DecisionTreeStage":
-        from repro.perf import PERF
-
-        with PERF.stage("classify"):
+        with TRACER.stage("classify"):
             self.model.fit(np.asarray(features), np.asarray(y))
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        from repro.perf import PERF
-
-        with PERF.stage("classify"):
+        with TRACER.stage("classify"):
             return self.model.predict(np.asarray(features))
 
     @property
@@ -288,18 +285,15 @@ class GNNStage:
     def fit(self, features: Sequence[Any], y: Sequence[str],
             vocab: Optional[Any] = None) -> "GNNStage":
         from repro.graphs.vocab import build_vocabulary
-        from repro.perf import PERF
 
         graphs = list(features)
-        with PERF.stage("classify"):
+        with TRACER.stage("classify"):
             self.model.fit(graphs, np.asarray(y),
                            vocab or build_vocabulary(graphs))
         return self
 
     def predict(self, features: Sequence[Any]) -> np.ndarray:
-        from repro.perf import PERF
-
-        with PERF.stage("classify"):
+        with TRACER.stage("classify"):
             return self.model.predict(list(features))
 
     def predict_proba(self, features: Sequence[Any]) -> np.ndarray:

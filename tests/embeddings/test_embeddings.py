@@ -156,3 +156,21 @@ def test_none_normalization_identity():
 def test_unknown_normalization_rejected():
     with pytest.raises(ValueError):
         normalize_features(np.ones((2, 2)), "zscore")
+
+
+def test_seed_table_build_is_one_seed_embed_stage():
+    from repro.embeddings import ir2vec
+    from repro.obs.trace import TRACER
+
+    seed = 7919                                  # no other test builds it
+    assert seed not in ir2vec._DEFAULT_ENCODERS
+    corpus = [_module()]
+    TRACER.enable()
+    try:
+        with TRACER.start_trace("seed", trace_id="tseed"):
+            ir2vec.default_encoder(seed, corpus=corpus, dim=8)
+        names = [s["name"] for s in TRACER.get_trace("tseed")["spans"]]
+        assert names.count("stage.seed_embed") == 1
+    finally:
+        TRACER.disable()
+        ir2vec._DEFAULT_ENCODERS.pop(seed, None)

@@ -289,3 +289,41 @@ def test_unpicklable_featurizer_warns_and_stays_serial_with_features():
         assert any("serial" in str(w.message) for w in caught)
         assert engine.counters["parallel_chunks"] == 0
         assert not engine.pool_active
+
+
+# ---------------------------------------------------------------------------
+# Worker stage time reaches the parent's /metrics
+# ---------------------------------------------------------------------------
+
+def test_worker_stage_time_reaches_parent_metrics():
+    """Stage frames that run in pool workers count in the parent's
+    ``repro_stage_seconds``, once per frame, as the spans come home."""
+    from repro.obs.metrics import METRICS
+    from repro.obs.trace import TRACER
+
+    def compiles():
+        series = METRICS.as_dict()["repro_stage_seconds"]["series"]
+        return sum(s["count"] for s in series
+                   if s["labels"]["stage"] == "compile")
+
+    fe = CFrontend(CFrontendConfig(opt_level="Os"))
+    feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+    feat.warmup()                 # the seed table's own compiles stay out
+    metrics_on = METRICS.enabled
+    METRICS.enabled = True
+    TRACER.enable()
+    try:
+        before = compiles()
+        with ExecutionEngine(EngineConfig(workers=2, chunk_size=4,
+                                          min_samples_per_worker=1)) as engine:
+            with TRACER.start_trace("featurize", trace_id="tfanout"):
+                engine.featurize_sources(fe, feat, _named_sources(34))
+        assert engine.counters["parallel_chunks"] > 0
+        spans = TRACER.get_trace("tfanout")["spans"]
+        worker_compiles = [s for s in spans if s["name"] == "stage.compile"
+                           and s["process"] != os.getpid()]
+        assert len(worker_compiles) == 34
+        assert compiles() == before + 34
+    finally:
+        TRACER.disable()
+        METRICS.enabled = metrics_on

@@ -7,14 +7,14 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, Tracer, new_id
-from repro.perf import PERF
 
 
 @pytest.fixture()
 def tracer():
     t = Tracer(ring_size=8)
-    t.enabled = True               # enable() would rebind PERF's sink
+    t.enabled = True
     yield t
     t.enabled = False
 
@@ -163,13 +163,10 @@ def test_worker_scope_collects_and_merge_spans_folds(tracer):
     # Simulate the pool worker: a *different* tracer instance (another
     # process in production) collects into a buffer...
     worker = Tracer()
-    old_sink = PERF.span_sink
-    try:
-        with worker.worker_scope(ctx) as buffer:
-            with worker.span("chunk", kind="worker"):
-                pass
-    finally:
-        PERF.set_span_sink(old_sink)
+    with worker.worker_scope(ctx) as buffer:
+        with worker.span("chunk", kind="worker"):
+            pass
+    assert worker.enabled is False and worker._collect is None
     assert len(buffer) == 1
     assert buffer[0]["trace_id"] == "tw"
 
@@ -188,33 +185,71 @@ def test_worker_scope_collects_and_merge_spans_folds(tracer):
 def test_worker_scope_without_ctx_neutralizes_inherited_tracer():
     worker = Tracer()
     worker.enabled = True          # forked child inherits an enabled tracer
-    old_sink = PERF.span_sink
-    try:
-        with worker.worker_scope(None) as buffer:
-            assert worker.enabled is False
-            assert PERF.span_sink is None
-            with worker.span("ignored"):
-                pass
-    finally:
-        PERF.set_span_sink(old_sink)
+    with worker.worker_scope(None) as buffer:
+        assert worker.enabled is False
+        assert worker.stage("compile") is worker.span("ignored")
+        with worker.span("ignored"):
+            pass
     assert buffer == []
 
 
-# -- perf bridge ------------------------------------------------------------
+# -- stage frames -----------------------------------------------------------
 
-def test_perf_stage_frames_become_spans():
-    """End-to-end over the real globals: TRACER.enable() installs the
-    PERF span sink, so stage() frames land as stage.<name> spans."""
-    old_sink = PERF.span_sink
-    old_enabled = PERF.enabled
+def _stage_count(stage):
+    series = METRICS.as_dict()["repro_stage_seconds"]["series"]
+    return sum(s["count"] for s in series if s["labels"]["stage"] == stage)
+
+
+@pytest.fixture()
+def stage_metrics():
+    """The real TRACER and METRICS, enabled, restored afterwards."""
+    metrics_on = METRICS.enabled
+    METRICS.enabled = True
+    TRACER.enable()
     try:
-        TRACER.enable(ring_size=4)
-        with TRACER.start_trace("t", trace_id="tperf"):
-            with PERF.stage("compile"):
-                pass
-        doc = TRACER.get_trace("tperf")
-        assert "stage.compile" in _spans_by_name(doc)
+        yield _stage_count
     finally:
         TRACER.disable()
-        PERF.set_span_sink(old_sink)
-        PERF.enabled = old_enabled
+        METRICS.enabled = metrics_on
+
+
+def test_perf_stage_frames_become_spans(stage_metrics):
+    """End to end over the real globals: stage() frames land as
+    stage.<name> spans, nested stages as children, and each frame
+    observes repro_stage_seconds once."""
+    before = stage_metrics("compile")
+    with TRACER.start_trace("t", trace_id="tperf"):
+        with TRACER.stage("compile"):
+            with TRACER.stage("verify"):
+                pass
+    spans = _spans_by_name(TRACER.get_trace("tperf"))
+    outer, = spans["stage.compile"]
+    inner, = spans["stage.verify"]
+    assert outer["kind"] == inner["kind"] == "stage"
+    assert inner["parent_id"] == outer["span_id"]
+    assert stage_metrics("compile") == before + 1
+
+
+def test_stage_without_trace_still_observes_latency(stage_metrics):
+    before = stage_metrics("embed")
+    with TRACER.stage("embed"):
+        pass
+    assert stage_metrics("embed") == before + 1
+
+
+def test_merged_worker_stage_frames_observe_once_per_frame(tracer,
+                                                           stage_metrics):
+    """A worker frame under two coalesced traces ships as two spans;
+    the parent observes it once, and the worker not at all."""
+    tracer._register("ta")
+    tracer._register("tb")
+    worker = Tracer()
+    before = stage_metrics("passes")
+    with worker.worker_scope((("ta", new_id()), ("tb", new_id()))) as spans:
+        with worker.stage("passes"):
+            pass
+    assert len(spans) == 2
+    assert stage_metrics("passes") == before
+    tracer.merge_spans(spans)
+    assert stage_metrics("passes") == before + 1
+    assert len(tracer._open["ta"]) == len(tracer._open["tb"]) == 1

@@ -1,4 +1,5 @@
-"""Per-stage timer registry and the PERF_profile.json artifact."""
+"""The stage-timing primitive, its profile fold and the PERF_profile.json
+artifact."""
 
 import time
 
@@ -6,12 +7,12 @@ import pytest
 
 from repro.datasets.loader import Sample
 from repro.engine import EngineConfig, ExecutionEngine
+from repro.obs.trace import TRACER, Tracer, new_id
 from repro.schema import SchemaError
 from repro.perf import (
-    PERF,
-    PerfRegistry,
     STAGES,
     collect_profile,
+    fold_stages,
     load_profile,
     save_profile,
     validate_profile,
@@ -34,70 +35,83 @@ def _samples(n, label="Correct"):
                    label=label, suite="MBI") for i in range(n)]
 
 
+def _one_trace():
+    return ((new_id(), new_id()),)
+
+
 # ---------------------------------------------------------------------------
-# Registry semantics
+# Stage frames and the exclusive-time fold
 # ---------------------------------------------------------------------------
 
 def test_disabled_registry_is_noop_and_accumulates_nothing():
-    reg = PerfRegistry()
-    with reg.stage("compile"):
-        pass
-    assert reg.stage_sec == {}
-    assert reg.stage_counts == {}
+    tracer = Tracer()
+    with tracer.start_trace("t", trace_id="tdis"):
+        with tracer.stage("compile"):
+            pass
+    assert tracer.get_trace("tdis") is None
+    assert tracer.stats()["recorded_traces"] == 0
     # The disabled path hands out one shared context manager.
-    assert reg.stage("compile") is reg.stage("verify")
+    assert tracer.stage("compile") is tracer.stage("verify")
 
 
 def test_nested_stages_account_exclusive_time():
-    reg = PerfRegistry()
-    reg.enabled = True
-    with reg.stage("compile"):
-        time.sleep(0.02)
-        with reg.stage("verify"):
-            time.sleep(0.05)
-        time.sleep(0.02)
-    sec = reg.stage_sec
-    # The outer frame excludes the whole nested interval...
+    tracer = Tracer()
+    with tracer.collect(_one_trace()) as spans:
+        with tracer.stage("compile"):
+            time.sleep(0.02)
+            with tracer.stage("verify"):
+                time.sleep(0.05)
+            time.sleep(0.02)
+    outer, = [s for s in spans if s["name"] == "stage.compile"]
+    inner, = [s for s in spans if s["name"] == "stage.verify"]
+    # Spans are intervals: the nested frame is a child of the outer one.
+    assert inner["parent_id"] == outer["span_id"]
+    assert outer["kind"] == inner["kind"] == "stage"
+    sec, counts = fold_stages(spans)
+    # The fold excludes the whole nested interval from the outer stage...
     assert 0.03 <= sec["compile"] < 0.05
     assert sec["verify"] >= 0.05
-    # ...so the disjoint totals sum to ≈ the instrumented wall clock.
-    assert abs(reg.total_sec() - (sec["compile"] + sec["verify"])) < 1e-9
-    assert reg.stage_counts == {"compile": 1, "verify": 1}
+    # ...so the disjoint totals sum to the outer span's elapsed time.
+    assert abs(sum(sec.values()) - outer["elapsed_s"]) < 1e-5
+    assert counts == {"compile": 1, "verify": 1}
 
 
 def test_reenterable_stage_counts_every_entry():
-    reg = PerfRegistry()
-    reg.enabled = True
-    for _ in range(5):
-        with reg.stage("passes"):
-            pass
-    assert reg.stage_counts["passes"] == 5
-    reg.reset()
-    assert reg.stage_counts == {}
+    tracer = Tracer()
+    with tracer.collect(_one_trace()) as spans:
+        for _ in range(5):
+            with tracer.stage("passes"):
+                pass
+    assert fold_stages(spans)[1] == {"passes": 5}
+    # A new collect scope starts from an empty buffer.
+    with tracer.collect(_one_trace()) as spans:
+        pass
+    assert fold_stages(spans) == ({}, {})
 
 
 def test_snapshot_merge_folds_worker_totals():
-    worker = PerfRegistry()
-    worker.enabled = True
-    with worker.stage("embed"):
-        time.sleep(0.01)
-    parent = PerfRegistry()
-    parent.enabled = True
-    with parent.stage("embed"):
-        time.sleep(0.01)
-    with parent.stage("compile"):
-        pass
-    snap = worker.snapshot()
-    parent.merge(snap)
-    parent.merge(snap)                   # merging twice doubles, not replaces
-    assert parent.stage_counts["embed"] == 3
-    assert parent.stage_sec["embed"] >= 0.03
-    assert parent.stage_counts["compile"] == 1
+    parent = Tracer()
+    with parent.collect(_one_trace()) as spans:
+        worker = Tracer()                # another process in production
+        with worker.worker_scope(parent.capture()) as shipped:
+            with worker.stage("embed"):
+                time.sleep(0.01)
+        with parent.stage("embed"):
+            time.sleep(0.01)
+        with parent.stage("compile"):
+            pass
+        parent.merge_spans(shipped)
+        parent.merge_spans(shipped)      # merging twice doubles, not replaces
+    sec, counts = fold_stages(spans)
+    assert counts["embed"] == 3
+    assert sec["embed"] >= 0.03
+    assert counts["compile"] == 1
 
 
 def test_global_registry_default_disabled():
     # Production default: instrumentation sites must cost ~nothing.
-    assert PERF.enabled is False
+    assert TRACER.enabled is False
+    assert TRACER.stage("compile") is TRACER.stage("embed")
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +213,28 @@ def test_collect_profile_leaves_registry_disabled_on_failure():
         def featurize_samples(self, *a, **k):
             raise RuntimeError("boom")
 
-    with pytest.raises(RuntimeError):
-        collect_profile("mbi", _samples(2), engine=ExplodingEngine())
-    assert PERF.enabled is False
+    for enabled in (False, True):
+        TRACER.enabled = enabled
+        try:
+            with pytest.raises(RuntimeError):
+                collect_profile("mbi", _samples(2), engine=ExplodingEngine())
+            # The tracer is back as the profile found it.
+            assert TRACER.enabled is enabled
+            assert TRACER._collect is None
+            assert TRACER.current() is None
+        finally:
+            TRACER.enabled = False
+
+
+def test_collect_profile_folds_every_frame_past_the_span_cap():
+    TRACER.max_spans_per_trace = 4
+    try:
+        doc = collect_profile("mbi", _samples(6), classify=False,
+                              engine=ExecutionEngine(EngineConfig(workers=0)))
+    finally:
+        del TRACER.max_spans_per_trace
+    assert doc["stage_counts"] == {"compile": 6, "verify": 12,
+                                   "passes": 6, "embed": 1}
 
 
 def test_collect_profile_gnn_skips_classify_with_note():
