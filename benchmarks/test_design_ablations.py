@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md §2): choices the paper fixed.
+"""Design-choice ablations (docs/experiments.md): choices the paper fixed.
 
 * IR2vec concatenates symbolic + flow-aware encodings — what does each
   half contribute on its own?
@@ -6,15 +6,11 @@
   edge types — what happens when each is flipped?
 """
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
+from benchmarks.conftest import run_experiment
 
 
 def test_ir2vec_encoding_ablation(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.ir2vec_encoding_ablation, args=(config,),
-                              rounds=1, iterations=1)
-    emit(f"IR2vec encoding ablation (profile={profile_name})",
-         E.render_encoding_ablation(rows))
+    rows = run_experiment(benchmark, "ablation-encoding", config, profile_name)
     assert len(rows) == 6          # 2 suites x 3 encodings
     for row in rows:
         assert 0.0 <= row["accuracy"] <= 1.0
@@ -26,10 +22,7 @@ def test_ir2vec_encoding_ablation(benchmark, config, profile_name):
 
 
 def test_gnn_design_ablation(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.gnn_design_ablation, args=(config, "CORR"),
-                              rounds=1, iterations=1)
-    emit(f"GNN design ablation, CorrBench (profile={profile_name})",
-         E.render_gnn_ablation(rows))
+    rows = run_experiment(benchmark, "ablation-gnn", config, profile_name)
     assert [r["variant"] for r in rows] == [
         "paper (max, GATv2, hetero)", "mean pooling", "no attention",
         "homogeneous edges"]

@@ -1,37 +1,17 @@
 """Figures 1-3: dataset statistics (error distribution, code size, counts)."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
-from repro.eval.reporting import render_series, render_table
+from benchmarks.conftest import run_experiment
 
 
-def test_fig1_error_distribution(benchmark, config):
-    dist = benchmark.pedantic(E.fig1_error_distribution, args=(config,),
-                              rounds=1, iterations=1)
-    for suite, counts in dist.items():
-        total = max(sum(counts.values()), 1)
-        emit(f"Fig. 1 — codes per error type ({suite})",
-             render_series({k: v / total for k, v in counts.items()}))
-        emit(f"Fig. 1 — raw counts ({suite})",
-             render_table(["label", "count"], sorted(counts.items(),
-                                                     key=lambda kv: -kv[1])))
+def test_fig1_error_distribution(benchmark, config, profile_name):
+    run_experiment(benchmark, "fig1", config, profile_name)
 
 
-def test_fig2_code_size(benchmark, config):
-    sizes = benchmark.pedantic(E.fig2_code_size, args=(config,),
-                               rounds=1, iterations=1)
-    for suite, rows in sizes.items():
-        emit(f"Fig. 2 — LoC after preprocessing ({suite})",
-             render_table(["label", "min", "median", "max"],
-                          [[lbl, s["min"], s["median"], s["max"]]
-                           for lbl, s in rows.items()]))
+def test_fig2_code_size(benchmark, config, profile_name):
+    sizes = run_experiment(benchmark, "fig2", config, profile_name)
     biased = sizes["MPI-CorrBench (biased)"]["Correct"]["min"]
     assert biased >= 103, "paper: biased correct codes have >= 103 LoC"
 
 
-def test_fig3_correct_incorrect(benchmark, config):
-    counts = benchmark.pedantic(E.fig3_correct_incorrect, args=(config,),
-                                rounds=1, iterations=1)
-    emit("Fig. 3 — correct vs incorrect",
-         render_table(["suite", "correct", "incorrect"],
-                      [[k, v[0], v[1]] for k, v in counts.items()]))
+def test_fig3_correct_incorrect(benchmark, config, profile_name):
+    run_experiment(benchmark, "fig3", config, profile_name)

@@ -1,8 +1,6 @@
 """Fig. 6: IR2vec per-label (multi-class) accuracy on MBI."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
-from repro.eval.reporting import render_series
+from benchmarks.conftest import run_experiment
 
 #: Labels below this validation-sample count carry no statistical signal
 #: at subsampled profiles; shape assertions skip them.
@@ -10,14 +8,7 @@ MIN_SUPPORT = 5
 
 
 def test_fig6_per_label(benchmark, config, profile_name):
-    acc, support = benchmark.pedantic(E.fig6_per_label_with_support,
-                                      args=(config,), rounds=1, iterations=1)
-    ordered = dict(sorted(acc.items(), key=lambda kv: kv[1]))
-    emit(f"Fig. 6 — per-label accuracy, MBI multi-class "
-         f"(profile={profile_name})",
-         render_series(ordered)
-         + "\nsupport: "
-         + ", ".join(f"{k}={v}" for k, v in sorted(support.items())))
+    acc, support = run_experiment(benchmark, "fig6", config, profile_name)
     # Paper shape: Correct / Call Ordering are among the best-predicted,
     # the rare Resource Leak among the worst.  Only compare labels whose
     # validation support is meaningful at this profile.

@@ -1,19 +1,10 @@
 """Fig. 7: metric bars — verification tools vs ML models on both suites."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
-from repro.eval.reporting import render_table
+from benchmarks.conftest import run_experiment
 
 
 def test_fig7_tool_comparison(benchmark, config, profile_name):
-    results = benchmark.pedantic(E.fig7_tool_metric_bars, args=(config,),
-                                 rounds=1, iterations=1)
-    for suite, tools in results.items():
-        headers = ["Tool", "Recall", "Precision", "F1", "Accuracy"]
-        data = [[name, m["Recall"], m["Precision"], m["F1"], m["Accuracy"]]
-                for name, m in tools.items()]
-        emit(f"Fig. 7 — {suite} (profile={profile_name})",
-             render_table(headers, data))
+    results = run_experiment(benchmark, "fig7", config, profile_name)
     # Shape assertions: the ideal tool dominates; the ML Intra rows are
     # competitive with the best expert tool on each suite.
     for suite, tools in results.items():

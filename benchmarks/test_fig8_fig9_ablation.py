@@ -1,25 +1,15 @@
 """Figs. 8 and 9: single- and pair-label ablation studies."""
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import run_experiment
 from repro.eval import experiments as E
-from repro.eval.reporting import render_series, render_table
 
 
 def test_fig8_single_ablation(benchmark, config, profile_name):
-    result = benchmark.pedantic(E.fig8_single_ablation, args=(config,),
-                                rounds=1, iterations=1)
-    for suite, series in result.items():
-        emit(f"Fig. 8 — single-label ablation ({suite}, profile={profile_name})",
-             render_series(dict(sorted(series.items(), key=lambda kv: -kv[1]))))
+    result = run_experiment(benchmark, "fig8", config, profile_name)
     for suite, series in result.items():
         assert all(0.0 <= v <= 1.0 for v in series.values())
 
 
 def test_fig9_pair_ablation(benchmark, config, profile_name):
-    result = benchmark.pedantic(E.fig9_pair_ablation, args=(config,),
-                                rounds=1, iterations=1)
-    rows = [[f"{a} + {b}", acc_a, acc_b]
-            for (a, b), (acc_a, acc_b) in result.items()]
-    emit(f"Fig. 9 — pair ablation, MPI-CorrBench (profile={profile_name})",
-         render_table(["excluded pair", "1st acc", "2nd acc"], rows))
+    result = run_experiment(benchmark, "fig9", config, profile_name)
     assert len(result) == len(E.FIG9_PAIRS)

@@ -7,14 +7,11 @@ the selected coordinates only mean something in the embedding basis the
 GA searched.
 """
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
+from benchmarks.conftest import run_experiment
 
 
 def test_seed_sensitivity(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.seed_sensitivity, args=(config,),
-                              rounds=1, iterations=1)
-    emit(f"Seed study (profile={profile_name})", E.render_seed_study(rows))
+    rows = run_experiment(benchmark, "seeds", config, profile_name)
     assert len(rows) == 4
     for row in rows:
         assert 0.0 <= row["acc_original"] <= 1.0
@@ -22,7 +19,7 @@ def test_seed_sensitivity(benchmark, config, profile_name):
     # Paper shape: Intra is robust to reseeding (small |delta|); the
     # brittle scenario is a Cross direction, where reused GA coordinates
     # can lose a large fraction of their accuracy.  At the smoke profile
-    # the base models sit at noise level (see EXPERIMENTS.md), so deltas
+    # the base models sit at noise level (see docs/experiments.md), so deltas
     # are noise too — shape is asserted from the fast profile up.
     if profile_name != "smoke":
         intra_deltas = [abs(r["delta"]) for r in rows if r["scenario"] == "Intra"]

@@ -1,13 +1,10 @@
 """Table II: IR2vec and GNN over Intra / Cross / Mix."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
+from benchmarks.conftest import run_experiment
 
 
 def test_table2_model_results(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.table2_model_results, args=(config,),
-                              rounds=1, iterations=1)
-    emit(f"Table II (profile={profile_name})", E.render_table2(rows))
+    rows = run_experiment(benchmark, "table2", config, profile_name)
     by_key = {(r["model"], r["scenario"], r["train"]): r["Accuracy"] for r in rows}
     # Shape assertions from the paper: Intra beats the hard Cross direction.
     assert by_key[("IR2vec", "Intra", "MBI")] > by_key[("IR2vec", "Cross", "CORR")]

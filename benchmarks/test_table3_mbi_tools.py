@@ -1,28 +1,10 @@
 """Table III: detailed evaluation against MBI (tools + models)."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
-from repro.eval.reporting import render_table
+from benchmarks.conftest import run_experiment
 
 
 def test_table3_mbi_tools(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.table3_tool_comparison, args=(config,),
-                              rounds=1, iterations=1)
-    headers = ["Tool", "CE", "TO", "RE", "TP", "TN", "FP", "FN", "Coverage",
-               "Conclusiveness", "Specificity", "Recall", "Precision", "F1",
-               "OverallAcc"]
-    data = [[r["tool"], r["CE"], r["TO"], r["RE"], r["TP"], r["TN"], r["FP"],
-             r["FN"], r["Coverage"], r["Conclusiveness"], r["Specificity"],
-             r["Recall"], r["Precision"], r["F1"], r["OverallAccuracy"]]
-            for r in rows]
-    emit(f"Table III (profile={profile_name})", render_table(headers, data))
-    paper = render_table(
-        ["Tool", "CE", "TO", "RE", "Recall", "Precision", "F1", "Specificity"],
-        [[name, p["CE"], p["TO"], p["RE"], p["Recall"], p["Precision"],
-          p["F1"], p["Specificity"]]
-         for name, p in E.TABLE3_PAPER.items()])
-    emit("Table III — paper-reported tool rows", paper)
-
+    rows = run_experiment(benchmark, "table3", config, profile_name)
     by_tool = {r["tool"]: r for r in rows}
     # Shape: ITAC times out on hangs, PARCOACH never does; PARCOACH has the
     # worst specificity; ML rows are fully conclusive.

@@ -1,19 +1,10 @@
 """Table IV: IR2vec Intra across compiler options and normalizations."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
-from repro.eval.reporting import render_table
+from benchmarks.conftest import run_experiment
 
 
 def test_table4_options(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.table4_options, args=(config,),
-                              rounds=1, iterations=1)
-    headers = ["Dataset", "Norm", "Opt", "TP", "TN", "FP", "FN",
-               "Recall", "Precision", "F1", "Accuracy"]
-    data = [[r["dataset"], r["normalization"], r["opt"], r["TP"], r["TN"],
-             r["FP"], r["FN"], r["Recall"], r["Precision"], r["F1"],
-             r["Accuracy"]] for r in rows]
-    emit(f"Table IV (profile={profile_name})", render_table(headers, data))
+    rows = run_experiment(benchmark, "table4", config, profile_name)
     # Paper: compiler option / normalization impact is bounded (~5% / ~3%);
     # verify the sweep produced the full grid and sane accuracies.
     assert len(rows) == 18

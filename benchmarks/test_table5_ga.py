@@ -1,18 +1,9 @@
 """Table V: GA feature selection on/off, Intra and Cross."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
-from repro.eval.reporting import render_table
+from benchmarks.conftest import run_experiment
 
 
 def test_table5_ga_effect(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.table5_ga_effect, args=(config,),
-                              rounds=1, iterations=1)
-    headers = ["GA", "Scenario", "Train", "Val", "TP", "TN", "FP", "FN",
-               "Recall", "Precision", "F1", "Accuracy"]
-    data = [[r["GA"], r["scenario"], r["train"], r["val"], r["TP"], r["TN"],
-             r["FP"], r["FN"], r["Recall"], r["Precision"], r["F1"],
-             r["Accuracy"]] for r in rows]
-    emit(f"Table V (profile={profile_name})", render_table(headers, data))
+    rows = run_experiment(benchmark, "table5", config, profile_name)
     assert len(rows) == 8
     assert {r["scenario"] for r in rows} == {"Intra", "Cross"}

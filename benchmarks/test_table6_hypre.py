@@ -1,13 +1,10 @@
 """Table VI: Hypre-like real-case predictions."""
 
-from benchmarks.conftest import emit
-from repro.eval import experiments as E
+from benchmarks.conftest import run_experiment
 
 
 def test_table6_hypre(benchmark, config, profile_name):
-    rows = benchmark.pedantic(E.table6_hypre, args=(config,),
-                              rounds=1, iterations=1)
-    emit(f"Table VI (profile={profile_name})", E.render_table6(rows))
+    rows = run_experiment(benchmark, "table6", config, profile_name)
     assert len(rows) == 4
     # Each row classifies all six Hypre columns.
     for row in rows:

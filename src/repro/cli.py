@@ -51,15 +51,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-#: experiment name → (driver, renderer) factory; drivers live in
-#: repro.eval.experiments and all take a ReproConfig.
-_EXPERIMENTS = {
-    "fig1", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9",
-    "table2", "table3", "table4", "table5", "table6",
-    "seeds", "mutation", "ablation-encoding", "ablation-gnn",
-}
-
-
 def _read_source(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -254,44 +245,34 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from repro.eval.config import ReproConfig
-    from repro.pipeline import DetectionPipeline
+    from repro.eval.scenarios import stage_specs
+    from repro.pipeline import METHOD_STAGES, DetectionPipeline
 
     _apply_engine_flags(args)
     config = getattr(ReproConfig, args.profile)()
     dataset = config.dataset(args.dataset)
-    if args.featurizer or args.classifier:
-        # Explicit stage names compose any registered featurizer/classifier.
-        # A stage left unnamed defaults from --method, and built-in stages
-        # pick up the profile's settings via the same presets --method uses.
-        from repro.pipeline import METHOD_STAGES, method_stage_specs
-
-        profile_configs = {}
-        for method in METHOD_STAGES:
-            feat_n, feat_c, clf_n, clf_c = method_stage_specs(
-                method, embedding_seed=config.embedding_seed,
-                normalization=config.normalization, ga_config=config.ga,
-                epochs=config.gnn_epochs, lr=config.gnn_lr,
-                batch_size=config.gnn_batch_size, seed=config.seed)
-            profile_configs[feat_n] = feat_c
-            profile_configs[clf_n] = clf_c
-        feat_default, clf_default = METHOD_STAGES[args.method]
-        feat_name = args.featurizer or feat_default
-        clf_name = args.classifier or clf_default
-        try:
-            pipeline = DetectionPipeline.from_names(
-                featurizer=feat_name, classifier=clf_name,
-                featurizer_config=profile_configs.get(feat_name),
-                classifier_config=profile_configs.get(clf_name))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
-    else:
-        pipeline = DetectionPipeline.from_method(
-            args.method, ga_config=config.ga,
-            embedding_seed=config.embedding_seed,
-            normalization=config.normalization,
-            epochs=config.gnn_epochs, lr=config.gnn_lr,
-            batch_size=config.gnn_batch_size, seed=config.seed)
+    # Built-in stages take the profile's settings from the same lowering
+    # the experiments use.  Explicit --featurizer/--classifier names
+    # compose any registered stage; a stage left unnamed defaults from
+    # --method.
+    profile_configs = {}
+    for method in METHOD_STAGES:
+        feat_n, feat_c, clf_n, clf_c = stage_specs(method, config)
+        profile_configs[feat_n] = feat_c
+        profile_configs[clf_n] = clf_c
+    feat_default, clf_default = METHOD_STAGES[args.method]
+    feat_name = args.featurizer or feat_default
+    clf_name = args.classifier or clf_default
+    try:
+        pipeline = DetectionPipeline.from_names(
+            featurizer=feat_name, classifier=clf_name,
+            featurizer_config=profile_configs.get(feat_name),
+            classifier_config=profile_configs.get(clf_name),
+            method=None if args.featurizer or args.classifier
+            else args.method)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
     pipeline.fit(dataset, labels=args.labels)
     pipeline.save(args.output)
     print(f"trained {pipeline.method} on {dataset.name} "
@@ -379,83 +360,14 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.eval import experiments as E
     from repro.eval.config import ReproConfig
-    from repro.eval.reporting import render_series, render_table
+    from repro.eval.experiments import EXPERIMENTS
 
     # --workers/--cache-dir land on the process default engine, which
-    # ReproConfig.engine() inherits for every scenario driver.
+    # ReproConfig.engine() inherits for every driver.
     _apply_engine_flags(args)
-    config = getattr(ReproConfig, args.profile)()
-    name = args.name
-
-    if name == "fig1":
-        for suite, counts in E.fig1_error_distribution(config).items():
-            data = [[label, n] for label, n in counts.items()]
-            print(render_table(["label", "codes"], data, f"Fig. 1 — {suite}"))
-    elif name == "fig2":
-        for suite, rows in E.fig2_code_size(config).items():
-            data = [[lbl, v["min"], v["median"], v["max"]]
-                    for lbl, v in rows.items()]
-            print(render_table(["label", "min", "median", "max"], data,
-                               f"Fig. 2 — {suite}"))
-    elif name == "fig3":
-        for suite, (ok, ko) in E.fig3_correct_incorrect(config).items():
-            print(f"{suite}: correct={ok} incorrect={ko}")
-    elif name == "fig6":
-        acc, support = E.fig6_per_label_with_support(config)
-        print(render_series(acc, title="Fig. 6 — per-label accuracy (MBI)"))
-        print("support:", dict(sorted(support.items())))
-    elif name == "fig7":
-        for suite, tools in E.fig7_tool_metric_bars(config).items():
-            data = [[tool, *m.values()] for tool, m in tools.items()]
-            print(render_table(["tool", "Recall", "Precision", "F1",
-                                "Accuracy"], data, f"Fig. 7 — {suite}"))
-    elif name == "fig8":
-        for suite, accs in E.fig8_single_ablation(config).items():
-            print(render_series(accs, title=f"Fig. 8 — {suite}"))
-    elif name == "fig9":
-        pairs = E.fig9_pair_ablation(config)
-        data = [[f"{a} + {b}", v1, v2] for (a, b), (v1, v2) in pairs.items()]
-        print(render_table(["pair", "1st excluded", "2nd excluded"], data,
-                           "Fig. 9 — pair ablation (CorrBench)"))
-    elif name == "table2":
-        print(E.render_table2(E.table2_model_results(config)))
-    elif name == "table3":
-        rows = E.table3_tool_comparison(config)
-        data = [[r["tool"], r["TP"], r["TN"], r["FP"], r["FN"], r["TO"],
-                 r["Recall"], r["Precision"], r["F1"], r["Accuracy"]]
-                for r in rows]
-        print(render_table(["tool", "TP", "TN", "FP", "FN", "TO", "Recall",
-                            "Precision", "F1", "Accuracy"], data,
-                           "Table III — MBI tools"))
-    elif name == "table4":
-        rows = E.table4_options(config)
-        data = [[r["dataset"], r["normalization"], r["opt"], r["Recall"],
-                 r["Precision"], r["F1"], r["Accuracy"]] for r in rows]
-        print(render_table(["dataset", "norm", "opt", "Recall", "Precision",
-                            "F1", "Accuracy"], data, "Table IV"))
-    elif name == "table5":
-        rows = E.table5_ga_effect(config)
-        data = [[r["GA"], r["scenario"], r["train"], r["val"], r["Accuracy"]]
-                for r in rows]
-        print(render_table(["GA", "scenario", "train", "val", "Accuracy"],
-                           data, "Table V"))
-    elif name == "table6":
-        print(E.render_table6(E.table6_hypre(config)))
-    elif name == "seeds":
-        print(E.render_seed_study(E.seed_sensitivity(config)))
-    elif name == "mutation":
-        print(E.render_mutation_detection(
-            E.mutation_detection(config, "MBI"), "MBI"))
-        print(E.render_mutation_cross(E.mutation_augmented_cross(config)))
-    elif name == "ablation-encoding":
-        print(E.render_encoding_ablation(E.ir2vec_encoding_ablation(config)))
-    elif name == "ablation-gnn":
-        print(E.render_gnn_ablation(E.gnn_design_ablation(config)))
-    else:  # pragma: no cover - argparse choices guard this
-        print(f"unknown experiment {name}", file=sys.stderr)
-        return 1
+    experiment = EXPERIMENTS[args.name]
+    print(experiment.render(experiment.run(getattr(ReproConfig, args.profile)())))
     return 0
 
 
@@ -1122,6 +1034,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                         "(default: $REPRO_CACHE_DIR or disabled)")
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.eval.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro-mpi",
         description="MPI error detection via IR embeddings and GNNs "
@@ -1217,7 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment",
                        help="regenerate one of the paper's tables/figures")
-    p.add_argument("name", choices=sorted(_EXPERIMENTS))
+    p.add_argument("name", choices=sorted(EXPERIMENTS))
     p.add_argument("--profile", choices=("smoke", "fast", "paper"),
                    default="smoke")
     _add_engine_flags(p)

@@ -3,13 +3,12 @@
 from repro.eval.config import ReproConfig
 from repro.eval.scenarios import (
     run_cross,
-    run_cross_predictions,
     run_intra_cv,
-    run_per_label,
+    run_pair_ablation,
     run_per_label_with_support,
+    run_single_ablation,
     stage_specs,
 )
-from repro.eval.ablation import run_pair_ablation, run_single_ablation
 from repro.eval.matrix import (
     CellSpec,
     MatrixSpec,
@@ -26,7 +25,7 @@ from repro.schema import SchemaError
 
 __all__ = [
     "ReproConfig",
-    "run_intra_cv", "run_cross", "run_cross_predictions", "run_per_label",
+    "run_intra_cv", "run_cross",
     "run_per_label_with_support", "stage_specs",
     "run_single_ablation", "run_pair_ablation",
     # evaluation matrix

@@ -4,8 +4,8 @@
 population 2500 × 25 generations, GNN 10 epochs at lr 4e-4).  ``fast()``
 is the CI/bench profile: stratified subsamples, 3 folds, a small GA, and
 a shorter, higher-lr GNN schedule (fewer gradient steps on less data need
-a larger step size).  EXPERIMENTS.md records which profile produced every
-reported number.
+a larger step size).  docs/experiments.md lists what each profile runs
+and which experiments use it.
 """
 
 from __future__ import annotations
@@ -62,18 +62,6 @@ class ReproConfig:
                 workers=workers, cache_dir=cache_dir))
             object.__setattr__(self, "_engine_key", (workers, cache_dir))
         return self._engine
-
-    def ir2vec_features(self, dataset, seed: Optional[int] = None):
-        """The ``(n, 512)`` IR2vec matrix of ``dataset`` at ``ir2vec_opt``
-        (embedding seed ``seed``, default ``embedding_seed``), computed
-        on :meth:`engine`."""
-        from repro.models.features import featurize_dataset
-        from repro.pipeline import IR2VecFeaturizer
-
-        featurizer = IR2VecFeaturizer(
-            opt_level=self.ir2vec_opt,
-            seed=self.embedding_seed if seed is None else seed)
-        return featurize_dataset(featurizer, dataset, engine=self.engine())
 
     @staticmethod
     def paper() -> "ReproConfig":

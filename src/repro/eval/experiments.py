@@ -1,28 +1,42 @@
 """One driver per paper artifact (tables II–VI, figures 1–3 and 6–9).
 
-Every function returns structured data *and* can render itself as text;
-the pytest-benchmark harness under ``benchmarks/`` wraps these drivers.
+:data:`EXPERIMENTS` maps every name ``repro experiment`` accepts to its
+driver (``ReproConfig`` → structured result) and its renderer (result →
+text).  The CLI prints ``render(run(config))``; the pytest-benchmark
+harness under ``benchmarks/`` runs the same drivers and emits through the
+same renderers.  docs/experiments.md maps each name to the paper.
+
+Every learned driver runs on the protocol pieces of
+:mod:`repro.eval.scenarios`: :func:`stage_specs` lowers the config,
+:func:`folds` splits, :func:`fit_predict` trains and predicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.datasets.labels import CORR_LABELS, CORRECT, MBI_LABELS
-from repro.datasets.loader import Dataset
-from repro.eval.ablation import run_pair_ablation, run_single_ablation
 from repro.eval.config import ReproConfig
 from repro.eval.reporting import render_series, render_table
 from repro.eval.scenarios import (
+    accuracy,
+    binary_labels,
+    cv_predict,
+    featurize,
+    fit_predict,
+    folds,
     run_cross,
     run_intra_cv,
-    run_per_label,
+    run_pair_ablation,
     run_per_label_with_support,
+    run_single_ablation,
+    stage_specs,
 )
 from repro.frontend import preprocess_and_count_loc
-from repro.ml.metrics import MetricReport, compute_metrics
+from repro.ml.metrics import ConfusionCounts, MetricReport, compute_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +51,14 @@ def fig1_error_distribution(config: ReproConfig) -> Dict[str, Dict[str, int]]:
         counts.pop(CORRECT, None)
         out[name] = dict(sorted(counts.items(), key=lambda kv: -kv[1]))
     return out
+
+
+def render_fig1(dist: Dict[str, Dict[str, int]]) -> str:
+    return "\n".join(
+        render_table(["label", "codes"],
+                     [[label, n] for label, n in counts.items()],
+                     f"Fig. 1 — {suite}")
+        for suite, counts in dist.items())
 
 
 def fig2_code_size(config: ReproConfig) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -60,12 +82,25 @@ def fig2_code_size(config: ReproConfig) -> Dict[str, Dict[str, Dict[str, float]]
     return out
 
 
+def render_fig2(sizes: Dict[str, Dict[str, Dict[str, float]]]) -> str:
+    return "\n".join(
+        render_table(["label", "min", "median", "max"],
+                     [[lbl, v["min"], v["median"], v["max"]]
+                      for lbl, v in rows.items()], f"Fig. 2 — {suite}")
+        for suite, rows in sizes.items())
+
+
 def fig3_correct_incorrect(config: ReproConfig) -> Dict[str, Tuple[int, int]]:
     """Correct vs incorrect counts per suite (paper Fig. 3)."""
     return {
         "MBI": config.mbi().correct_incorrect_counts(),
         "MPI-CorrBench": config.corrbench().correct_incorrect_counts(),
     }
+
+
+def render_fig3(counts: Dict[str, Tuple[int, int]]) -> str:
+    return "\n".join(f"{suite}: correct={ok} incorrect={ko}"
+                     for suite, (ok, ko) in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +193,23 @@ def table3_tool_comparison(config: ReproConfig,
         rows.append({"tool": "GNN Intra", **report.as_dict(), "paper": None})
     # The ideal tool row.
     correct, incorrect = mbi.correct_incorrect_counts()
-    from repro.ml.metrics import ConfusionCounts
-
     ideal = compute_metrics(ConfusionCounts(tp=incorrect, tn=correct))
     rows.append({"tool": "Ideal tool", **ideal.as_dict(), "paper": None})
     return rows
+
+
+def render_table3(rows: List[dict]) -> str:
+    data = [[r["tool"], r["TP"], r["TN"], r["FP"], r["FN"], r["TO"],
+             r["Recall"], r["Precision"], r["F1"], r["Accuracy"]]
+            for r in rows]
+    return render_table(["tool", "TP", "TN", "FP", "FN", "TO", "Recall",
+                         "Precision", "F1", "Accuracy"], data,
+                        "Table III — MBI tools")
+
+
+def _bar_metrics(report: MetricReport) -> Dict[str, float]:
+    return {"Recall": report.recall, "Precision": report.precision,
+            "F1": report.f1, "Accuracy": report.accuracy}
 
 
 def fig7_tool_metric_bars(config: ReproConfig) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -177,28 +224,27 @@ def fig7_tool_metric_bars(config: ReproConfig) -> Dict[str, Dict[str, Dict[str, 
         if suite_name == "MPI-CorrBench":
             tools += [MUSTTool(nprocs=config.nprocs), MPICheckerTool()]
         for tool in tools:
-            report = compute_metrics(tool.evaluate(ds.samples))
-            suite[tool.name] = {
-                "Recall": report.recall, "Precision": report.precision,
-                "F1": report.f1, "Accuracy": report.accuracy,
-            }
+            suite[tool.name] = _bar_metrics(
+                compute_metrics(tool.evaluate(ds.samples)))
         for method in ("ir2vec", "gnn"):
             name = "IR2vec" if method == "ir2vec" else "GNN"
             report, _, _ = run_intra_cv(method, ds, config)
-            suite[f"{name} Intra"] = {
-                "Recall": report.recall, "Precision": report.precision,
-                "F1": report.f1, "Accuracy": report.accuracy,
-            }
+            suite[f"{name} Intra"] = _bar_metrics(report)
             other = config.mbi() if suite_name == "MPI-CorrBench" else config.corrbench()
-            cross = run_cross(method, other, ds, config)
-            suite[f"{name} Cross"] = {
-                "Recall": cross.recall, "Precision": cross.precision,
-                "F1": cross.f1, "Accuracy": cross.accuracy,
-            }
+            suite[f"{name} Cross"] = _bar_metrics(
+                run_cross(method, other, ds, config))
         suite["Ideal tool"] = {"Recall": 1.0, "Precision": 1.0, "F1": 1.0,
                                "Accuracy": 1.0}
         out[suite_name] = suite
     return out
+
+
+def render_fig7(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
+    return "\n".join(
+        render_table(["tool", "Recall", "Precision", "F1", "Accuracy"],
+                     [[tool, *m.values()] for tool, m in tools.items()],
+                     f"Fig. 7 — {suite}")
+        for suite, tools in results.items())
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +270,20 @@ def table4_options(config: ReproConfig,
     return rows
 
 
+def render_table4(rows: List[dict]) -> str:
+    data = [[r["dataset"], r["normalization"], r["opt"], r["Recall"],
+             r["Precision"], r["F1"], r["Accuracy"]] for r in rows]
+    return render_table(["dataset", "norm", "opt", "Recall", "Precision",
+                         "F1", "Accuracy"], data, "Table IV")
+
+
 # ---------------------------------------------------------------------------
 # Table V: GA on/off
 # ---------------------------------------------------------------------------
 
 def table5_ga_effect(config: ReproConfig) -> List[dict]:
     """Reproduce Table V: IR2vec Intra and Cross with and without GA."""
-    mbi = config.mbi()
-    corr = config.corrbench()
+    suites = {"MBI": config.mbi(), "CORR": config.corrbench()}
     rows: List[dict] = []
     for use_ga in (False, True):
         for scenario, train, val in (("Intra", "MBI", "MBI"),
@@ -239,30 +291,38 @@ def table5_ga_effect(config: ReproConfig) -> List[dict]:
                                      ("Cross", "MBI", "CORR"),
                                      ("Cross", "CORR", "MBI")):
             if scenario == "Intra":
-                ds = mbi if train == "MBI" else corr
-                report, _, _ = run_intra_cv("ir2vec", ds, config, use_ga=use_ga)
+                report, _, _ = run_intra_cv("ir2vec", suites[train], config,
+                                            use_ga=use_ga)
             else:
-                t = mbi if train == "MBI" else corr
-                v = corr if val == "CORR" else mbi
-                report = run_cross("ir2vec", t, v, config, use_ga=use_ga)
+                report = run_cross("ir2vec", suites[train], suites[val],
+                                   config, use_ga=use_ga)
             rows.append({"GA": "ON" if use_ga else "OFF", "scenario": scenario,
                          "train": train, "val": val, **report.as_dict()})
     return rows
+
+
+def render_table5(rows: List[dict]) -> str:
+    data = [[r["GA"], r["scenario"], r["train"], r["val"], r["Accuracy"]]
+            for r in rows]
+    return render_table(["GA", "scenario", "train", "val", "Accuracy"],
+                        data, "Table V")
 
 
 # ---------------------------------------------------------------------------
 # Fig. 6: per-label prediction accuracy (multi-class, MBI)
 # ---------------------------------------------------------------------------
 
-def fig6_per_label(config: ReproConfig) -> Dict[str, float]:
-    """IR2vec per-label accuracy on MBI (multi-class labels)."""
-    return run_per_label(config.mbi(), config)
-
-
 def fig6_per_label_with_support(
         config: ReproConfig) -> Tuple[Dict[str, float], Dict[str, int]]:
-    """Fig. 6 accuracies plus validation support per label."""
+    """IR2vec per-label accuracy on MBI (multi-class labels), plus the
+    validation support per label."""
     return run_per_label_with_support(config.mbi(), config)
+
+
+def render_fig6(result: Tuple[Dict[str, float], Dict[str, int]]) -> str:
+    acc, support = result
+    return (render_series(acc, title="Fig. 6 — per-label accuracy (MBI)")
+            + f"\nsupport: {dict(sorted(support.items()))}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +335,11 @@ def fig8_single_ablation(config: ReproConfig) -> Dict[str, Dict[str, float]]:
                                              CORR_LABELS),
         "MBI": run_single_ablation(config.mbi(), config, MBI_LABELS),
     }
+
+
+def render_fig8(result: Dict[str, Dict[str, float]]) -> str:
+    return "\n".join(render_series(accs, title=f"Fig. 8 — {suite}")
+                     for suite, accs in result.items())
 
 
 #: The pairings visible in Fig. 9 (CorrBench; first excluded + second excluded).
@@ -290,6 +355,12 @@ FIG9_PAIRS: Tuple[Tuple[str, str], ...] = (
 
 def fig9_pair_ablation(config: ReproConfig) -> Dict[Tuple[str, str], Tuple[float, float]]:
     return run_pair_ablation(config.corrbench(), config, FIG9_PAIRS)
+
+
+def render_fig9(pairs: Dict[Tuple[str, str], Tuple[float, float]]) -> str:
+    data = [[f"{a} + {b}", v1, v2] for (a, b), (v1, v2) in pairs.items()]
+    return render_table(["pair", "1st excluded", "2nd excluded"], data,
+                        "Fig. 9 — pair ablation (CorrBench)")
 
 
 # ---------------------------------------------------------------------------
@@ -317,52 +388,47 @@ def seed_sensitivity(config: ReproConfig, alt_seed: int = 1337) -> List[dict]:
     (MBI→CorrBench in particular) brittle, because the GA coordinates are
     meaningful only in the embedding basis they were selected in.
     """
-    from repro.ml.crossval import stratified_kfold_indices
-    from repro.pipeline import make_classifier
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
+    reseeded = replace(feat_cfg, seed=alt_seed)
+    suites = {"MBI": config.mbi(), "CORR": config.corrbench()}
 
-    mbi = config.mbi()
-    corr = config.corrbench()
+    def both_seeds(ds) -> Tuple[Any, Any, np.ndarray]:
+        return (featurize(feat_name, feat_cfg, ds, config),
+                featurize(feat_name, reseeded, ds, config), binary_labels(ds))
 
-    def _model(fixed: Optional[Sequence[int]] = None):
-        return make_classifier(
-            "decision-tree", normalization=config.normalization,
-            use_ga=fixed is None, ga=config.ga,
-            fixed_features=tuple(fixed) if fixed is not None else None)
+    def original_then_reseeded(Xa_tr, Xb_tr, y_tr, Xa_te, Xb_te):
+        model_a, pred_a = fit_predict(clf_name, clf_cfg, Xa_tr, y_tr, Xa_te)
+        fixed = replace(clf_cfg, use_ga=False,
+                        fixed_features=tuple(model_a.selected))
+        _, pred_b = fit_predict(clf_name, fixed, Xb_tr, y_tr, Xb_te)
+        return pred_a, pred_b
 
     def intra(ds) -> Tuple[float, float]:
-        X_a = config.ir2vec_features(ds)
-        X_b = config.ir2vec_features(ds, alt_seed)
-        y = np.array([s.binary for s in ds.samples])
-        hits_a = hits_b = total = 0
-        for tr, va in stratified_kfold_indices(
-                [s.label for s in ds.samples], config.folds, config.seed):
-            model_a = _model().fit(X_a[tr], y[tr])
-            hits_a += int(np.sum(model_a.predict(X_a[va]) == y[va]))
-            model_b = _model(model_a.selected).fit(X_b[tr], y[tr])
-            hits_b += int(np.sum(model_b.predict(X_b[va]) == y[va]))
-            total += len(va)
-        return hits_a / total, hits_b / total
+        X_a, X_b, y = both_seeds(ds)
+        y_true, pred_a, pred_b = [], [], []
+        for tr, va in folds(ds, config):
+            a, b = original_then_reseeded(X_a[tr], X_b[tr], y[tr],
+                                          X_a[va], X_b[va])
+            y_true.extend(y[va])
+            pred_a.extend(a)
+            pred_b.extend(b)
+        return accuracy(y_true, pred_a), accuracy(y_true, pred_b)
 
     def cross(train_ds, val_ds) -> Tuple[float, float]:
-        y_tr = np.array([s.binary for s in train_ds.samples])
-        y_va = np.array([s.binary for s in val_ds.samples])
-        Xtr_a = config.ir2vec_features(train_ds)
-        Xva_a = config.ir2vec_features(val_ds)
-        Xtr_b = config.ir2vec_features(train_ds, alt_seed)
-        Xva_b = config.ir2vec_features(val_ds, alt_seed)
-        model_a = _model().fit(Xtr_a, y_tr)
-        acc_a = float(np.mean(model_a.predict(Xva_a) == y_va))
-        model_b = _model(model_a.selected).fit(Xtr_b, y_tr)
-        acc_b = float(np.mean(model_b.predict(Xva_b) == y_va))
-        return acc_a, acc_b
+        Xtr_a, Xtr_b, y_tr = both_seeds(train_ds)
+        Xva_a, Xva_b, y_va = both_seeds(val_ds)
+        pred_a, pred_b = original_then_reseeded(Xtr_a, Xtr_b, y_tr,
+                                                Xva_a, Xva_b)
+        return accuracy(y_va, pred_a), accuracy(y_va, pred_b)
 
     rows: List[dict] = []
-    for scenario, train, val, fn in (
-            ("Intra", "MBI", "MBI", lambda: intra(mbi)),
-            ("Intra", "CORR", "CORR", lambda: intra(corr)),
-            ("Cross", "MBI", "CORR", lambda: cross(mbi, corr)),
-            ("Cross", "CORR", "MBI", lambda: cross(corr, mbi))):
-        acc_orig, acc_reseeded = fn()
+    for scenario, train, val in (("Intra", "MBI", "MBI"),
+                                 ("Intra", "CORR", "CORR"),
+                                 ("Cross", "MBI", "CORR"),
+                                 ("Cross", "CORR", "MBI")):
+        acc_orig, acc_reseeded = (
+            intra(suites[train]) if scenario == "Intra"
+            else cross(suites[train], suites[val]))
         rows.append({
             "scenario": scenario, "train": train, "val": val,
             "acc_original": acc_orig, "acc_reseeded": acc_reseeded,
@@ -382,7 +448,7 @@ def render_seed_study(rows: List[dict]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Design-choice ablations (choices the paper fixed; DESIGN.md §2)
+# Design-choice ablations (choices the paper fixed; docs/experiments.md)
 # ---------------------------------------------------------------------------
 
 def ir2vec_encoding_ablation(config: ReproConfig) -> List[dict]:
@@ -394,35 +460,24 @@ def ir2vec_encoding_ablation(config: ReproConfig) -> List[dict]:
     only sees the symbolic 256-d half, only the flow-aware half, or the
     full 512-d concatenation.
     """
-    from repro.ml.crossval import stratified_kfold_indices
-    from repro.pipeline import make_classifier
-
     dim = 256
     slices = {
         "symbolic": slice(0, dim),
         "flow-aware": slice(dim, 2 * dim),
         "concat (paper)": slice(0, 2 * dim),
     }
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
     rows: List[dict] = []
     for suite in ("MBI", "CORR"):
         ds = config.dataset(suite)
-        X_full = config.ir2vec_features(ds)
-        y = np.array([s.binary for s in ds.samples])
-        strata = [s.label for s in ds.samples]
+        X_full = featurize(feat_name, feat_cfg, ds, config)
+        y = binary_labels(ds)
         for encoding, sl in slices.items():
-            X = X_full[:, sl]
-            hits = total = 0
-            for tr, va in stratified_kfold_indices(strata, config.folds,
-                                                   config.seed):
-                model = make_classifier("decision-tree",
-                                        normalization=config.normalization,
-                                        use_ga=True, ga=config.ga)
-                model.fit(X[tr], y[tr])
-                hits += int(np.sum(model.predict(X[va]) == y[va]))
-                total += len(va)
+            y_true, y_pred = cv_predict(ds, config, X_full[:, sl], y,
+                                        clf_name, clf_cfg)
             rows.append({"suite": suite, "encoding": encoding,
                          "dim": sl.stop - sl.start,
-                         "accuracy": hits / total})
+                         "accuracy": accuracy(y_true, y_pred)})
     return rows
 
 
@@ -433,15 +488,10 @@ def gnn_design_ablation(config: ReproConfig, suite: str = "CORR") -> List[dict]:
     max pooling, GATv2 attention, heterogeneous edge types) and re-runs
     Intra CV with binary labels.
     """
-    from repro.ml.crossval import stratified_kfold_indices
-    from repro.models.features import featurize_dataset
-    from repro.pipeline import ProGraMLFeaturizer, make_classifier, take
-
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("gnn", config)
     ds = config.dataset(suite)
-    graphs = featurize_dataset(ProGraMLFeaturizer(opt_level=config.gnn_opt),
-                               ds, engine=config.engine())
-    y = np.array([s.binary for s in ds.samples])
-    strata = [s.label for s in ds.samples]
+    graphs = featurize(feat_name, feat_cfg, ds, config)
+    y = binary_labels(ds)
 
     variants = (
         ("paper (max, GATv2, hetero)", {}),
@@ -451,20 +501,11 @@ def gnn_design_ablation(config: ReproConfig, suite: str = "CORR") -> List[dict]:
     )
     rows: List[dict] = []
     for name, overrides in variants:
-        hits = total = 0
-        for tr, va in stratified_kfold_indices(strata, config.folds,
-                                               config.seed):
-            model = make_classifier("gnn", epochs=config.gnn_epochs,
-                                    lr=config.gnn_lr,
-                                    batch_size=config.gnn_batch_size,
-                                    seed=config.seed, **overrides)
-            model.fit(take(graphs, tr), y[tr])
-            pred = model.predict(take(graphs, va))
-            hits += int(np.sum(pred == y[va]))
-            total += len(va)
+        y_true, y_pred = cv_predict(ds, config, graphs, y, clf_name,
+                                    replace(clf_cfg, **overrides))
         rows.append({"variant": name, "suite": suite,
-                     "accuracy": hits / total, **{k: str(v) for k, v
-                                                  in overrides.items()}})
+                     "accuracy": accuracy(y_true, y_pred),
+                     **{k: str(v) for k, v in overrides.items()}})
     return rows
 
 
@@ -496,28 +537,21 @@ def mutation_detection(config: ReproConfig, suite: str = "MBI",
     were injected by each mutation operator into the suite's *correct*
     codes — new incorrect programs the model has never seen.
     """
+    from repro.datasets.loader import Dataset
     from repro.datasets.mutation import MutationEngine
-    from repro.pipeline import make_classifier
 
     ds = config.dataset(suite)
-    engine = MutationEngine(seed=config.seed)
-    mutants = engine.mutants_of(ds, per_sample=per_sample)
+    mutants = MutationEngine(seed=config.seed).mutants_of(
+        ds, per_sample=per_sample)
     if not mutants:
         return []
 
-    X = config.ir2vec_features(ds)
-    y = np.array([s.binary for s in ds.samples])
-    model = make_classifier("decision-tree",
-                            normalization=config.normalization,
-                            use_ga=True, ga=config.ga)
-    model.fit(X, y)
-
-    from repro.datasets.loader import Dataset
-
-    mutant_ds = Dataset(f"{ds.name}-mutants",
-                        [m.sample for m in mutants])
-    Xm = config.ir2vec_features(mutant_ds)
-    pred = model.predict(Xm)
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
+    mutant_ds = Dataset(f"{ds.name}-mutants", [m.sample for m in mutants])
+    _, pred = fit_predict(clf_name, clf_cfg,
+                          featurize(feat_name, feat_cfg, ds, config),
+                          binary_labels(ds),
+                          featurize(feat_name, feat_cfg, mutant_ds, config))
 
     rows: List[dict] = []
     by_op: Dict[str, List[int]] = {}
@@ -588,35 +622,32 @@ def render_mutation_cross(rows: List[dict]) -> str:
 def table6_hypre(config: ReproConfig) -> List[dict]:
     """Reproduce Table VI: cross-trained models applied to the Hypre pair."""
     from repro.datasets.hypre import hypre_pair
-    from repro.pipeline import IR2VecFeaturizer, make_classifier, make_frontend
+    from repro.pipeline import FEATURIZERS, make_frontend
 
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
     ok, ko = hypre_pair()
-    featurizer = IR2VecFeaturizer(seed=config.embedding_seed)
-    columns = []
+    featurizer = FEATURIZERS.create(feat_name, feat_cfg)
+    columns: List[str] = []
+    vectors: List[np.ndarray] = []
     for opt in ("O0", "O2", "Os"):
-        frontend = make_frontend("mini-c", opt_level=opt)
-        vecs = config.engine().featurize_sources(
-            frontend, featurizer, [(ok.name, ok.source), (ko.name, ko.source)])
-        for vec, tag in zip(vecs, ("ok", "ko")):
-            columns.append((f"{opt}-{tag}", vec, tag))
+        vectors.extend(config.engine().featurize_sources(
+            make_frontend("mini-c", opt_level=opt), featurizer,
+            [(ok.name, ok.source), (ko.name, ko.source)]))
+        columns += [f"{opt}-ok", f"{opt}-ko"]
 
     rows: List[dict] = []
     for train_name in ("MBI", "MPI-CorrBench"):
         ds = config.mbi() if train_name == "MBI" else config.corrbench()
-        X = config.ir2vec_features(ds)
-        y = np.array([s.binary for s in ds.samples])
+        X = featurize(feat_name, feat_cfg, ds, config)
         for features_mode in ("all", "GA"):
-            model = make_classifier("decision-tree",
-                                    normalization=config.normalization,
-                                    use_ga=features_mode == "GA",
-                                    ga=config.ga)
-            model.fit(X, y)
+            _, pred = fit_predict(
+                clf_name, replace(clf_cfg, use_ga=features_mode == "GA"),
+                X, binary_labels(ds), np.stack(vectors))
             row = {"train": train_name, "features": features_mode}
-            for col, vec, truth in columns:
-                pred = model.predict(vec[None, :])[0]
-                verdict = "ok" if pred == CORRECT else "ko"
+            for col, label in zip(columns, pred):
+                verdict = "ok" if label == CORRECT else "ko"
                 row[col] = verdict
-                row[f"{col}_hit"] = verdict == truth
+                row[f"{col}_hit"] = verdict == col[-2:]
             rows.append(row)
     return rows
 
@@ -630,3 +661,51 @@ def render_table6(rows: List[dict]) -> str:
                     + [f"{r[c]}{'*' if r[f'{c}_hit'] else '!'}" for c in cols])
     return render_table(headers, data,
                         "Table VI — Hypre predictions (*=correct, !=wrong)")
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """A paper artifact: ``run(config)`` computes it, ``render`` prints it."""
+
+    paper: str
+    run: Callable[[ReproConfig], Any]
+    render: Callable[[Any], str]
+
+
+def _mutation_study(config: ReproConfig) -> Tuple[List[dict], List[dict]]:
+    return mutation_detection(config, "MBI"), mutation_augmented_cross(config)
+
+
+def _render_mutation_study(result: Tuple[List[dict], List[dict]]) -> str:
+    detection, cross = result
+    return (render_mutation_detection(detection, "MBI") + "\n"
+            + render_mutation_cross(cross))
+
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig1": Experiment("Fig. 1", fig1_error_distribution, render_fig1),
+    "fig2": Experiment("Fig. 2", fig2_code_size, render_fig2),
+    "fig3": Experiment("Fig. 3", fig3_correct_incorrect, render_fig3),
+    "fig6": Experiment("Fig. 6", fig6_per_label_with_support, render_fig6),
+    "fig7": Experiment("Fig. 7", fig7_tool_metric_bars, render_fig7),
+    "fig8": Experiment("Fig. 8", fig8_single_ablation, render_fig8),
+    "fig9": Experiment("Fig. 9", fig9_pair_ablation, render_fig9),
+    "table2": Experiment("Table II", table2_model_results, render_table2),
+    "table3": Experiment("Table III", table3_tool_comparison, render_table3),
+    "table4": Experiment("Table IV", table4_options, render_table4),
+    "table5": Experiment("Table V", table5_ga_effect, render_table5),
+    "table6": Experiment("Table VI", table6_hypre, render_table6),
+    "seeds": Experiment("Section V-A (Seeds)", seed_sensitivity,
+                        render_seed_study),
+    "mutation": Experiment("Section V-F / VI (mutation)", _mutation_study,
+                           _render_mutation_study),
+    "ablation-encoding": Experiment("IR2vec encoding halves",
+                                    ir2vec_encoding_ablation,
+                                    render_encoding_ablation),
+    "ablation-gnn": Experiment("GNN architecture choices",
+                               gnn_design_ablation, render_gnn_ablation),
+}

@@ -35,7 +35,6 @@ training sample (never the test side — the ground truth stays pristine).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -45,10 +44,10 @@ from repro import __version__
 from repro.datasets.loader import Dataset, stratified_split_indices
 from repro.datasets.mutation import Mutant, MutationEngine, leak_safe_indices
 from repro.eval.config import ReproConfig
-from repro.eval.scenarios import stage_specs
+from repro.eval.scenarios import fit_predict, stage_specs
 from repro.ml.metrics import binary_summary, per_class_binary_report
 from repro.models.features import featurize_dataset
-from repro.pipeline import CLASSIFIERS, FEATURIZERS, take
+from repro.pipeline import FEATURIZERS, take
 
 #: Bumped whenever the artifact layout changes incompatibly.
 MATRIX_SCHEMA_VERSION = 1
@@ -194,9 +193,10 @@ def _evaluate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                   "accuracy": None, "support": test_classes.count(cls)}
             for cls in payload["class_names"]}
         return {"overall": overall, "per_class": per_class}
-    clf = CLASSIFIERS.create(payload["clf_name"], payload["clf_cfg"])
-    clf.fit(payload["X_train"], np.asarray(payload["y_train"]))
-    y_pred = list(clf.predict(payload["X_test"]))
+    _, y_pred = fit_predict(payload["clf_name"], payload["clf_cfg"],
+                            payload["X_train"], payload["y_train"],
+                            payload["X_test"])
+    y_pred = list(y_pred)
     overall = binary_summary(y_test, y_pred)
     per_class = per_class_binary_report(test_classes, y_pred,
                                         classes=payload["class_names"])
@@ -489,11 +489,8 @@ def save_matrix_artifact(doc: Dict[str, Any], path: str) -> None:
 
 
 def load_matrix_artifact(path: str) -> Dict[str, Any]:
-    """Read a matrix artifact — envelope form, or a legacy flat file
-    such as a committed baseline — and return the flat document."""
-    from repro.schema import validate_kind
+    """Read an envelope-form matrix artifact; return the flat document."""
+    from repro.schema import load_envelope
     from repro.schema.kinds import EVAL_MATRIX
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return validate_kind(EVAL_MATRIX.name, doc)
+    return load_envelope(path, kind=EVAL_MATRIX.name)

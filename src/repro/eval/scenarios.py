@@ -1,22 +1,29 @@
-"""Intra / Mix / Cross evaluation scenarios (paper Section V).
+"""The paper's evaluation protocols (Section V) over one fold loop.
 
-Intra and Mix use 10-fold cross-validation with predictions aggregated
+Intra and Mix use k-fold cross-validation with predictions aggregated
 over all validation folds; Cross trains on one full suite and validates
 on the other with binary labels (the suites' error taxonomies differ).
+The label ablations of Figs. 8 and 9 rerun the Intra folds with every
+sample of the held-out labels removed from training.
 
-Both scenarios are method-agnostic: stages come from the pipeline
-registries via :func:`repro.pipeline.method_stage_specs`, features from
-:func:`~repro.models.features.featurize_dataset`, and fold selection
-uses :func:`repro.pipeline.take` — one code path for matrices and graph
-lists alike.  Feature extraction runs on the config's execution engine
-(``ReproConfig.workers`` / ``cache_dir``), so scenario sweeps fan out
-across processes and the engine's store (memory, then disk) skips the
-compile/featurize work for anything seen before.
+Every protocol is built from the same three pieces:
+
+* :func:`stage_specs` — the single lowering of a :class:`ReproConfig`
+  onto pipeline stage specs.  A driver that needs a variant (another
+  embedding seed, fixed GA features, a GNN without attention) calls
+  :func:`dataclasses.replace` on the config it returns.
+* :func:`folds` — the one stratified k-fold split.
+* :func:`fit_predict` — build a classifier from its spec, fit, predict.
+
+Features come from :func:`featurize`, which runs on the config's
+execution engine (``ReproConfig.workers`` / ``cache_dir``), so sweeps fan
+out across processes and the engine's store (memory, then disk) skips
+the compile/featurize work for anything seen before.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from repro.models.features import featurize_dataset
 from repro.pipeline import CLASSIFIERS, FEATURIZERS, method_stage_specs, take
 
 
-def _binary_labels(dataset: Dataset) -> np.ndarray:
+def binary_labels(dataset: Dataset) -> np.ndarray:
     return np.array([s.binary for s in dataset.samples])
 
 
@@ -44,8 +51,8 @@ def stage_specs(method: str, config: ReproConfig, *, use_ga: bool = True,
     """(featurizer name, config, classifier name, config) for a method.
 
     The single place a :class:`ReproConfig` is lowered onto pipeline
-    stage specs — scenarios, the evaluation matrix, and the CLI all
-    resolve methods through here so their cells are comparable.
+    stage specs — the paper drivers, the evaluation matrix, and the CLI
+    all resolve methods through here so their cells are comparable.
     """
     if opt_level is None:
         opt_level = config.ir2vec_opt if method == "ir2vec" else config.gnn_opt
@@ -58,7 +65,46 @@ def stage_specs(method: str, config: ReproConfig, *, use_ga: bool = True,
         batch_size=config.gnn_batch_size, seed=config.seed)
 
 
-_stage_specs = stage_specs            # internal alias (pre-matrix name)
+def featurize(feat_name: str, feat_cfg: Any, dataset: Dataset,
+              config: ReproConfig):
+    """Features of ``dataset`` under one featurizer spec, on the config's
+    engine."""
+    return featurize_dataset(FEATURIZERS.create(feat_name, feat_cfg),
+                             dataset, engine=config.engine())
+
+
+def folds(dataset: Dataset, config: ReproConfig
+          ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The k-fold split every CV protocol uses: stratified on the error
+    labels, ``config.folds`` folds, seeded by ``config.seed``."""
+    return stratified_kfold_indices([s.label for s in dataset.samples],
+                                    config.folds, config.seed)
+
+
+def fit_predict(clf_name: str, clf_cfg: Any, X_train, y_train,
+                X_test) -> Tuple[Any, np.ndarray]:
+    """Fit a fresh classifier from its spec; return (model, predictions)."""
+    model = CLASSIFIERS.create(clf_name, clf_cfg)
+    model.fit(X_train, np.asarray(y_train))
+    return model, np.asarray(model.predict(X_test))
+
+
+def cv_predict(dataset: Dataset, config: ReproConfig, features,
+               y: np.ndarray, clf_name: str, clf_cfg: Any
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """(y_true, y_pred) over all validation folds, in fold order."""
+    y_true: List[str] = []
+    y_pred: List[str] = []
+    for train_idx, val_idx in folds(dataset, config):
+        _, pred = fit_predict(clf_name, clf_cfg, take(features, train_idx),
+                              y[train_idx], take(features, val_idx))
+        y_true.extend(y[val_idx])
+        y_pred.extend(pred)
+    return np.array(y_true), np.array(y_pred)
+
+
+def accuracy(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
+    return int(np.sum(np.asarray(y_true) == np.asarray(y_pred))) / len(y_true)
 
 
 def run_intra_cv(method: str, dataset: Dataset, config: ReproConfig, *,
@@ -71,46 +117,14 @@ def run_intra_cv(method: str, dataset: Dataset, config: ReproConfig, *,
     ``labels`` defaults to binary correct/incorrect; pass error-type
     labels for the multi-class experiments (Fig. 6).
     """
-    feat_name, feat_cfg, clf_name, clf_cfg = _stage_specs(
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs(
         method, config, use_ga=use_ga, normalization=normalization,
         opt_level=opt_level)
-    y = labels if labels is not None else _binary_labels(dataset)
-    features = featurize_dataset(FEATURIZERS.create(feat_name, feat_cfg),
-                                 dataset, engine=config.engine())
-    y_true: List[str] = []
-    y_pred: List[str] = []
-    for train_idx, val_idx in stratified_kfold_indices(
-            [s.label for s in dataset.samples], config.folds, config.seed):
-        model = CLASSIFIERS.create(clf_name, clf_cfg)
-        model.fit(take(features, train_idx), y[train_idx])
-        pred = model.predict(take(features, val_idx))
-        y_true.extend(y[val_idx])
-        y_pred.extend(pred)
+    y = labels if labels is not None else binary_labels(dataset)
+    y_true, y_pred = cv_predict(
+        dataset, config, featurize(feat_name, feat_cfg, dataset, config), y,
+        clf_name, clf_cfg)
     counts = confusion_from_predictions(y_true, y_pred)
-    return compute_metrics(counts), np.array(y_true), np.array(y_pred)
-
-
-def run_cross_predictions(
-        method: str, train_ds: Dataset, val_ds: Dataset,
-        config: ReproConfig, *, use_ga: bool = True,
-        normalization: Optional[str] = None,
-        ) -> Tuple[MetricReport, np.ndarray, np.ndarray]:
-    """Cross scenario returning (metrics, y_true, y_pred).
-
-    The prediction arrays let callers derive per-error-class reports via
-    :func:`repro.ml.metrics.per_class_binary_report` — the evaluation
-    matrix scores its cross cells exactly this way.
-    """
-    feat_name, feat_cfg, clf_name, clf_cfg = _stage_specs(
-        method, config, use_ga=use_ga, normalization=normalization)
-    featurizer = FEATURIZERS.create(feat_name, feat_cfg)
-    X_train = featurize_dataset(featurizer, train_ds, engine=config.engine())
-    X_val = featurize_dataset(featurizer, val_ds, engine=config.engine())
-    model = CLASSIFIERS.create(clf_name, clf_cfg)
-    model.fit(X_train, _binary_labels(train_ds))
-    y_true = _binary_labels(val_ds)
-    y_pred = np.asarray(model.predict(X_val))
-    counts = confusion_from_predictions(list(y_true), list(y_pred))
     return compute_metrics(counts), y_true, y_pred
 
 
@@ -118,23 +132,21 @@ def run_cross(method: str, train_ds: Dataset, val_ds: Dataset,
               config: ReproConfig, *, use_ga: bool = True,
               normalization: Optional[str] = None) -> MetricReport:
     """Train on one suite, validate on the other (binary labels)."""
-    report, _, _ = run_cross_predictions(
-        method, train_ds, val_ds, config, use_ga=use_ga,
-        normalization=normalization)
-    return report
-
-
-def run_per_label(dataset: Dataset, config: ReproConfig,
-                  method: str = "ir2vec") -> Dict[str, float]:
-    """Multi-class CV; per-label accuracy (paper Fig. 6 protocol)."""
-    acc, _ = run_per_label_with_support(dataset, config, method)
-    return acc
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs(
+        method, config, use_ga=use_ga, normalization=normalization)
+    _, y_pred = fit_predict(
+        clf_name, clf_cfg, featurize(feat_name, feat_cfg, train_ds, config),
+        binary_labels(train_ds),
+        featurize(feat_name, feat_cfg, val_ds, config))
+    return compute_metrics(
+        confusion_from_predictions(binary_labels(val_ds), y_pred))
 
 
 def run_per_label_with_support(
         dataset: Dataset, config: ReproConfig, method: str = "ir2vec",
         ) -> Tuple[Dict[str, float], Dict[str, int]]:
-    """Per-label accuracy plus validation support counts.
+    """Multi-class CV (paper Fig. 6): per-label accuracy plus validation
+    support counts, both keyed by the plain-``str`` label.
 
     Support matters when shape-checking the series: a subsampled profile
     can leave a rare label (Resource Leak has 14 instances even at paper
@@ -142,6 +154,59 @@ def run_per_label_with_support(
     """
     type_labels = np.array([s.label for s in dataset.samples])
     _, y_true, y_pred = run_intra_cv(method, dataset, config, labels=type_labels)
-    all_labels = sorted(set(type_labels))
+    all_labels = sorted({s.label for s in dataset.samples})
     return (per_label_accuracy(all_labels, y_true, y_pred),
             per_label_support(all_labels, y_true))
+
+
+# ---------------------------------------------------------------------------
+# Label ablations (Section V-E, Figs. 8 and 9)
+# ---------------------------------------------------------------------------
+
+def _ablation_accuracy(dataset: Dataset, excluded: Sequence[str],
+                       config: ReproConfig) -> Dict[str, float]:
+    """Share of each excluded label's samples still predicted Incorrect
+    when no sample of any excluded label is in the training folds."""
+    labels = np.array([s.label for s in dataset.samples])
+    present = set(labels)
+    absent = [lbl for lbl in excluded if lbl not in present]
+    if absent:
+        raise ValueError(f"no sample of {dataset.name} carries the ablated "
+                         f"label(s) {', '.join(map(repr, absent))}")
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
+    X = featurize(feat_name, feat_cfg, dataset, config)
+    binary = binary_labels(dataset)
+    held_out = np.isin(labels, list(excluded))
+
+    hits = {lbl: 0 for lbl in excluded}
+    totals = {lbl: 0 for lbl in excluded}
+    for train_idx, val_idx in folds(dataset, config):
+        targets = val_idx[held_out[val_idx]]
+        if not len(targets):
+            continue
+        kept = train_idx[~held_out[train_idx]]
+        _, pred = fit_predict(clf_name, clf_cfg, X[kept], binary[kept],
+                              X[targets])
+        for i, p in zip(targets, pred):
+            totals[labels[i]] += 1
+            if p == "Incorrect":
+                hits[labels[i]] += 1
+    return {lbl: hits[lbl] / totals[lbl] for lbl in excluded}
+
+
+def run_single_ablation(dataset: Dataset, config: ReproConfig,
+                        labels: Sequence[str]) -> Dict[str, float]:
+    """Fig. 8: leave-one-label-out detection accuracy per error label."""
+    return {label: _ablation_accuracy(dataset, [label], config)[label]
+            for label in labels}
+
+
+def run_pair_ablation(dataset: Dataset, config: ReproConfig,
+                      pairs: Sequence[Tuple[str, str]]
+                      ) -> Dict[Tuple[str, str], Tuple[float, float]]:
+    """Fig. 9: leave-two-labels-out; accuracy of (first, second) label."""
+    results: Dict[Tuple[str, str], Tuple[float, float]] = {}
+    for first, second in pairs:
+        acc = _ablation_accuracy(dataset, [first, second], config)
+        results[(first, second)] = (acc[first], acc[second])
+    return results

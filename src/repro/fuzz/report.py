@@ -6,12 +6,11 @@ the evaluation-matrix artifact — it is validated on both ends: the
 harness refuses to emit an invalid document and the replay/gating
 tooling refuses to consume one.  The schema and validator now live in
 the unified envelope package (:mod:`repro.schema`); reports are written
-in envelope form and legacy flat files keep loading.
+in envelope form, and only envelope-form files load.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict
 
 from repro.schema import SchemaError, validate  # noqa: F401  (re-export)
@@ -37,13 +36,11 @@ def save_fuzz_report(doc: Dict[str, Any], path: str) -> None:
 
 
 def load_fuzz_report(path: str) -> Dict[str, Any]:
-    """Read a report written by :func:`save_fuzz_report` (or a legacy
-    flat file) and return the flat document."""
-    from repro.schema import validate_kind
+    """Read a report written by :func:`save_fuzz_report` and return the
+    flat document."""
+    from repro.schema import load_envelope
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return validate_kind(FUZZ_KIND, doc)
+    return load_envelope(path, kind=FUZZ_KIND)
 
 
 def render_fuzz_report(doc: Dict[str, Any]) -> str:

@@ -5,7 +5,7 @@ crossover 0.9, mutation 0.1, each individual a subset of 5 vector
 coordinates; fitness = accuracy of a decision tree trained on those
 coordinates.  The paper-scale settings are expensive in pure Python, so
 :class:`GAConfig` exposes them as parameters with a ``fast()`` profile
-for the test/bench suites (recorded in EXPERIMENTS.md).
+for the test/bench suites (profiles listed in docs/experiments.md).
 """
 
 from __future__ import annotations

@@ -74,11 +74,11 @@ def method_stage_specs(method: str, *, opt_level: Optional[str] = None,
                        embedding_seed: int = 42, normalization: str = "vector",
                        use_ga: bool = True, ga_config: Optional[Any] = None,
                        epochs: int = 10, lr: float = 4e-4, batch_size: int = 32,
-                       seed: int = 0, pooling: str = "max",
-                       attention: bool = True, hetero: bool = True,
-                       ) -> Tuple[str, Any, str, Any]:
+                       seed: int = 0) -> Tuple[str, Any, str, Any]:
     """Map a paper method name to (featurizer name, config, classifier
-    name, config) with the paper's defaults filled in."""
+    name, config) with the paper's defaults filled in.  Variants (GNN
+    pooling, attention, edge types; fixed GA features) are a
+    :func:`dataclasses.replace` on the returned configs."""
     if method == "ir2vec":
         feat_cfg = IR2VecFeaturizerConfig(opt_level=opt_level or "Os",
                                           seed=embedding_seed)
@@ -88,8 +88,7 @@ def method_stage_specs(method: str, *, opt_level: Optional[str] = None,
     if method == "gnn":
         feat_cfg = ProGraMLFeaturizerConfig(opt_level=opt_level or "O0")
         clf_cfg = GNNStageConfig(epochs=epochs, lr=lr, batch_size=batch_size,
-                                 seed=seed, pooling=pooling,
-                                 attention=attention, hetero=hetero)
+                                 seed=seed)
         return "programl", feat_cfg, "gnn", clf_cfg
     raise ValueError(f"method must be one of {sorted(METHOD_STAGES)}, "
                      f"got {method!r}")

@@ -10,7 +10,6 @@ verdicts before and after, the attempt count, and the unified diff.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Mapping
 
 from repro.schema import SchemaError, validate  # noqa: F401  (re-export)
@@ -141,12 +140,10 @@ def save_repair_report(doc: Dict[str, Any], path: str) -> None:
 
 
 def load_repair_report(path: str) -> Dict[str, Any]:
-    """Read a saved report (or a legacy flat file); return the flat doc."""
-    from repro.schema import validate_kind
+    """Read a saved report; return the flat doc."""
+    from repro.schema import load_envelope
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return validate_kind(REPAIR_KIND, doc)
+    return load_envelope(path, kind=REPAIR_KIND)
 
 
 def render_repair_report(doc: Dict[str, Any]) -> str:

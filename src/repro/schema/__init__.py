@@ -5,11 +5,12 @@ Public API:
 * :class:`SchemaError` / :func:`validate` — the stdlib JSON-Schema-
   subset validator every artifact kind shares.
 * :func:`validate_envelope` — validate any artifact document (envelope
-  or legacy flat form) and get the flat document back.
+  or in-memory flat form) and get the flat document back.
 * :func:`validate_kind` — the same, pinned to one registered kind.
 * :func:`make_envelope` / :func:`payload_digest` / :func:`is_envelope`
   — envelope construction and content-digest integrity.
-* :func:`save_envelope` / :func:`load_envelope` — validated file I/O.
+* :func:`save_envelope` / :func:`load_envelope` — validated file I/O;
+  ``load_envelope`` is the one file loader and reads envelopes only.
 * :class:`KindSpec` / :func:`register_kind` — the extensible kind
   registry (built-ins in :mod:`repro.schema.kinds`; the fleet CAS
   registers its own stats kind).

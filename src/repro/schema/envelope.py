@@ -17,10 +17,9 @@ and validation one call: :func:`validate_envelope` checks the framing,
 verifies the content digest, then applies the kind's registered payload
 schema and semantic checks.  It returns the *flat* document (payload
 merged with the framing keys) because that is what every in-memory
-consumer already speaks — and for the same reason it transparently
-accepts legacy flat documents (pre-envelope artifacts such as committed
-baselines), so old files keep loading while new files are written as
-envelopes.
+consumer already speaks.  Validation also accepts a flat document, so a
+writer can check what it is about to save; :func:`load_envelope`, the
+one file loader, accepts envelopes only.
 
 Kinds self-register via :func:`register_kind`; the built-ins live in
 :mod:`repro.schema.kinds` and the fleet CAS registers its stats kind in
@@ -58,7 +57,7 @@ class KindSpec:
     """One registered artifact kind.
 
     ``flat_schema`` validates the *flat* (merged) document — the shape
-    all in-memory consumers use and legacy files are stored in.
+    all in-memory consumers use.
     ``check`` runs semantic invariants the schema language can't express
     (supported version, duplicate ids, ...) and raises SchemaError.
     ``kind_key`` is the flat key carrying the kind name ("kind" for
@@ -115,7 +114,7 @@ def payload_digest(payload: Mapping[str, Any]) -> str:
 
 
 def is_envelope(doc: Any) -> bool:
-    """Structural test: envelope form vs legacy flat form."""
+    """Structural test: envelope form vs flat form."""
     return (isinstance(doc, Mapping)
             and isinstance(doc.get("payload"), Mapping)
             and "digest" in doc and "kind" in doc)
@@ -163,7 +162,8 @@ def validate_envelope(doc: Any) -> Dict[str, Any]:
 
     Envelope form: framing schema, content-digest integrity, then the
     kind's flat schema + semantic checks over the merged document.
-    Legacy flat form: the kind's flat schema + checks directly.
+    Flat form (a document about to be saved): the kind's flat schema +
+    checks directly.
     Raises :class:`SchemaError` on any violation.
     """
     _ensure_builtin_kinds()
@@ -193,8 +193,9 @@ def validate_envelope(doc: Any) -> Dict[str, Any]:
 def validate_kind(name: str, doc: Any) -> Dict[str, Any]:
     """Like :func:`validate_envelope`, pinned to one kind.
 
-    Per-kind loaders (``load_matrix_artifact``, ...) use this so a
-    structurally valid document of the *wrong* kind is still rejected.
+    Per-kind loaders (``load_matrix_artifact``, ...) pin their kind
+    through :func:`load_envelope`, so a structurally valid document of
+    the *wrong* kind is still rejected.
     """
     _ensure_builtin_kinds()
     spec = _KINDS.get(name)
@@ -228,9 +229,16 @@ def save_envelope(flat_doc: Mapping[str, Any], path: str,
         fh.write("\n")
 
 
-def load_envelope(path: str) -> Dict[str, Any]:
-    """Read an artifact written by :func:`save_envelope` — or a legacy
-    flat file — validate it, and return the flat document."""
+def load_envelope(path: str, kind: Optional[str] = None) -> Dict[str, Any]:
+    """Read an artifact written by :func:`save_envelope`, validate it
+    (pinned to ``kind`` when given), and return the flat document.
+
+    The one file loader: a file that is not in envelope form is
+    rejected — flat documents are validated only in memory, before save.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return validate_envelope(doc)
+    if not is_envelope(doc):
+        raise SchemaError("$", f"{path} is not an artifact envelope "
+                               "(re-save it with save_envelope)")
+    return validate_envelope(doc) if kind is None else validate_kind(kind, doc)

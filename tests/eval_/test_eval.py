@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.datasets.labels import CORR_LABELS, MBI_LABELS
-from repro.eval import ReproConfig, run_cross, run_intra_cv, run_single_ablation
+from repro.eval import (
+    ReproConfig,
+    run_cross,
+    run_intra_cv,
+    run_pair_ablation,
+    run_single_ablation,
+)
 from repro.eval import experiments as E
 from repro.eval.reporting import render_series, render_table
 
@@ -57,6 +63,43 @@ def test_single_ablation_excludes_label(cfg):
     result = run_single_ablation(cfg.corrbench(), cfg, ["ArgError"])
     assert set(result) == {"ArgError"}
     assert 0.0 <= result["ArgError"] <= 1.0
+
+
+def test_single_ablation_rejects_absent_label(cfg):
+    """A label no sample carries has no detection accuracy — not 0.0."""
+    with pytest.raises(ValueError, match="'Invalid Parameter'"):
+        run_single_ablation(cfg.corrbench(), cfg, ["Invalid Parameter"])
+
+
+def test_pair_ablation_names_each_absent_label(cfg):
+    with pytest.raises(ValueError) as info:
+        run_pair_ablation(cfg.corrbench(), cfg,
+                          [("Invalid Parameter", "Resource Leak")])
+    assert "'Invalid Parameter'" in str(info.value)
+    assert "'Resource Leak'" in str(info.value)
+    with pytest.raises(ValueError, match="'Resource Leak'") as info:
+        run_pair_ablation(cfg.corrbench(), cfg,
+                          [("ArgError", "Resource Leak")])
+    assert "ArgError" not in str(info.value)
+
+
+def test_per_label_keys_are_plain_str():
+    from repro.ml.genetic import GAConfig
+
+    tiny = ReproConfig(folds=2, mbi_subsample=40,
+                       ga=GAConfig(population_size=10, generations=1))
+    acc, support = E.fig6_per_label_with_support(tiny)
+    assert acc and set(acc) <= set(support)
+    assert all(type(k) is str for k in (*acc, *support))
+
+
+def test_registry_covers_every_experiment():
+    assert sorted(E.EXPERIMENTS) == sorted([
+        "fig1", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9",
+        "table2", "table3", "table4", "table5", "table6",
+        "seeds", "mutation", "ablation-encoding", "ablation-gnn"])
+    for experiment in E.EXPERIMENTS.values():
+        assert callable(experiment.run) and callable(experiment.render)
 
 
 def test_table5_rows_cover_grid(cfg):

@@ -1,6 +1,8 @@
 """The unified artifact envelope: framing, digests, kind registry."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -115,7 +117,7 @@ def test_all_kinds_roundtrip_through_envelope(kind, factory):
     assert is_envelope(envelope) and not is_envelope(flat)
     assert envelope["digest"] == payload_digest(envelope["payload"])
     assert validate_envelope(envelope) == flat
-    # Legacy flat docs validate too, unchanged.
+    # Flat docs validate in memory too (writers check before saving).
     assert validate_envelope(flat) == flat
     assert validate_kind(kind, envelope) == flat
 
@@ -130,6 +132,51 @@ def test_save_load_file_roundtrip(kind, factory, tmp_path):
         on_disk = json.load(fh)
     assert is_envelope(on_disk)            # written in envelope form
     assert load_envelope(path) == flat
+    assert load_envelope(path, kind=kind) == flat
+
+
+@pytest.mark.parametrize("kind,factory", ALL_KINDS,
+                         ids=[k for k, _ in ALL_KINDS])
+def test_load_envelope_rejects_flat_file(kind, factory, tmp_path):
+    """The file loader reads envelopes only; a flat file is refused."""
+    path = str(tmp_path / "flat.json")
+    with open(path, "w") as fh:
+        json.dump(factory(), fh)
+    with pytest.raises(SchemaError, match="not an artifact envelope"):
+        load_envelope(path)
+    with pytest.raises(SchemaError, match="not an artifact envelope"):
+        load_envelope(path, kind=kind)
+
+
+def test_load_envelope_pins_kind(tmp_path):
+    path = str(tmp_path / "matrix.json")
+    save_envelope(_matrix_doc(), path)
+    with pytest.raises(SchemaError, match="expected 'repro-fuzz-report'"):
+        load_envelope(path, kind="repro-fuzz-report")
+
+
+def _committed_ci_artifacts():
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "ci")
+    kinds = registered_kinds()
+    for path in sorted(glob.glob(os.path.join(root, "**", "*.json"),
+                                 recursive=True)):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if isinstance(doc, dict) and doc.get("kind") in kinds:
+            yield os.path.relpath(path, root)
+
+
+def test_eval_baseline_is_a_committed_ci_artifact():
+    assert "eval-baseline.json" in list(_committed_ci_artifacts())
+
+
+@pytest.mark.parametrize("relpath", list(_committed_ci_artifacts()))
+def test_committed_ci_artifacts_load_as_envelopes(relpath):
+    """Every committed ci/ file of a registered kind is an envelope."""
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "ci", relpath)
+    with open(path) as fh:
+        kind = json.load(fh)["kind"]
+    assert load_envelope(path, kind=kind)["kind"] == kind
 
 
 def test_digest_tamper_detected():

@@ -147,6 +147,32 @@ def test_experiment_fig3(capsys):
     assert "MBI" in out and "correct=" in out
 
 
+def test_experiment_choices_come_from_registry():
+    from repro.eval.experiments import EXPERIMENTS
+
+    sub = next(a for a in build_parser()._actions
+               if a.dest == "command").choices["experiment"]
+    name = next(a for a in sub._actions if a.dest == "name")
+    assert list(name.choices) == sorted(EXPERIMENTS)
+
+
+def test_experiment_prints_registry_rendering(capsys):
+    from repro.eval.config import ReproConfig
+    from repro.eval.experiments import EXPERIMENTS
+
+    assert main(["experiment", "table6", "--profile", "smoke"]) == 0
+    out = capsys.readouterr().out
+    table6 = EXPERIMENTS["table6"]
+    assert out == table6.render(table6.run(ReproConfig.smoke())) + "\n"
+
+
+def test_experiment_fig6_prints_plain_labels(capsys):
+    assert main(["experiment", "fig6", "--profile", "smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "support: {'Call Ordering': " in out
+    assert "np.str_" not in out
+
+
 def test_experiment_fig1(capsys):
     assert main(["experiment", "fig1", "--profile", "smoke"]) == 0
     out = capsys.readouterr().out
@@ -286,9 +312,12 @@ def test_train_with_cache_dir_after_in_process_featurize(tmp_path, capsys):
     gives the run a new engine, and that engine's store does the work."""
     from repro.engine import ContentStore
     from repro.eval.config import ReproConfig
+    from repro.eval.scenarios import featurize, stage_specs
 
     config = ReproConfig.smoke()
-    config.ir2vec_features(config.corrbench())   # the same rows train needs
+    feat_name, feat_cfg, _, _ = stage_specs("ir2vec", config)
+    # the same rows train needs
+    featurize(feat_name, feat_cfg, config.corrbench(), config)
     cache_dir = str(tmp_path / "cache")
     assert main(["train", "-d", "corrbench", "-m", "ir2vec",
                  "--profile", "smoke", "--cache-dir", cache_dir,
