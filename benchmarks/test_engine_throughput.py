@@ -7,9 +7,9 @@ store, best of two reps (the box this runs on is noisy and a single rep
 regularly wobbles 30%):
 
 * **cold serial** — ``workers=0``;
-* **cold parallel** — ``workers=4`` zero-copy fan-out over a corpus big
-  enough to clear the ``min_samples_per_worker`` guard at its
-  production default, pool start included;
+* **cold parallel** — ``workers=4`` fan-out over a corpus big enough to
+  clear the engine's ``MIN_SAMPLES_PER_WORKER`` guard, pool start
+  included;
 * **warm serial** — a fresh engine over the store the first cold-serial
   rep filled (zero recompiles, verified via cache stats).
 
@@ -38,7 +38,7 @@ from repro.pipeline.stages import (
 
 from benchmarks.conftest import emit
 
-_CORPUS_SIZE = 192        # ≥ workers * min_samples_per_worker (4 * 32)
+_CORPUS_SIZE = 192        # ≥ workers * MIN_SAMPLES_PER_WORKER (4 * 32)
 _WORKERS = 4
 _OUT = "BENCH_engine.json"
 
@@ -84,8 +84,8 @@ def test_engine_throughput_cold_warm_serial_parallel(tmp_path):
     IR2VecFeaturizer(IR2VecFeaturizerConfig()).warmup()
 
     t_cold_serial, X_serial, _ = _best_cold(0, tmp_path / "serial", named)
-    # Cold parallel: production defaults (adaptive chunks, shm transport,
-    # the stock min_samples_per_worker guard — which the corpus clears).
+    # Cold parallel: production defaults (adaptive chunks, the stock
+    # MIN_SAMPLES_PER_WORKER guard — which the corpus clears).
     t_cold_parallel, X_parallel, parallel_stats = _best_cold(
         _WORKERS, tmp_path / "parallel", named)
     engine_perf = parallel_stats["perf"]
@@ -93,7 +93,7 @@ def test_engine_throughput_cold_warm_serial_parallel(tmp_path):
 
     # Hard gate, hardware-independent: fan-out must not change a byte.
     assert engine_counters["parallel_chunks"] > 0, \
-        "corpus failed to clear the min_samples_per_worker guard"
+        "corpus failed to clear the MIN_SAMPLES_PER_WORKER guard"
     assert X_parallel.tobytes() == X_serial.tobytes(), \
         "parallel features differ from serial"
 
@@ -123,7 +123,6 @@ def test_engine_throughput_cold_warm_serial_parallel(tmp_path):
         "warm_feature_misses": warm_stats.misses,
         "payload_bytes_per_task": engine_perf["payload_bytes_per_task"],
         "pool_utilization": engine_perf["pool_utilization"],
-        "shm_tasks": engine_counters["shm_tasks"],
         "parallel_tasks": engine_counters["tasks"],
         "byte_identical": True,
     }

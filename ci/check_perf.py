@@ -81,9 +81,9 @@ def main(argv=None):
         if strict:
             failures.append(message)
         else:
-            print(f"::warning title=engine-bench::{message}")
+            print(f"::warning title=engine-perf::{message}")
     for message in failures:
-        print(f"::error title=engine-bench::{message}")
+        print(f"::error title=engine-perf::{message}")
     if not failures and not warnings_:
         print(f"perf gates passed: {measured} samples/sec cold serial "
               f"(floor {floor}), speedup {bench['parallel_speedup']}x "

@@ -729,7 +729,6 @@ def _print_engine_stats() -> None:
     stats = engine.stats_dict()
     print("engine (this process)")
     print(f"  workers={stats['workers']} "
-          f"chunk_size={engine.config.chunk_size or 'auto'} "
           f"pool_active={stats['pool_active']}")
     # Zero counters are noise (and a fresh CLI process is all zeros) —
     # only activity is worth a line.

@@ -6,19 +6,19 @@ per-sample work is pure: one source at one stage config always produces
 the same IR module, embedding row, or program graph.  The engine exploits
 both facts:
 
-* **Zero-copy fan-out** — the frontend/featurizer stages are installed
-  in workers **once per pool**, not pickled into every chunk: under the
-  ``fork`` start method (Linux) workers inherit the parent's warmed
-  stage state copy-on-write, elsewhere a one-time pool initializer ships
-  it.  Chunk payloads carry only ``(stage token, samples)``; feature
-  matrices return through ``multiprocessing.shared_memory`` segments
-  instead of the pickle result queue once they clear
-  ``EngineConfig.shm_min_bytes``.  A stage-identity token guards the
-  installed state: running different stages restarts the pool.
-* **Adaptive chunking** — ``chunk_size=0`` (the default) sizes chunks
-  from the observed per-sample latency (EWMA), targeting
-  ``~50 ms`` of work per task while keeping at least four chunks per
-  worker for load balance.  A fixed ``chunk_size > 0`` opts out.
+* **One fan-out path** — every pool task is ``(fn, items, trace ctx)``,
+  run by one worker entry (:func:`_run_task`) and submitted by one
+  method; stage chunks and :meth:`ExecutionEngine.map` tasks differ
+  only in ``fn``.  The frontend/featurizer stages are installed in
+  workers **once per pool**, not pickled into every chunk: the pool
+  initializer hands them over (inherited copy-on-write under ``fork``
+  on Linux, pickled once per worker elsewhere), so a stage chunk's
+  payload carries only ``(stage token, samples)``.  A stage-identity
+  token guards the installed state: running different stages restarts
+  the pool.  Results come back by pickle.
+* **Adaptive chunking** — stage chunks are sized from the observed
+  per-sample latency (EWMA), targeting ``~50 ms`` of work per task
+  while keeping at least four chunks per worker for load balance.
 * **Never redo work** — every engine owns one content-addressed
   :class:`~repro.engine.cache.ContentStore`: a bounded memory tier,
   then the on-disk tier when ``cache_dir`` is set, then the fleet CAS
@@ -34,11 +34,11 @@ the featurizers themselves guarantee batch-composition independence.
 ``workers=0`` is the serial fallback and the default.
 
 Under a trace, workers record their spans (stage frames included) and
-ship them home with each chunk — the one thing a worker returns beside
-its rows — so request traces, ``/metrics`` stage latency and ``repro
-profile`` all see fanned-out stage time; ``stats_dict()`` exposes the
-transport counters (payload bytes per task, shared-memory usage, pool
-utilization).
+ship them home with each task — the one thing a worker returns beside
+its values — so request traces, ``/metrics`` stage latency and ``repro
+profile`` all see fanned-out time, for stage chunks and ``map`` tasks
+alike; ``stats_dict()`` exposes the transport counters (payload bytes
+per task, pool utilization).
 
 >>> engine = ExecutionEngine(workers=4, cache_dir="~/.cache/repro")
 >>> X = engine.featurize_sources(frontend, featurizer, named_sources)
@@ -57,12 +57,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -77,7 +79,6 @@ from repro.engine.cache import (
     ContentStore,
     digest_parts,
 )
-from repro.engine.shm import load_matrix, share_rows
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -87,13 +88,10 @@ from repro.obs.trace import TRACER
 #: library hot path free even of no-op calls).
 _OBS_TASKS = METRICS.counter(
     "repro_engine_tasks_total", "Worker tasks submitted to the pool.")
-_OBS_SHM = METRICS.counter(
-    "repro_engine_shm_tasks_total",
-    "Worker tasks whose results returned via shared memory.")
 _OBS_POOL_STARTS = METRICS.counter(
     "repro_engine_pool_starts_total", "Worker pool (re)starts.")
 _OBS_CHUNK_SIZE = METRICS.gauge(
-    "repro_engine_chunk_size", "Most recent adaptive chunk size.")
+    "repro_engine_chunk_size", "Items per task in the latest fan-out.")
 _OBS_WORKER_BUSY = METRICS.histogram(
     "repro_engine_worker_busy_seconds", "Busy seconds per worker task.")
 
@@ -104,6 +102,12 @@ _DEFAULT_CHUNK_SIZE = 16          # before any latency has been observed
 _MAX_CHUNK_SIZE = 128
 _MIN_CHUNKS_PER_WORKER = 4        # keep the pool fed near the tail
 _EWMA_ALPHA = 0.3                 # weight of the newest latency sample
+
+#: The stage path's cold-path guard: fan-out only pays off once per-sample
+#: work amortizes pool startup and payload pickling, so stage batches
+#: under ``workers * MIN_SAMPLES_PER_WORKER`` samples stay serial.
+#: ``map`` tasks are sized by their caller and skip it.
+MIN_SAMPLES_PER_WORKER = 32
 
 
 def effective_cores() -> int:
@@ -209,38 +213,21 @@ def _process_chunk(store: Optional[ContentStore], frontend: Any,
 
 
 # ---------------------------------------------------------------------------
-# Worker-side stage state (installed once per pool, never per chunk)
+# Worker side: one task entry point, stage state installed once per pool
 # ---------------------------------------------------------------------------
 
-class _WorkerState:
+class _WorkerState(NamedTuple):
     """Everything a stage worker needs, installed once per pool."""
 
-    __slots__ = ("token", "frontend", "featurizer", "cache_dir", "version",
-                 "shm_min_bytes", "cas_addr")
-
-    def __init__(self, token: str, frontend: Any, featurizer: Optional[Any],
-                 cache_dir: Optional[str], version: Optional[str],
-                 shm_min_bytes: int, cas_addr: Optional[str] = None):
-        self.token = token
-        self.frontend = frontend
-        self.featurizer = featurizer
-        self.cache_dir = cache_dir
-        self.version = version
-        self.shm_min_bytes = shm_min_bytes
-        self.cas_addr = cas_addr
-
-    def __getstate__(self):              # slots + spawn initializer pickling
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
+    token: str
+    frontend: Any
+    featurizer: Optional[Any]
+    cache_dir: Optional[str]
+    version: Optional[str]
+    cas_addr: Optional[str]
 
 
-#: The installed stage state.  Under ``fork`` the parent sets this
-#: before pool creation and children inherit it copy-on-write (zero
-#: pickling); under ``spawn`` the pool initializer installs it once per
-#: worker process.
+#: The installed stage state, set by the pool initializer in each worker.
 _WORKER_STATE: Optional[_WorkerState] = None
 
 
@@ -249,51 +236,36 @@ def _install_worker_state(state: Optional[_WorkerState]) -> None:
     _WORKER_STATE = state
 
 
-def _init_worker(blob: bytes) -> None:
-    """Pool initializer for non-fork start methods."""
-    _install_worker_state(pickle.loads(blob))
+def _run_task(payload: bytes) -> Tuple[List[Any], float,
+                                       List[Dict[str, Any]]]:
+    """The one pool entry point: ``fn(items)`` for a pickled ``(fn,
+    items, trace ctx)`` under the parent's trace context.  Returns
+    ``(values, busy_sec, spans)``; ``spans`` are the trace spans
+    recorded here (empty unless the parent shipped a context)."""
+    fn, items, ctx = pickle.loads(payload)
+    start = time.perf_counter()
+    with TRACER.worker_scope(ctx) as spans:
+        values = fn(items)
+    return values, time.perf_counter() - start, spans
 
 
-def _stage_chunk_worker(payload: bytes) -> Tuple[str, Any, float,
-                                                 List[Dict[str, Any]]]:
-    """Process one ``(stage token, chunk, trace ctx)`` payload against
-    the installed state.  Returns ``(transport, value, busy_sec, spans)``
-    where transport is ``"shm"`` (value = matrix handle) or ``"rows"``;
-    ``spans`` are trace spans recorded in this worker (empty unless the
-    parent shipped a trace context)."""
-    token, chunk, ctx = pickle.loads(payload)
+def _stage_chunk(token: str, chunk: Sequence[Tuple[str, str]]) -> List[Any]:
+    """Task body of a stage chunk: compile (and featurize) ``chunk``
+    against the stage state installed in this worker."""
     state = _WORKER_STATE
     if state is None or state.token != token:
         raise RuntimeError(
             f"engine worker has no installed state for stage token {token!r}"
             " (pool restarted under a different stage?)")
-    start = time.perf_counter()
-    with TRACER.worker_scope(ctx) as spans:
-        # A worker's store lives for one chunk: it exists to write the
-        # lower tiers, and the parent's memory tier keeps what the chunk
-        # returns.
-        store = (_build_store(state.cache_dir, state.cas_addr,
-                              state.version)
-                 if state.cache_dir else None)
-        rows = _process_chunk(store, state.frontend, state.featurizer,
-                              chunk)
-    busy = time.perf_counter() - start
-    if state.featurizer is not None:
-        handle = share_rows(rows, state.shm_min_bytes)
-        if handle is not None:
-            return ("shm", handle, busy, spans)
-    return ("rows", rows, busy, spans)
+    # A worker's store lives for one chunk: it exists to write the lower
+    # tiers, and the parent's memory tier keeps what the chunk returns.
+    store = (_build_store(state.cache_dir, state.cas_addr, state.version)
+             if state.cache_dir else None)
+    return _process_chunk(store, state.frontend, state.featurizer, chunk)
 
 
-def _map_worker(payload: bytes) -> Any:
-    """Worker entry point for :meth:`ExecutionEngine.map` tasks."""
-    fn, item = pickle.loads(payload)
-    return fn(item)
-
-
-def _map_chunk_worker(payload: bytes) -> List[Any]:
-    """Worker entry point for chunked :meth:`ExecutionEngine.map` runs."""
-    fn, items = pickle.loads(payload)
+def _apply_each(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+    """Task body of a :meth:`ExecutionEngine.map` task."""
     return [fn(item) for item in items]
 
 
@@ -301,23 +273,10 @@ def _map_chunk_worker(payload: bytes) -> List[Any]:
 class EngineConfig:
     """Knobs of the execution engine.
 
-    ``workers=0`` runs serially in-process; ``workers=N`` fans chunks out
-    to N worker processes.  ``cache_dir=None`` keeps the engine's store
-    in memory only.
-
-    ``chunk_size=0`` (default) sizes chunks adaptively from observed
-    per-sample latency (~50 ms of work per task, at least four tasks per
-    worker); a positive value pins it.
-
-    ``min_samples_per_worker`` is the cold-path guard: a parallel run
-    only pays off once per-item work amortizes pool startup and payload
-    pickling, so batches smaller than ``workers * min_samples_per_worker``
-    stay serial even with ``workers > 0`` (set it to 1 to force fan-out,
-    as the throughput benchmark does).
-
-    ``shm_min_bytes`` is the feature-matrix transport threshold: chunk
-    results at least this large return via shared memory instead of the
-    pickle result queue.  Negative disables shared memory entirely.
+    ``workers=0`` runs serially in-process; ``workers=N`` fans work out
+    to N worker processes (started with ``fork`` on Linux, the platform
+    default elsewhere).  ``cache_dir=None`` keeps the engine's store in
+    memory only.
 
     ``cas_addr`` (``host:port``) attaches the persistent store to a
     fleet-shared network CAS (see :mod:`repro.fleet.cas`): local misses
@@ -328,19 +287,11 @@ class EngineConfig:
 
     workers: int = 0
     cache_dir: Optional[str] = None
-    chunk_size: int = 0
-    min_samples_per_worker: int = 32
-    start_method: str = "auto"      # 'auto' prefers fork where available
-    shm_min_bytes: int = 32768
     cas_addr: Optional[str] = None
 
     def __post_init__(self):
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.chunk_size < 0:
-            raise ValueError("chunk_size must be >= 0 (0 = adaptive)")
-        if self.min_samples_per_worker < 1:
-            raise ValueError("min_samples_per_worker must be >= 1")
 
 
 class ExecutionEngine:
@@ -352,13 +303,12 @@ class ExecutionEngine:
             self.config.cache_dir, self.config.cas_addr)
         #: Parent-side work counters (worker-side compiles land in the
         #: shared store but are not mirrored here).  ``tasks`` /
-        #: ``payload_bytes`` / ``shm_tasks`` count the parallel
-        #: transport: submitted worker tasks, bytes pickled into their
-        #: payloads, and how many returned via shared memory.
+        #: ``payload_bytes`` count the parallel transport: submitted
+        #: worker tasks (stage chunks and ``map`` tasks) and the bytes
+        #: pickled into their payloads.
         self.counters: Dict[str, int] = {
             "compiled": 0, "featurized": 0, "chunks": 0, "parallel_chunks": 0,
             "pool_starts": 0, "mapped": 0, "tasks": 0, "payload_bytes": 0,
-            "shm_tasks": 0,
         }
         # The worker pool is persistent: started lazily on the first
         # parallel run and reused across calls (long-lived callers like
@@ -429,8 +379,6 @@ class ExecutionEngine:
                 "starts": self.counters["pool_starts"],
                 "start_method": (self._mp_context().get_start_method()
                                  if self.config.workers > 0 else None),
-                "min_samples_per_worker": self.config.min_samples_per_worker,
-                "chunk_size": self.config.chunk_size,
             },
             "store": self.store.stats_dict(),
             # Two-tier fleet CAS counters (None on plain local stores).
@@ -507,83 +455,36 @@ class ExecutionEngine:
         module-level callable and each item picklable; anything that
         cannot cross a process boundary falls back to serial execution
         with a warning, exactly like the stage scheduler.  Serial and
-        parallel runs return identical results in input order.  Like the
-        stage path, small batches (under ``workers *
-        min_samples_per_worker`` items) stay serial: the guard is
-        uniform across every engine entry point.
+        parallel runs return identical results in input order.  The
+        caller sizes the tasks, so any two or more of them fan out when
+        ``workers > 0`` (the stage path's small-batch guard does not
+        apply).
 
         ``chunk_size`` groups items per worker trip: one pickle + one
         future per *chunk* instead of per item, which is what makes
         fanning out thousands of cheap tasks (the fuzz campaign's
         per-program differential checks) pay off.  ``None`` keeps the
-        one-future-per-item scheduling of heavyweight tasks like
+        one-task-per-item scheduling of heavyweight tasks like
         evaluation-matrix cells.
         """
         items = list(items)
-        self.counters["mapped"] = self.counters.get("mapped", 0) + len(items)
+        self.counters["mapped"] += len(items)
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self._parallel_worthwhile(len(items)):
-            if chunk_size is None:
-                worker = _map_worker
-                wraps: List[Any] = [(fn, item) for item in items]
-            else:
-                worker = _map_chunk_worker
-                wraps = [(fn, list(items[i:i + chunk_size]))
-                         for i in range(0, len(items), chunk_size)]
-            try:
-                payloads = [pickle.dumps(w) for w in wraps]
-            except Exception as exc:
-                warnings.warn(
-                    f"engine: map task is not picklable ({exc!r}); "
-                    "falling back to serial execution", RuntimeWarning,
-                    stacklevel=2)
-                payloads = None
-            if payloads is not None:
-                self.counters["tasks"] += len(payloads)
-                self.counters["payload_bytes"] += sum(len(p)
-                                                      for p in payloads)
-                pool = self._ensure_pool()
-                try:
-                    futures = [pool.submit(worker, p) for p in payloads]
-                except RuntimeError:
-                    # close() raced us; retry once on a fresh pool.
-                    self._discard_pool(pool)
-                    pool = self._ensure_pool()
-                    futures = [pool.submit(worker, p) for p in payloads]
-                try:
-                    if chunk_size is None:
-                        return [future.result() for future in futures]
-                    out: List[Any] = []
-                    for future in futures:
-                        out.extend(future.result())
-                    return out
-                except BrokenProcessPool:
-                    self._discard_pool(pool)
-                    pool.shutdown(wait=False)
-                    raise
+        size = chunk_size or 1
+        if self.config.workers > 0 and len(items) > size:
+            task = partial(_apply_each, fn)
+            done = self._fan_out([(task, items[i:i + size])
+                                  for i in range(0, len(items), size)])
+            if done is not None:
+                return [value for values, _busy in done for value in values]
         return [fn(item) for item in items]
 
     # -- core scheduling ----------------------------------------------------
-    def _parallel_worthwhile(self, n_items: int) -> bool:
-        """Whether ``n_items`` tasks justify crossing a process boundary.
-
-        Below ``workers * min_samples_per_worker`` items the fixed costs
-        (pool startup, payload pickling, result transfer) dominate and a
-        "parallel" run is slower than the serial path — the cold-path
-        regression the throughput benchmark's small regime measures.
-        """
-        if self.config.workers <= 0 or n_items <= 1:
-            return False
-        return n_items >= self.config.workers \
-            * self.config.min_samples_per_worker
-
     def _effective_chunk_size(self, n_items: int) -> int:
-        """Fixed ``config.chunk_size`` if positive, else adaptive:
-        ~``_TARGET_CHUNK_SEC`` of observed work per task, capped so every
-        worker still sees at least ``_MIN_CHUNKS_PER_WORKER`` tasks."""
-        if self.config.chunk_size > 0:
-            return self.config.chunk_size
+        """Adaptive stage chunk size: ~``_TARGET_CHUNK_SEC`` of observed
+        work per task, capped so every worker still sees at least
+        ``_MIN_CHUNKS_PER_WORKER`` tasks."""
         ewma = self._ewma_sample_sec
         if ewma and ewma > 0:
             size = min(_MAX_CHUNK_SIZE,
@@ -609,7 +510,8 @@ class ExecutionEngine:
     def _run(self, frontend: Any, featurizer: Optional[Any], stage: str,
              named_sources: Iterable[Tuple[str, str]]) -> List[Any]:
         results: List[Any] = []
-        misses: List[Tuple[int, str, str]] = []
+        misses: List[Tuple[str, str]] = []
+        miss_index: List[int] = []
         keys: Dict[int, str] = {}
         cacheable = (_cacheable(frontend)
                      and (featurizer is None or _cacheable(featurizer)))
@@ -625,112 +527,134 @@ class ExecutionEngine:
                 if found:
                     results[index] = value
                     continue
-            misses.append((index, name, source))
+            misses.append((name, source))
+            miss_index.append(index)
         if misses:
-            # Miss scheduling uses the loader's generic order-preserving
-            # chunker, so one chunk of modules is live at a time.
-            from repro.datasets.loader import iter_sample_chunks
-
-            chunks = list(iter_sample_chunks(
-                misses, self._effective_chunk_size(len(misses))))
-            for chunk, values, remote in self._map_chunks(
-                    frontend, featurizer, chunks):
-                for (index, _name, _source), value in zip(chunk, values):
-                    results[index] = value
-                    # Workers wrote their lower tiers; the parent's
-                    # memory tier takes what came back.
-                    if remote and cacheable:
-                        self.store.remember(stage, keys[index], value)
+            values, remote = self._compute(frontend, featurizer, misses)
+            for index, value in zip(miss_index, values):
+                results[index] = value
+                # Workers wrote their lower tiers; the parent's memory
+                # tier takes what came back.
+                if remote and cacheable:
+                    self.store.remember(stage, keys[index], value)
         return results
 
-    def _map_chunks(self, frontend: Any, featurizer: Optional[Any],
-                    chunks: List[List[Tuple[int, str, str]]],
-                    ) -> Iterator[Tuple[List[Tuple[int, str, str]],
-                                        List[Any], bool]]:
-        """Yield ``(chunk, per-sample values, computed in a worker)`` in
-        submission order."""
+    def _compute(self, frontend: Any, featurizer: Optional[Any],
+                 misses: List[Tuple[str, str]]) -> Tuple[List[Any], bool]:
+        """Per-sample values of the store misses, in order, and whether
+        pool workers computed them."""
+        # The loader's generic order-preserving chunker: serially, one
+        # chunk of modules is live at a time.
+        from repro.datasets.loader import iter_sample_chunks
+
+        chunks = list(iter_sample_chunks(
+            misses, self._effective_chunk_size(len(misses))))
         self.counters["chunks"] += len(chunks)
-        n_samples = sum(len(chunk) for chunk in chunks)
-        if len(chunks) > 1 and self._parallel_worthwhile(n_samples):
-            payloads = self._stage_payloads(frontend, featurizer, chunks)
-            if payloads is not None:
-                token, blobs = payloads
-                # Warm before every parallel run, not just pool creation:
-                # the executor spawns workers lazily, so processes forked
-                # by a *later* run (or after a featurizer change, e.g. a
-                # serving hot reload) still inherit the warm state.
-                self._warmup(featurizer)
-                state = _WorkerState(
-                    token, frontend, featurizer, self.config.cache_dir,
-                    self.store.version, self.config.shm_min_bytes,
-                    self.config.cas_addr)
-                wall_start = time.perf_counter()
-                pool = self._ensure_pool(state)
-                try:
-                    futures = [pool.submit(_stage_chunk_worker, b)
-                               for b in blobs]
-                except RuntimeError:
-                    # close() raced us (another thread tore the pool
-                    # down between _ensure_pool and submit); closing is
-                    # reversible by design, so retry on a fresh pool.
-                    self._discard_pool(pool)
-                    pool = self._ensure_pool(state)
-                    futures = [pool.submit(_stage_chunk_worker, b)
-                               for b in blobs]
+        if self.config.workers > 0 and len(chunks) > 1 and len(misses) \
+                >= self.config.workers * MIN_SAMPLES_PER_WORKER:
+            # Warm before every parallel run, not just pool creation:
+            # the executor spawns workers lazily, so processes forked by
+            # a *later* run (or after a featurizer change, e.g. a serving
+            # hot reload) still inherit the warm state.
+            self._warmup(featurizer)
+            token = self._stage_token(frontend, featurizer)
+            state = _WorkerState(token, frontend, featurizer,
+                                 self.config.cache_dir, self.store.version,
+                                 self.config.cas_addr)
+            task = partial(_stage_chunk, token)
+            done = self._fan_out([(task, chunk) for chunk in chunks], state)
+            if done is not None:
                 self.counters["parallel_chunks"] += len(chunks)
-                self.counters["tasks"] += len(blobs)
-                self.counters["payload_bytes"] += sum(len(b) for b in blobs)
-                if METRICS.enabled:
-                    _OBS_TASKS.inc(len(blobs))
-                    _OBS_CHUNK_SIZE.set(max(len(c) for c in chunks))
-                if EVENTS.enabled:
-                    EVENTS.emit("engine.fanout", severity="debug",
-                                chunks=len(chunks), samples=n_samples,
-                                workers=self.config.workers)
-                wall_t0 = time.time()
-                try:
-                    for chunk, future in zip(chunks, futures):
-                        transport, value, busy, spans = future.result()
-                        self._worker_busy_sec += busy
-                        self._observe_sample_sec(busy / max(1, len(chunk)))
-                        if spans:
-                            TRACER.merge_spans(spans)
-                        if METRICS.enabled:
-                            _OBS_WORKER_BUSY.observe(busy)
-                        if transport == "shm":
-                            self.counters["shm_tasks"] += 1
-                            if METRICS.enabled:
-                                _OBS_SHM.inc()
-                            matrix = load_matrix(value)
-                            values = _split_batch(matrix, matrix.shape[0])
-                        else:
-                            values = value
-                        yield chunk, values, True
-                except BrokenProcessPool:
-                    # A dead worker poisons the whole executor; drop it
-                    # so the next run starts a healthy pool.
-                    self._discard_pool(pool)
-                    pool.shutdown(wait=False)
-                    raise
-                finally:
-                    wall = time.perf_counter() - wall_start
-                    self._parallel_wall_sec += wall
-                    # record(), not span(): a context-manager span from
-                    # inside a generator would leak its context to the
-                    # consumer between yields.
-                    TRACER.record("engine.fanout", kind="engine",
-                                  start_s=wall_t0, elapsed_s=wall,
-                                  attrs={"chunks": len(chunks),
-                                         "samples": n_samples,
-                                         "workers": self.config.workers})
-                return
+                values: List[Any] = []
+                for chunk, (rows, busy) in zip(chunks, done):
+                    self._observe_sample_sec(busy / len(chunk))
+                    values.extend(rows)
+                return values, True
+        values = []
         for chunk in chunks:
-            named = [(name, source) for _i, name, source in chunk]
             start = time.perf_counter()
-            values = _process_chunk(self.store, frontend, featurizer, named)
+            values.extend(_process_chunk(self.store, frontend, featurizer,
+                                         chunk))
             self._observe_sample_sec((time.perf_counter() - start)
-                                     / max(1, len(chunk)))
-            yield chunk, values, False
+                                     / len(chunk))
+        return values, False
+
+    def _fan_out(self, tasks: List[Tuple[Callable[[List[Any]], List[Any]],
+                                         List[Any]]],
+                 state: Optional[_WorkerState] = None,
+                 ) -> Optional[List[Tuple[List[Any], float]]]:
+        """Run ``(fn, items)`` tasks on the pool; ``(values, busy_sec)``
+        per task, in submission order.
+
+        ``state`` is the stage state the pool's workers must hold (see
+        :meth:`_ensure_pool`).  Returns ``None`` when a task or the state
+        cannot cross a process boundary — the caller then runs serially.
+        The state is probed on every platform, although only non-fork
+        pools pickle it, so the serial-fallback contract is the same
+        everywhere.
+        """
+        # The trace context rides every payload (None while tracing is
+        # off — a few bytes) so workers attribute their spans to the
+        # originating request(s).
+        ctx = TRACER.capture()
+        try:
+            if state is not None:
+                pickle.dumps(state)
+            payloads = [pickle.dumps((fn, items, ctx)) for fn, items in tasks]
+        except Exception as exc:     # pickling failure → serial fallback
+            warnings.warn(
+                f"engine: task is not picklable ({exc!r}); "
+                "falling back to serial execution", RuntimeWarning,
+                stacklevel=3)
+            return None
+        n_items = sum(len(items) for _fn, items in tasks)
+        self.counters["tasks"] += len(payloads)
+        self.counters["payload_bytes"] += sum(len(p) for p in payloads)
+        if METRICS.enabled:
+            _OBS_TASKS.inc(len(payloads))
+            _OBS_CHUNK_SIZE.set(max(len(items) for _fn, items in tasks))
+        if EVENTS.enabled:
+            EVENTS.emit("engine.fanout", severity="debug",
+                        chunks=len(payloads), samples=n_items,
+                        workers=self.config.workers)
+        wall_t0, start = time.time(), time.perf_counter()
+        pool = self._ensure_pool(state)
+        try:
+            futures = [pool.submit(_run_task, p) for p in payloads]
+        except RuntimeError:
+            # close() raced us (another thread tore the pool down between
+            # _ensure_pool and submit); closing is reversible by design,
+            # so retry on a fresh pool.
+            self._discard_pool(pool)
+            pool = self._ensure_pool(state)
+            futures = [pool.submit(_run_task, p) for p in payloads]
+        results: List[Tuple[List[Any], float]] = []
+        try:
+            for future in futures:
+                values, busy, spans = future.result()
+                self._worker_busy_sec += busy
+                if spans:
+                    TRACER.merge_spans(spans)
+                if METRICS.enabled:
+                    _OBS_WORKER_BUSY.observe(busy)
+                results.append((values, busy))
+        except BrokenProcessPool:
+            # A dead worker poisons the whole executor; drop it so the
+            # next run starts a healthy pool.
+            self._discard_pool(pool)
+            pool.shutdown(wait=False)
+            raise
+        finally:
+            wall = time.perf_counter() - start
+            self._parallel_wall_sec += wall
+            # A leaf beside the worker spans, which parent under the
+            # caller's span via the context captured above.
+            TRACER.record("engine.fanout", kind="engine",
+                          start_s=wall_t0, elapsed_s=wall,
+                          attrs={"chunks": len(payloads),
+                                 "samples": n_items,
+                                 "workers": self.config.workers})
+        return results
 
     def _stage_token(self, frontend: Any, featurizer: Optional[Any]) -> str:
         """Identity of the worker-side state a pool must hold to run
@@ -742,37 +666,6 @@ class ExecutionEngine:
             self.config.cas_addr or "",
         ])
 
-    def _stage_payloads(self, frontend: Any, featurizer: Optional[Any],
-                        chunks: List[List[Tuple[int, str, str]]],
-                        ) -> Optional[Tuple[str, List[bytes]]]:
-        """``(stage token, per-chunk payloads)``, or ``None`` if the
-        stages can't cross a process boundary (custom closure-y stages
-        fall back to serial).
-
-        The stages themselves are *not* in the payloads — they install
-        once per pool — but they must still be picklable for the spawn
-        initializer, so the probe runs on every platform (it also keeps
-        the serial-fallback contract identical under fork).
-        """
-        try:
-            pickle.dumps((frontend, featurizer))
-        except Exception as exc:     # pickling failure → serial fallback
-            warnings.warn(
-                f"engine: stages are not picklable ({exc!r}); "
-                "falling back to serial execution", RuntimeWarning,
-                stacklevel=3)
-            return None
-        token = self._stage_token(frontend, featurizer)
-        # The trace context rides every chunk payload (None while
-        # tracing is off — a few bytes) so workers can attribute their
-        # stage spans to the originating request(s).
-        ctx = TRACER.capture()
-        blobs = [pickle.dumps((token,
-                               [(name, source) for _i, name, source
-                                in chunk], ctx))
-                 for chunk in chunks]
-        return token, blobs
-
     def _ensure_pool(self,
                      state: Optional[_WorkerState] = None,
                      ) -> ProcessPoolExecutor:
@@ -780,9 +673,9 @@ class ExecutionEngine:
 
         With ``state``, the pool must hold exactly that stage state:
         a live pool keyed to the same token is reused, anything else is
-        torn down and restarted with the new state installed (fork:
-        parent-side global inherited copy-on-write; spawn: one-time
-        initializer).  Without ``state`` (generic ``map`` tasks) any
+        torn down and restarted with the new state installed by the
+        pool initializer (fork: inherited copy-on-write; elsewhere:
+        pickled once per worker).  Without ``state`` (``map`` tasks) any
         live pool is reused.
         """
         with self._pool_lock:
@@ -793,21 +686,11 @@ class ExecutionEngine:
                 stale, self._pool = self._pool, None
                 stale.shutdown(wait=False)
             context = self._mp_context()
-            initializer = None
-            initargs: Tuple[Any, ...] = ()
-            if state is not None:
-                if context.get_start_method() == "fork":
-                    # Zero-copy hand-off: forked workers inherit the
-                    # parent's global (and the warmed state under it).
-                    _install_worker_state(state)
-                else:
-                    initializer = _init_worker
-                    initargs = (pickle.dumps(state),)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 mp_context=context,
-                initializer=initializer,
-                initargs=initargs)
+                initializer=_install_worker_state,
+                initargs=(state,))
             self._pool_token = token
             self.counters["pool_starts"] += 1
             if METRICS.enabled:
@@ -834,17 +717,13 @@ class ExecutionEngine:
             warmup()
 
     def _mp_context(self):
-        method = self.config.start_method
-        if method == "auto":
-            # Prefer fork only on Linux: macOS lists it as available but
-            # CPython made spawn the default there because forking a
-            # thread-using parent (numpy/Accelerate, objc) is unsafe.
-            if sys.platform.startswith("linux") \
-                    and "fork" in multiprocessing.get_all_start_methods():
-                method = "fork"
-            else:
-                method = multiprocessing.get_start_method()
-        return multiprocessing.get_context(method)
+        # Prefer fork only on Linux: macOS lists it as available but
+        # CPython made spawn the default there because forking a
+        # thread-using parent (numpy/Accelerate, objc) is unsafe.
+        if sys.platform.startswith("linux") \
+                and "fork" in multiprocessing.get_all_start_methods():
+            return multiprocessing.get_context("fork")
+        return multiprocessing.get_context()
 
 
 # ---------------------------------------------------------------------------
@@ -885,10 +764,7 @@ def default_engine() -> ExecutionEngine:
 
 
 def configure(workers: Optional[int] = None,
-              cache_dir: Optional[str] = None,
-              chunk_size: Optional[int] = None,
-              min_samples_per_worker: Optional[int] = None,
-              ) -> ExecutionEngine:
+              cache_dir: Optional[str] = None) -> ExecutionEngine:
     """Replace the default engine; ``None`` keeps the current setting."""
     global _DEFAULT_ENGINE
     current = default_engine().config
@@ -896,12 +772,6 @@ def configure(workers: Optional[int] = None,
         workers=current.workers if workers is None else workers,
         cache_dir=current.cache_dir if cache_dir is None else (cache_dir
                                                                or None),
-        chunk_size=current.chunk_size if chunk_size is None else chunk_size,
-        min_samples_per_worker=(current.min_samples_per_worker
-                                if min_samples_per_worker is None
-                                else min_samples_per_worker),
-        start_method=current.start_method,
-        shm_min_bytes=current.shm_min_bytes,
         cas_addr=current.cas_addr))
     return _DEFAULT_ENGINE
 

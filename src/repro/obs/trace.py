@@ -13,8 +13,8 @@ drops ``contextvars``:
   captured context inside the executor callable
   (``loop.run_in_executor`` does **not** propagate contextvars);
 * parent → pool worker: the engine ships the captured context inside
-  each chunk payload, the worker records spans into a collect buffer
-  (:meth:`Tracer.worker_scope`) and returns them with the chunk result,
+  each task payload, the worker records spans into a collect buffer
+  (:meth:`Tracer.worker_scope`) and returns them with the task result,
   and the parent folds them into the still-open traces
   (:meth:`Tracer.merge_spans`).  Spans are the only thing a worker
   ships home.

@@ -46,27 +46,25 @@ def _graphs_equal(a, b):
 # Parallel vs serial determinism
 # ---------------------------------------------------------------------------
 
-def test_parallel_graphs_identical_to_serial():
+def test_parallel_graphs_identical_to_serial(fan_out_small):
     named = _named_sources(8)
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = ProGraMLFeaturizer()
     serial = ExecutionEngine(EngineConfig(workers=0)) \
         .featurize_sources(fe, feat, named)
-    parallel = ExecutionEngine(EngineConfig(workers=2, chunk_size=3,
-                                            min_samples_per_worker=1)) \
+    parallel = ExecutionEngine(EngineConfig(workers=2)) \
         .featurize_sources(fe, feat, named)
     assert len(serial) == len(parallel) == 8
     assert all(_graphs_equal(a, b) for a, b in zip(serial, parallel))
 
 
-def test_parallel_embeddings_byte_identical_to_serial():
+def test_parallel_embeddings_byte_identical_to_serial(fan_out_small):
     named = _named_sources(6)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
     X_serial = ExecutionEngine(EngineConfig(workers=0)) \
         .featurize_sources(fe, feat, named)
-    X_parallel = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                                min_samples_per_worker=1)) \
+    X_parallel = ExecutionEngine(EngineConfig(workers=2)) \
         .featurize_sources(fe, feat, named)
     assert X_serial.shape == X_parallel.shape == (6, 512)
     assert X_serial.dtype == X_parallel.dtype
@@ -88,8 +86,8 @@ def test_compile_sources_order_preserved_across_chunkings():
     named = _named_sources(7)
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     for chunk_size in (1, 3, 16):
-        engine = ExecutionEngine(EngineConfig(workers=0,
-                                              chunk_size=chunk_size))
+        engine = ExecutionEngine(EngineConfig(workers=0))
+        engine._effective_chunk_size = lambda n, size=chunk_size: size
         modules = engine.compile_sources(fe, named)
         assert [m.name for m in modules] == [name for name, _ in named]
 
@@ -204,7 +202,7 @@ def test_undeclared_featurizer_gets_one_whole_batch_call(tmp_path, declares):
         BatchNormFeaturizer.per_sample = False
     named = _named_sources(5)
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
-    engine = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
+    engine = ExecutionEngine(EngineConfig(workers=2,
                                           cache_dir=str(tmp_path)))
     out = engine.featurize_sources(fe, BatchNormFeaturizer(), named)
     assert calls == [5]
@@ -212,12 +210,11 @@ def test_undeclared_featurizer_gets_one_whole_batch_call(tmp_path, declares):
     assert "features" not in engine.stats        # compile may cache, not rows
 
 
-def test_unpicklable_stage_falls_back_to_serial():
+def test_unpicklable_stage_falls_back_to_serial(fan_out_small):
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = ProGraMLFeaturizer()
     feat.poison = lambda: None           # closures cannot cross processes
-    engine = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                          min_samples_per_worker=1))
+    engine = ExecutionEngine(EngineConfig(workers=2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         graphs = engine.featurize_sources(fe, feat, _named_sources(4))
@@ -255,8 +252,7 @@ def test_iter_sample_chunks_accepts_generators():
 def test_engine_accepts_lazy_iterables(tmp_path):
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = ProGraMLFeaturizer()
-    engine = ExecutionEngine(EngineConfig(workers=0, cache_dir=str(tmp_path),
-                                          chunk_size=2))
+    engine = ExecutionEngine(EngineConfig(workers=0, cache_dir=str(tmp_path)))
     named = _named_sources(5)
     lazy = (pair for pair in named)
     graphs = engine.featurize_sources(fe, feat, lazy)
@@ -288,8 +284,8 @@ def test_compile_cache_counts_hits_and_misses(monkeypatch):
     assert (warm.hits, warm.misses) == (1, cold.misses)
 
 
-def test_rows_byte_identical_cold_memory_disk_parallel(tmp_path,
-                                                       monkeypatch):
+def test_rows_byte_identical_cold_memory_disk_parallel(tmp_path, monkeypatch,
+                                                       fan_out_small):
     """One matrix from four sources: a cold run, a memory-tier hit, a
     disk-tier hit on a new engine, and a parallel run whose repeat the
     parent's memory tier answers without compiling."""
@@ -300,8 +296,7 @@ def test_rows_byte_identical_cold_memory_disk_parallel(tmp_path,
 
     engine = ExecutionEngine(EngineConfig(workers=0, cache_dir=store))
     cold = engine.featurize_sources(fe, feat, named)
-    parallel_engine = ExecutionEngine(EngineConfig(
-        workers=2, chunk_size=2, min_samples_per_worker=1))
+    parallel_engine = ExecutionEngine(EngineConfig(workers=2))
     with parallel_engine:
         parallel = parallel_engine.featurize_sources(fe, feat, named)
         chunks = parallel_engine.counters["parallel_chunks"]
@@ -330,7 +325,8 @@ def test_rows_byte_identical_cold_memory_disk_parallel(tmp_path,
 # Pipeline / config integration
 # ---------------------------------------------------------------------------
 
-def test_pipeline_predict_batch_parallel_equals_serial(tmp_path):
+def test_pipeline_predict_batch_parallel_equals_serial(tmp_path,
+                                                      fan_out_small):
     from repro.datasets import load_mbi
     from repro.pipeline import (
         DecisionTreeStageConfig,
@@ -348,8 +344,7 @@ def test_pipeline_predict_batch_parallel_equals_serial(tmp_path):
         engine=serial_engine)
     pipe.fit(ds)
     labels_serial = [r.label for r in pipe.predict_batch(ds.samples[:12])]
-    pipe.engine = ExecutionEngine(EngineConfig(workers=2, chunk_size=4,
-                                               min_samples_per_worker=1))
+    pipe.engine = ExecutionEngine(EngineConfig(workers=2))
     labels_parallel = [r.label for r in pipe.predict_batch(ds.samples[:12])]
     assert labels_serial == labels_parallel
 
@@ -414,9 +409,8 @@ def test_cli_cache_stats_and_clear(tmp_path, capsys):
 # Deterministic teardown: persistent pool + close()
 # ---------------------------------------------------------------------------
 
-def test_parallel_pool_persists_across_runs_and_closes():
-    engine = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                          min_samples_per_worker=1))
+def test_parallel_pool_persists_across_runs_and_closes(fan_out_small):
+    engine = ExecutionEngine(EngineConfig(workers=2))
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
     # Each run gets new sources, so the store cannot answer it.
@@ -438,11 +432,10 @@ def test_parallel_pool_persists_across_runs_and_closes():
     engine.close()
 
 
-def test_engine_context_manager_closes_pool():
+def test_engine_context_manager_closes_pool(fan_out_small):
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         engine.featurize_sources(fe, feat, _named_sources(6))
         assert engine.pool_active
     assert not engine.pool_active
@@ -462,8 +455,7 @@ def test_map_serial_and_parallel_agree_in_order():
     items = ["a", "bb", "ccc", "dddd", "ee", "f"]
     serial_engine = ExecutionEngine(EngineConfig(workers=0))
     serial = serial_engine.map(len, items)
-    with ExecutionEngine(EngineConfig(
-            workers=2, min_samples_per_worker=1)) as parallel_engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as parallel_engine:
         parallel = parallel_engine.map(len, items)
     assert serial == parallel == [1, 2, 3, 4, 2, 1]
     assert serial_engine.counters["mapped"] == len(items)
@@ -471,8 +463,7 @@ def test_map_serial_and_parallel_agree_in_order():
 
 
 def test_map_unpicklable_task_falls_back_to_serial():
-    engine = ExecutionEngine(EngineConfig(workers=2,
-                                          min_samples_per_worker=1))
+    engine = ExecutionEngine(EngineConfig(workers=2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = engine.map(lambda x: x * 2, [1, 2, 3])
@@ -489,27 +480,21 @@ def test_map_single_item_runs_inline():
 
 
 def test_small_batches_stay_serial_despite_workers():
-    """The cold-path guard: below workers * min_samples_per_worker items
-    a parallel engine must not pay pool startup — the BENCH_engine small
-    corpus showed forced fan-out running ~14x slower than serial."""
+    """The stage path's cold-path guard: below workers *
+    MIN_SAMPLES_PER_WORKER samples a parallel engine must not pay pool
+    startup — the BENCH_engine small corpus showed forced fan-out running
+    ~14x slower than serial.  ``map`` tasks are sized by their caller
+    and skip the guard."""
     engine = ExecutionEngine(EngineConfig(workers=2))    # threshold 64
-    assert engine.map(len, ["a", "bb", "ccc"]) == [1, 2, 3]
-    assert not engine.pool_active
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = ProGraMLFeaturizer()
     graphs = engine.featurize_sources(fe, feat, _named_sources(6))
     assert len(graphs) == 6
     assert not engine.pool_active
     assert engine.counters["parallel_chunks"] == 0
-    # Big enough batches still fan out on the same engine.
-    assert engine.map(len, ["x"] * 64) == [1] * 64
+    assert engine.map(len, ["a", "bb", "ccc"]) == [1, 2, 3]
     assert engine.pool_active
     engine.close()
-
-
-def test_min_samples_per_worker_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(workers=2, min_samples_per_worker=0)
 
 
 def test_map_chunked_matches_per_item_and_serial():
@@ -518,8 +503,7 @@ def test_map_chunked_matches_per_item_and_serial():
     items = [f"s{i}" * (i % 5 + 1) for i in range(23)]
     serial = ExecutionEngine(EngineConfig(workers=0)).map(
         len, items, chunk_size=4)
-    with ExecutionEngine(EngineConfig(
-            workers=2, min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         chunked = engine.map(len, items, chunk_size=4)
         per_item = engine.map(len, items)
     assert serial == chunked == per_item == [len(s) for s in items]

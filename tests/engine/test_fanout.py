@@ -1,12 +1,16 @@
-"""Zero-copy fan-out behaviour: one-time worker state, shm transport,
-adaptive chunk sizing, crash recovery, and the small-batch guard.
+"""Fan-out behaviour: one-time worker state, both start methods,
+adaptive chunk sizing, crash recovery, the small-batch guard, and worker
+spans coming home.
 
-These pin the PR's scaling contract: parallel results are *byte*-equal
-to serial regardless of transport, the pool installs stage state once
-(not per chunk), and a crashed worker never wedges the engine.
+These pin the engine's scaling contract: parallel results are
+*byte*-equal to serial under fork and spawn pools alike, the pool
+installs stage state once (not per chunk), every task's worker spans
+reach the parent's trace, and a crashed worker never wedges the engine.
 """
 
+import multiprocessing
 import os
+import pickle
 import warnings
 
 import pytest
@@ -17,11 +21,14 @@ from repro.engine.engine import (
     _DEFAULT_CHUNK_SIZE,
     _MAX_CHUNK_SIZE,
 )
+from repro.obs.metrics import METRICS
+from repro.obs.trace import TRACER
 from repro.pipeline.stages import (
     CFrontend,
     CFrontendConfig,
     IR2VecFeaturizer,
     IR2VecFeaturizerConfig,
+    ProGraMLFeaturizer,
 )
 
 _TEMPLATE = """
@@ -49,30 +56,83 @@ def _crash_on_boom(item):
     return len(item)
 
 
+def _compile_name(named):
+    name, source = named
+    return CFrontend(CFrontendConfig(opt_level="O0")).compile(source, name).name
+
+
+def _stage_counts(stage):
+    series = METRICS.as_dict()["repro_stage_seconds"]["series"]
+    return sum(s["count"] for s in series if s["labels"]["stage"] == stage)
+
+
+@pytest.fixture
+def traced():
+    """Tracing and metrics on for one test, restored afterwards."""
+    metrics_on = METRICS.enabled
+    METRICS.enabled = True
+    TRACER.enable()
+    try:
+        yield
+    finally:
+        TRACER.disable()
+        METRICS.enabled = metrics_on
+
+
+@pytest.fixture
+def spawn_pool(monkeypatch):
+    """Pools start with spawn, the only start method on macOS and
+    Windows: stage state reaches workers through the pool initializer's
+    pickled arguments instead of fork inheritance."""
+    context = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(ExecutionEngine, "_mp_context",
+                        lambda self: context)
+
+
+def _row_bytes(batch):
+    """Each row's pickle: a matrix row's bytes, a graph's whole content."""
+    return [pickle.dumps(row) for row in batch]
+
+
+def _worker_spans(trace_id, kind="stage"):
+    return [s for s in TRACER.get_trace(trace_id)["spans"]
+            if s["kind"] == kind and s["process"] != os.getpid()]
+
+
 # ---------------------------------------------------------------------------
-# Byte identity across transports
+# Byte identity across start methods
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("shm_min_bytes", [0, -1],
-                         ids=["shm-on", "shm-off"])
-def test_parallel_features_byte_identical_across_transports(shm_min_bytes):
-    """Feature bytes must not depend on whether rows rode shared memory
-    or the pickle result queue."""
+def test_fork_pool_features_byte_identical_to_serial(fan_out_small):
     named = _named_sources(10)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
-    feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    X_serial = ExecutionEngine(EngineConfig(workers=0)) \
+    for feat in (IR2VecFeaturizer(IR2VecFeaturizerConfig()),
+                 ProGraMLFeaturizer()):
+        serial = ExecutionEngine(EngineConfig(workers=0)) \
+            .featurize_sources(fe, feat, named)
+        with ExecutionEngine(EngineConfig(workers=2)) as engine:
+            parallel = engine.featurize_sources(fe, feat, named)
+            assert engine.stats_dict()["pool"]["start_method"] == "fork"
+            assert engine.counters["parallel_chunks"] > 1
+        assert _row_bytes(parallel) == _row_bytes(serial)
+
+
+def test_spawn_pool_programl_byte_identical_and_spans_come_home(
+        fan_out_small, spawn_pool, traced):
+    named = _named_sources(8)
+    fe = CFrontend(CFrontendConfig(opt_level="O0"))
+    feat = ProGraMLFeaturizer()
+    serial = ExecutionEngine(EngineConfig(workers=0)) \
         .featurize_sources(fe, feat, named)
-    with ExecutionEngine(EngineConfig(
-            workers=4, chunk_size=2, min_samples_per_worker=1,
-            shm_min_bytes=shm_min_bytes)) as engine:
-        X_parallel = engine.featurize_sources(fe, feat, named)
-        shm_tasks = engine.counters["shm_tasks"]
-    assert X_serial.tobytes() == X_parallel.tobytes()
-    if shm_min_bytes < 0:
-        assert shm_tasks == 0            # transport genuinely disabled
-    else:
-        assert shm_tasks > 0             # transport genuinely exercised
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        with TRACER.start_trace("spawned", trace_id="tspawn"):
+            parallel = engine.featurize_sources(fe, feat, named)
+        assert engine.stats_dict()["pool"]["start_method"] == "spawn"
+        assert engine.counters["parallel_chunks"] > 1
+    assert _row_bytes(parallel) == _row_bytes(serial)
+    compiles = [s for s in _worker_spans("tspawn")
+                if s["name"] == "stage.compile"]
+    assert len(compiles) == len(named)
 
 
 def test_single_encode_matches_batch_row():
@@ -106,12 +166,11 @@ def test_batch_rows_independent_of_batch_composition():
 # One-time worker state, pool keyed by stage token
 # ---------------------------------------------------------------------------
 
-def test_pool_reused_across_runs_with_same_stages():
+def test_pool_reused_across_runs_with_same_stages(fan_out_small):
     named = _named_sources(12)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         engine.featurize_sources(fe, feat, named[:8])
         chunks = engine.counters["parallel_chunks"]
         # New sources, so the store cannot answer and the pool must.
@@ -120,13 +179,12 @@ def test_pool_reused_across_runs_with_same_stages():
         assert engine.counters["pool_starts"] == 1
 
 
-def test_pool_restarts_when_featurizer_changes():
+def test_pool_restarts_when_featurizer_changes(fan_out_small):
     """Stage state installs once per pool, so a *different* featurizer
     must key a fresh pool — not silently reuse stale worker state."""
     named = _named_sources(8)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         a = engine.featurize_sources(
             fe, IR2VecFeaturizer(IR2VecFeaturizerConfig()), named)
         b = engine.featurize_sources(
@@ -136,17 +194,14 @@ def test_pool_restarts_when_featurizer_changes():
     assert a.tobytes() != b.tobytes()    # different seed, different rows
 
 
-def test_chunk_payloads_exclude_stage_objects():
-    """The tentpole claim: chunk payloads carry (token, sources) only —
-    per-task bytes must stay far below one pickled frontend+featurizer."""
-    import pickle
-
+def test_chunk_payloads_exclude_stage_objects(fan_out_small):
+    """Chunk payloads carry (token, sources) only — per-task bytes must
+    stay far below one pickled frontend+featurizer."""
     named = _named_sources(12)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
     stage_bytes = len(pickle.dumps((fe, feat)))
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         engine.featurize_sources(fe, feat, named)
         perf = engine.stats_dict()["perf"]
     chunk_sources = len(pickle.dumps(named[:2]))
@@ -161,7 +216,7 @@ def test_chunk_payloads_exclude_stage_objects():
 # ---------------------------------------------------------------------------
 
 def test_adaptive_chunk_size_tracks_observed_latency():
-    engine = ExecutionEngine(EngineConfig(workers=0, chunk_size=0))
+    engine = ExecutionEngine(EngineConfig(workers=0))
     # No latency observed yet → the fixed default.
     assert engine._effective_chunk_size(10_000) == _DEFAULT_CHUNK_SIZE
     # Fast samples → bigger chunks, clamped at the ceiling.
@@ -175,17 +230,11 @@ def test_adaptive_chunk_size_tracks_observed_latency():
 
 
 def test_adaptive_chunk_size_keeps_every_worker_fed():
-    engine = ExecutionEngine(EngineConfig(workers=4, chunk_size=0))
+    engine = ExecutionEngine(EngineConfig(workers=4))
     engine._observe_sample_sec(1e-6)     # wants _MAX_CHUNK_SIZE
     # 64 items over 4 workers: chunks capped so each worker sees ≥4.
     assert engine._effective_chunk_size(64) <= 4
     assert engine._effective_chunk_size(64) >= 1
-
-
-def test_fixed_chunk_size_overrides_adaptation():
-    engine = ExecutionEngine(EngineConfig(workers=0, chunk_size=7))
-    engine._observe_sample_sec(1e-6)
-    assert engine._effective_chunk_size(10_000) == 7
 
 
 def test_ewma_observed_in_serial_runs():
@@ -197,12 +246,6 @@ def test_ewma_observed_in_serial_runs():
     assert engine.stats_dict()["perf"]["ewma_sample_sec"] > 0
 
 
-def test_chunk_size_zero_means_adaptive_and_negative_rejected():
-    assert EngineConfig(chunk_size=0).chunk_size == 0
-    with pytest.raises(ValueError):
-        EngineConfig(chunk_size=-1)
-
-
 # ---------------------------------------------------------------------------
 # Crash recovery
 # ---------------------------------------------------------------------------
@@ -211,8 +254,7 @@ def test_worker_crash_raises_and_engine_recovers():
     """A worker dying mid-task poisons the executor; the engine must
     surface the failure and then run healthily on a fresh pool."""
     items = ["aa", "bbb", "BOOM", "cccc"] * 4
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=1,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         with pytest.raises(BrokenProcessPool):
             engine.map(_crash_on_boom, items)
         assert not engine.pool_active    # poisoned pool dropped eagerly
@@ -222,12 +264,11 @@ def test_worker_crash_raises_and_engine_recovers():
         assert engine.counters["pool_starts"] == 2
 
 
-def test_featurize_survives_worker_crash_on_retry():
+def test_featurize_survives_worker_crash_on_retry(fan_out_small):
     named = _named_sources(8)
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         with pytest.raises(BrokenProcessPool):
             engine.map(_crash_on_boom, ["BOOM"] * 8)
         X = engine.featurize_sources(fe, feat, named)
@@ -237,31 +278,38 @@ def test_featurize_survives_worker_crash_on_retry():
 
 
 # ---------------------------------------------------------------------------
-# The min_samples_per_worker guard is uniform across entry points
+# The small-batch guard is the stage path's; map tasks are caller-sized
 # ---------------------------------------------------------------------------
 
-def test_map_honours_min_samples_per_worker_guard():
-    """`map` applies the same small-batch guard as the featurize path:
-    below workers * min_samples_per_worker it must not start a pool."""
-    with ExecutionEngine(EngineConfig(workers=4,
-                                      min_samples_per_worker=8)) as engine:
-        assert engine.map(len, ["x"] * 31) == [1] * 31
+def test_map_fans_out_from_two_tasks():
+    """`map` fans out whenever ``workers > 0`` and it has two or more
+    tasks (items, or chunks with ``chunk_size``); one task runs inline."""
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        assert engine.map(len, ["x"]) == [1]
+        assert engine.map(len, ["x", "yy", "z"], chunk_size=3) == [1, 2, 1]
         assert not engine.pool_active
-        assert engine.counters["parallel_chunks"] == 0
-        # At the threshold the fan-out engages.
-        assert engine.map(len, ["x"] * 32) == [1] * 32
+        assert engine.counters["tasks"] == 0
+        assert engine.map(len, ["x", "yy"]) == [1, 2]
         assert engine.pool_active
+        assert engine.counters["tasks"] == 2
+        assert engine.map(len, ["x", "yy", "z"], chunk_size=2) == [1, 2, 1]
+        assert engine.counters["tasks"] == 4
+        assert engine.counters["parallel_chunks"] == 0   # stage-path only
 
 
-def test_featurize_honours_min_samples_per_worker_guard():
+def test_featurize_honours_min_samples_per_worker_guard(monkeypatch):
+    named = _named_sources(16)
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
-    with ExecutionEngine(EngineConfig(workers=2,
-                                      min_samples_per_worker=16)) as engine:
-        X = engine.featurize_sources(fe, feat, _named_sources(8))
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        X = engine.featurize_sources(fe, feat, named[:8])    # 8 < 2 * 32
         assert X.shape[0] == 8
         assert not engine.pool_active
         assert engine.counters["parallel_chunks"] == 0
+        # The guard is read per run, so lowering it lets 8 samples out.
+        monkeypatch.setattr("repro.engine.engine.MIN_SAMPLES_PER_WORKER", 4)
+        engine.featurize_sources(fe, feat, named[8:])
+        assert engine.counters["parallel_chunks"] > 0
 
 
 def test_stats_dict_perf_section_shape():
@@ -273,15 +321,14 @@ def test_stats_dict_perf_section_shape():
         assert isinstance(perf[key], float)
     assert stats["counters"]["tasks"] == 0
     assert stats["counters"]["payload_bytes"] == 0
-    assert stats["counters"]["shm_tasks"] == 0
 
 
-def test_unpicklable_featurizer_warns_and_stays_serial_with_features():
+def test_unpicklable_featurizer_warns_and_stays_serial_with_features(
+        fan_out_small):
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
     feat.poison = lambda: None
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             X = engine.featurize_sources(fe, feat, _named_sources(6))
@@ -292,38 +339,37 @@ def test_unpicklable_featurizer_warns_and_stays_serial_with_features():
 
 
 # ---------------------------------------------------------------------------
-# Worker stage time reaches the parent's /metrics
+# Worker stage time reaches the parent's trace and /metrics
 # ---------------------------------------------------------------------------
 
-def test_worker_stage_time_reaches_parent_metrics():
+def test_worker_stage_time_reaches_parent_metrics(fan_out_small, traced):
     """Stage frames that run in pool workers count in the parent's
     ``repro_stage_seconds``, once per frame, as the spans come home."""
-    from repro.obs.metrics import METRICS
-    from repro.obs.trace import TRACER
-
-    def compiles():
-        series = METRICS.as_dict()["repro_stage_seconds"]["series"]
-        return sum(s["count"] for s in series
-                   if s["labels"]["stage"] == "compile")
-
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
     feat = IR2VecFeaturizer(IR2VecFeaturizerConfig())
     feat.warmup()                 # the seed table's own compiles stay out
-    metrics_on = METRICS.enabled
-    METRICS.enabled = True
-    TRACER.enable()
-    try:
-        before = compiles()
-        with ExecutionEngine(EngineConfig(workers=2, chunk_size=4,
-                                          min_samples_per_worker=1)) as engine:
-            with TRACER.start_trace("featurize", trace_id="tfanout"):
-                engine.featurize_sources(fe, feat, _named_sources(34))
-        assert engine.counters["parallel_chunks"] > 0
-        spans = TRACER.get_trace("tfanout")["spans"]
-        worker_compiles = [s for s in spans if s["name"] == "stage.compile"
-                           and s["process"] != os.getpid()]
-        assert len(worker_compiles) == 34
-        assert compiles() == before + 34
-    finally:
-        TRACER.disable()
-        METRICS.enabled = metrics_on
+    before = _stage_counts("compile")
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        with TRACER.start_trace("featurize", trace_id="tfanout"):
+            engine.featurize_sources(fe, feat, _named_sources(34))
+    assert engine.counters["parallel_chunks"] > 0
+    worker_compiles = [s for s in _worker_spans("tfanout")
+                       if s["name"] == "stage.compile"]
+    assert len(worker_compiles) == 34
+    assert _stage_counts("compile") == before + 34
+
+
+def test_map_worker_spans_reach_parent_trace_and_metrics(traced):
+    """``map`` tasks run under the parent's trace context like stage
+    chunks: a compile in a mapped worker shows up as a worker-side
+    ``stage.compile`` span and in the parent's ``repro_stage_seconds``."""
+    named = _named_sources(8)
+    before = _stage_counts("compile")
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        with TRACER.start_trace("mapped", trace_id="tmap"):
+            names = engine.map(_compile_name, named)
+    assert names == [name for name, _ in named]
+    worker_compiles = [s for s in _worker_spans("tmap")
+                       if s["name"] == "stage.compile"]
+    assert len(worker_compiles) == len(named)
+    assert _stage_counts("compile") == before + len(named)

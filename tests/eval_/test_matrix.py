@@ -28,12 +28,15 @@ def _tiny_config(**overrides):
     return ReproConfig(**defaults)
 
 
-@pytest.fixture(scope="module")
-def tiny_doc():
-    spec = MatrixSpec(train_datasets=("corrbench",),
+def _tiny_spec():
+    return MatrixSpec(train_datasets=("corrbench",),
                       test_datasets=("corrbench", "hypre"),
                       methods=("ir2vec",), mutation_levels=(0, 1))
-    return run_matrix(spec, _tiny_config(), profile="tiny")
+
+
+@pytest.fixture(scope="module")
+def tiny_doc():
+    return run_matrix(_tiny_spec(), _tiny_config(), profile="tiny")
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +111,21 @@ def test_matrix_covers_every_cell_with_per_class_metrics(tiny_doc):
         assert len(prov["train_digest"]) == 64
         assert len(prov["test_digest"]) == 64
         assert prov["train_digest"] != prov["test_digest"]
+
+
+def test_matrix_cells_fan_out_and_match_serial(tiny_doc):
+    """A ``workers=2`` engine submits the cell jobs to its pool — a grid
+    far below the stage path's small-batch guard still fans out — and
+    the parallel cell docs equal the serial run's."""
+    config = _tiny_config(workers=2)
+    engine = config.engine()
+    try:
+        doc = run_matrix(_tiny_spec(), config, profile="tiny")
+        assert engine.counters["tasks"] >= len(doc["cells"])
+        assert engine.counters["parallel_chunks"] == 0   # features serial
+    finally:
+        engine.close()
+    assert doc["cells"] == tiny_doc["cells"]
 
 
 def test_matrix_split_cells_hold_out_data(tiny_doc):

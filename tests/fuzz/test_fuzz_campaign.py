@@ -90,8 +90,7 @@ def test_tampered_corpus_case_fails_replay_and_campaign(tmp_path):
 def test_serial_and_parallel_campaigns_are_byte_identical():
     config = FuzzConfig(seed=21, budget=16)
     serial = run_campaign(config)
-    with ExecutionEngine(EngineConfig(workers=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         parallel = run_campaign(config, engine=engine)
     assert json.dumps(serial, sort_keys=True) \
         == json.dumps(parallel, sort_keys=True)

@@ -168,11 +168,10 @@ def test_custom_featurizer_artifact_roundtrip(tmp_path, dataset):
     assert original == restored
 
 
-def test_pipeline_close_shuts_down_engine_pool(dataset):
+def test_pipeline_close_shuts_down_engine_pool(dataset, fan_out_small):
     from repro.engine import EngineConfig, ExecutionEngine
 
-    engine = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                          min_samples_per_worker=1))
+    engine = ExecutionEngine(EngineConfig(workers=2))
     pipeline = DetectionPipeline.from_names(
         "ir2vec", "decision-tree",
         classifier_config=DecisionTreeStageConfig(use_ga=False),
@@ -192,11 +191,10 @@ def test_pipeline_close_shuts_down_engine_pool(dataset):
     assert not engine.pool_active
 
 
-def test_pipeline_context_manager(dataset):
+def test_pipeline_context_manager(dataset, fan_out_small):
     from repro.engine import EngineConfig, ExecutionEngine
 
-    engine = ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                          min_samples_per_worker=1))
+    engine = ExecutionEngine(EngineConfig(workers=2))
     with DetectionPipeline.from_names(
             "ir2vec", "decision-tree",
             classifier_config=DecisionTreeStageConfig(use_ga=False),

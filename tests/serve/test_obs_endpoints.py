@@ -153,9 +153,8 @@ def test_request_path_label_cardinality_is_bounded(server):
 # -- the acceptance criterion: worker spans in /v1/trace/<id> ---------------
 
 @pytest.fixture()
-def worker_server(artifact_v1):
-    engine = ExecutionEngine(EngineConfig(
-        workers=2, chunk_size=2, min_samples_per_worker=1))
+def worker_server(artifact_v1, fan_out_small):
+    engine = ExecutionEngine(EngineConfig(workers=2))
     registry = ModelRegistry(artifact_v1, engine=engine)
     config = ServeConfig(port=0, max_batch=16, max_wait_ms=5, max_queue=64)
     try:
@@ -168,8 +167,9 @@ def worker_server(artifact_v1):
 def test_bulk_check_trace_spans_serve_engine_and_workers(worker_server):
     client = ServeClient("127.0.0.1", worker_server.port, timeout=120.0)
     try:
-        # Eight distinct sources: enough samples past the fan-out guard
-        # (workers * min_samples_per_worker = 2) to fill both workers.
+        # Eight distinct sources: enough samples past the (test-lowered)
+        # fan-out guard, workers * MIN_SAMPLES_PER_WORKER = 2, to fill
+        # both workers.
         sources = [{"name": f"bulk{i}.c",
                     "source": CHECK_SRC.replace("int rank;",
                                                 f"int rank; int x{i};")}

@@ -190,10 +190,9 @@ def test_collect_profile_serial_covers_wall_clock(tmp_path):
     save_profile(doc, str(tmp_path / "PERF_profile.json"))
 
 
-def test_collect_profile_merges_worker_stage_time():
+def test_collect_profile_merges_worker_stage_time(fan_out_small):
     samples = _samples(16)
-    with ExecutionEngine(EngineConfig(workers=2, chunk_size=2,
-                                      min_samples_per_worker=1)) as engine:
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
         doc = collect_profile("mbi", samples, engine=engine, classify=False)
     validate_profile(doc)
     assert doc["workers"] == 2
