@@ -342,16 +342,16 @@ def cmd_localize(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     opt_level = pipeline.frontend.opt_level
-    seed = getattr(pipeline.featurizer, "seed", 42)
+    encoder = pipeline.featurizer.encoder()   # the artifact's seed table
     source = _read_source(args.file)
     print("function-level suspects:")
     for s in localize_error(source, model, opt_level=opt_level,
-                            embedding_seed=seed):
+                            encoder=encoder):
         print(f"  #{s.rank} {s.name:<20} isolated={s.isolated_verdict:<10} "
               f"influence={s.influence:.3f}")
     print("call-site suspects:")
     suspects = localize_call_sites(source, model, opt_level=opt_level,
-                                   embedding_seed=seed, top=args.top)
+                                   encoder=encoder, top=args.top)
     for s in suspects:
         print(f"  {s}")
     if not suspects:

@@ -73,17 +73,19 @@ def _module_vector_without(encoder: IR2VecEncoder, module: Module,
 
 
 def localize_error(source: str, model: IR2vecModel, *,
-                   opt_level: str = "Os", embedding_seed: int = 42,
-                   name: str = "input.c") -> List[SuspectFunction]:
+                   opt_level: str = "Os", name: str = "input.c",
+                   encoder: Optional[IR2VecEncoder] = None,
+                   ) -> List[SuspectFunction]:
     """Rank functions of ``source`` by suspicion under a trained model.
 
     Returns suspects sorted most-suspicious-first.  A function is
     suspicious if (a) its isolated embedding is classified Incorrect, or
     (b) removing it moves the module embedding furthest toward the
-    model's Correct region.
+    model's Correct region.  ``encoder`` (both localizers) replaces the
+    default seed table, e.g. with the one a loaded artifact carries.
     """
     module = compile_c(source, name, opt_level, verify=False)
-    encoder = default_encoder(embedding_seed)
+    encoder = encoder or default_encoder()
     functions = module.defined_functions()
     if not functions:
         return []
@@ -141,9 +143,10 @@ class SuspectCallSite:
 
 
 def localize_call_sites(source: str, model: IR2vecModel, *,
-                        opt_level: str = "Os", embedding_seed: int = 42,
-                        name: str = "input.c",
-                        top: Optional[int] = None) -> List[SuspectCallSite]:
+                        opt_level: str = "Os", name: str = "input.c",
+                        top: Optional[int] = None,
+                        encoder: Optional[IR2VecEncoder] = None,
+                        ) -> List[SuspectCallSite]:
     """Rank MPI call sites of ``source`` by occlusion influence.
 
     For each non-boilerplate MPI call instruction, its symbolic and
@@ -154,7 +157,7 @@ def localize_call_sites(source: str, model: IR2vecModel, *,
     granularity idea can produce.
     """
     module = compile_c(source, name, opt_level, verify=False)
-    encoder = default_encoder(embedding_seed)
+    encoder = encoder or default_encoder()
     base = encoder._instruction_vectors(module)
     flow = encoder._propagate(module, dict(base))
 

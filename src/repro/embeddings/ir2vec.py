@@ -16,14 +16,15 @@ IR2vec's reaching-definition augmentation does.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.embeddings.transe import SeedEmbeddings, train_seed_embeddings
+from repro.embeddings import seed_table
+from repro.embeddings.transe import SeedEmbeddings
 from repro.embeddings.triplets import (
     abstract_type,
-    extract_triplets,
     instruction_entity,
     operand_entity,
 )
@@ -119,6 +120,19 @@ class IR2VecEncoder:
         self._unknown_row = len(seeds.entities)
         self._entity_rows: Dict[str, int] = {}
         self._type_rows: Dict[Type, int] = {}
+        self._digest: Optional[str] = None
+
+    def __reduce__(self):
+        # The table is the whole state; the lookup memos rebuild lazily.
+        return (IR2VecEncoder, (self.seeds,))
+
+    @property
+    def digest(self) -> str:
+        """Content digest of the seed table (cache and pool identity)."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(
+                seed_table.to_bytes(self.seeds)).hexdigest()
+        return self._digest
 
     # -- public API ----------------------------------------------------------
     def symbolic(self, module: Module) -> np.ndarray:
@@ -326,35 +340,58 @@ class IR2VecEncoder:
         return total
 
 
+#: Default-recipe encoders (canonical corpus, dim 256) by seed.
 _DEFAULT_ENCODERS: Dict[int, IR2VecEncoder] = {}
 
 
 def default_encoder(seed: int = 42, corpus: Optional[List[Module]] = None,
-                    dim: int = 256) -> IR2VecEncoder:
-    """Encoder with seed embeddings trained on a small canonical corpus.
+                    dim: int = seed_table.PINNED_DIM) -> IR2VecEncoder:
+    """Encoder over the seed table trained on the canonical corpus.
 
-    IR2vec ships pretrained seed embeddings; we train ours once per seed
-    on a fixed mini-corpus of MPI kernels and cache the encoder.  The
-    build (corpus compile plus TransE training) is the ``seed_embed``
-    stage.
+    Seed 42 at dim 256 is the packaged, pinned table
+    (:mod:`repro.embeddings.seed_table`): it loads in milliseconds and
+    never trains.  Any other seed trains once per process and is cached;
+    a caller's own ``corpus`` or ``dim`` trains on every call.  Only
+    training is the ``seed_embed`` stage.
     """
-    if seed not in _DEFAULT_ENCODERS:
-        from repro.frontend import compile_c
-
+    default = corpus is None and dim == seed_table.PINNED_DIM
+    if default and seed in _DEFAULT_ENCODERS:
+        return _DEFAULT_ENCODERS[seed]
+    if default and seed == seed_table.PINNED_SEED:
+        seeds, _recipe = seed_table.load_pinned()
+    else:
+        triples = (seed_table.canonical_triples() if corpus is None
+                   else seed_table.corpus_triples(corpus))
         with TRACER.stage("seed_embed"):
-            if corpus is None:
-                from repro.datasets import load_mbi
+            seeds = seed_table.train(triples, seed, dim)
+    encoder = IR2VecEncoder(seeds)
+    if default:
+        _DEFAULT_ENCODERS[seed] = encoder
+    return encoder
 
-                samples = list(load_mbi())[::9][:160]
-                corpus = [compile_c(s.source, s.name, "O0")
-                          for s in samples]
-            triples = []
-            for module in corpus:
-                triples.extend(extract_triplets(module))
-            seeds = train_seed_embeddings(triples, dim=dim, seed=seed,
-                                          epochs=25, batch_size=8192)
-        _DEFAULT_ENCODERS[seed] = IR2VecEncoder(seeds)
-    return _DEFAULT_ENCODERS[seed]
+
+_DEFAULT_TABLE_IDS: Dict[int, str] = {}
+
+
+def default_table_id(seed: int = 42) -> str:
+    """Identity of ``default_encoder(seed)``'s table, without training it.
+
+    The pinned table is named by its content digest, which equals
+    :attr:`IR2VecEncoder.digest` of the same table loaded from an
+    artifact.  A table that must be trained is named by its recipe
+    (:func:`repro.embeddings.seed_table.recipe_digest`) and the numpy
+    version, since the trained bits depend on both; computing that costs
+    one canonical-corpus compile, not a TransE run.
+    """
+    if seed not in _DEFAULT_TABLE_IDS:
+        if seed == seed_table.PINNED_SEED:
+            table_id = default_encoder(seed).digest
+        else:
+            recipe = seed_table.recipe_digest(
+                seed_table.canonical_triples(), seed)
+            table_id = f"recipe:{recipe}:numpy-{np.__version__}"
+        _DEFAULT_TABLE_IDS[seed] = table_id
+    return _DEFAULT_TABLE_IDS[seed]
 
 
 def encode_module(module: Module, seed: int = 42) -> np.ndarray:

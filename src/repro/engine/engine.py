@@ -122,15 +122,29 @@ def effective_cores() -> int:
 def stage_identity(stage: Any) -> str:
     """Stable identity of a stage instance for cache keys.
 
-    Covers the implementation (qualname + registered name) and the full
-    config repr, so two differently-parameterized instances never share
-    an entry.  Stages without a ``config`` attribute get ``id=None`` —
-    the engine treats those as uncacheable (see ``_cacheable``).
+    Covers the implementation (qualname + registered name), the full
+    config repr, and — for a stage whose output also depends on state
+    outside its config (the IR2vec seed table) — that state's
+    ``state_digest()``, so two differently-parameterized instances
+    never share an entry or a worker pool.  Stages without a ``config``
+    attribute get ``id=None`` — the engine treats those as uncacheable
+    (see ``_cacheable``).
     """
     config = getattr(stage, "config", None)
-    return (f"{type(stage).__qualname__}"
-            f":{getattr(stage, 'name', type(stage).__name__)}"
-            f":{config!r}")
+    identity = (f"{type(stage).__qualname__}"
+                f":{getattr(stage, 'name', type(stage).__name__)}"
+                f":{config!r}")
+    state_digest = getattr(stage, "state_digest", None)
+    if callable(state_digest):
+        identity += f":{state_digest()}"
+    return identity
+
+
+def _stage_ids(frontend: Any, featurizer: Optional[Any]) -> Tuple[str, ...]:
+    """The identity prefix of every store key for these stages."""
+    if featurizer is None:
+        return (stage_identity(frontend),)
+    return (stage_identity(frontend), stage_identity(featurizer))
 
 
 def _cacheable(stage: Any) -> bool:
@@ -149,15 +163,6 @@ def _build_store(cache_dir: Optional[str], cas_addr: Optional[str],
 
         return TieredStore(cache_dir, cas_addr, version)
     return ContentStore(cache_dir, version)
-
-
-def _compile_parts(frontend: Any, name: str, source: str) -> Tuple[str, ...]:
-    return (stage_identity(frontend), name, source)
-
-
-def _feature_parts(frontend: Any, featurizer: Any, name: str,
-                   source: str) -> Tuple[str, ...]:
-    return (stage_identity(frontend), stage_identity(featurizer), name, source)
 
 
 def _split_batch(features: Any, n: int) -> List[Any]:
@@ -183,9 +188,9 @@ def _join_batch(featurizer: Any, rows: Sequence[Any]) -> Any:
 
 
 def _compile_one(store: Optional[ContentStore], frontend: Any,
-                 name: str, source: str) -> Any:
-    if store is not None and _cacheable(frontend):
-        key = store.key(COMPILE_STAGE, _compile_parts(frontend, name, source))
+                 frontend_id: Optional[str], name: str, source: str) -> Any:
+    if store is not None and frontend_id is not None:
+        key = store.key(COMPILE_STAGE, (frontend_id, name, source))
         found, module = store.get(COMPILE_STAGE, key)
         if found:
             return module
@@ -199,16 +204,18 @@ def _process_chunk(store: Optional[ContentStore], frontend: Any,
                    featurizer: Optional[Any],
                    chunk: Sequence[Tuple[str, str]]) -> List[Any]:
     """Compile (and optionally featurize) one chunk, through the store."""
-    modules = [_compile_one(store, frontend, name, source)
+    ids = (_stage_ids(frontend, featurizer)
+           if store is not None and _cacheable(frontend) else None)
+    modules = [_compile_one(store, frontend, ids[0] if ids else None,
+                            name, source)
                for name, source in chunk]
     if featurizer is None:
         return modules
     rows = _split_batch(featurizer.transform(modules), len(modules))
-    if store is not None and _cacheable(frontend) and _cacheable(featurizer):
+    if ids is not None and _cacheable(featurizer):
         for (name, source), row in zip(chunk, rows):
-            key = store.key(FEATURE_STAGE,
-                            _feature_parts(frontend, featurizer, name, source))
-            store.put(FEATURE_STAGE, key, row)
+            store.put(FEATURE_STAGE,
+                      store.key(FEATURE_STAGE, ids + (name, source)), row)
     return rows
 
 
@@ -515,14 +522,12 @@ class ExecutionEngine:
         keys: Dict[int, str] = {}
         cacheable = (_cacheable(frontend)
                      and (featurizer is None or _cacheable(featurizer)))
+        ids = _stage_ids(frontend, featurizer) if cacheable else ()
         for index, (name, source) in enumerate(named_sources):
             results.append(None)
             if cacheable:
-                parts = (_compile_parts(frontend, name, source)
-                         if featurizer is None
-                         else _feature_parts(frontend, featurizer, name,
-                                             source))
-                key = keys[index] = self.store.key(stage, parts)
+                key = keys[index] = self.store.key(stage,
+                                                   ids + (name, source))
                 found, value = self.store.get(stage, key)
                 if found:
                     results[index] = value
@@ -660,8 +665,7 @@ class ExecutionEngine:
         """Identity of the worker-side state a pool must hold to run
         these stages (stage configs + store coordinates)."""
         return digest_parts([
-            stage_identity(frontend),
-            stage_identity(featurizer) if featurizer is not None else "",
+            *_stage_ids(frontend, featurizer),
             self.config.cache_dir or "", self.store.version,
             self.config.cas_addr or "",
         ])

@@ -100,6 +100,7 @@ def _failure_record(record: Dict[str, Any], exc: Exception,
 
 def check_source(name: str, source: str, expected: str = "correct",
                  nprocs: int = 3, max_steps: int = 120_000,
+                 printed_ir: Optional[Dict[str, str]] = None,
                  ) -> Dict[str, Any]:
     """Run one source through the whole chain; classify the outcome.
 
@@ -111,6 +112,10 @@ def check_source(name: str, source: str, expected: str = "correct",
     unexplained-disagreement count), or ``hard_failure`` (a crash
     anywhere — frontend, IR verifier, optimizer, graph builder,
     embedding, simulator, or an oracle itself).
+
+    ``printed_ir``, when given, receives the IR printed right after the
+    O0 and O2 compiles (keyed by opt level), for a caller that checks
+    the compile is deterministic against a fresh one.
     """
     import numpy as np
 
@@ -120,8 +125,17 @@ def check_source(name: str, source: str, expected: str = "correct",
         "name": name, "status": "agree", "kind": "", "oracle": "",
         "detail": "", "fingerprint": "", "oracles": {},
     }
+
+    def compile_at(opt_level: str):
+        compiled = compile_c(source, name, opt_level, verify=True)
+        if printed_ir is not None:
+            from repro.ir.printer import print_module
+
+            printed_ir[opt_level] = print_module(compiled)
+        return compiled
+
     try:
-        module = compile_c(source, name, "O0", verify=True)
+        module = compile_at("O0")
     except CompileError as exc:
         record.update(status="rejected", kind="compile_reject",
                       oracle="frontend", detail=str(exc)[:200],
@@ -132,7 +146,7 @@ def check_source(name: str, source: str, expected: str = "correct",
 
     # The optimizer must also digest every program the frontend accepts.
     try:
-        compile_c(source, name, "O2", verify=True)
+        compile_at("O2")
     except CompileError as exc:
         record.update(status="hard_failure", kind="optimizer_reject",
                       oracle="passes", detail=str(exc)[:200],
@@ -221,23 +235,12 @@ def _payloads(programs: Sequence[GeneratedProgram], config: FuzzConfig,
             for p in programs]
 
 
-def _warm_stages() -> None:
-    """Build the expensive per-process state (the IR2vec seed-embedding
-    table, ~10s) in the parent *before* the engine forks its pool, so
-    workers inherit it instead of each paying the build."""
-    from repro.embeddings.ir2vec import default_encoder
-
-    default_encoder()
-
-
 def replay_corpus(store: CorpusStore, config: FuzzConfig,
                   engine: Optional[ExecutionEngine] = None,
                   ) -> List[Dict[str, Any]]:
     """Re-check every stored case against its recorded signature."""
     engine = engine or default_engine()
     cases = store.cases()
-    if cases and engine.workers > 0:
-        _warm_stages()
     payloads = [(c.name, c.source, c.expected, config.nprocs,
                  config.max_steps) for c in cases]
     records = engine.map(_check_worker, payloads,
@@ -321,8 +324,6 @@ def run_campaign(config: FuzzConfig,
         seeds.extend(extra_seeds)
     generated = generate_programs(config.grammar(), config.budget)
     programs = seeds + generated
-    if programs and engine.workers > 0:
-        _warm_stages()
     records = engine.map(_check_worker, _payloads(programs, config),
                          chunk_size=config.chunk_size)
 

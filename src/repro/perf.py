@@ -2,8 +2,8 @@
 
 The cold path is a chain — preprocess/parse/codegen ("compile"), IR
 verification ("verify"), the optimization pipeline ("passes"), program
-graph construction ("graph"), IR2vec seed-table training
-("seed_embed"), IR2vec encoding ("embed") and model fit/predict
+graph construction ("graph"), IR2vec seed-table training for a seed
+without a pinned table ("seed_embed"), IR2vec encoding ("embed") and model fit/predict
 ("classify") — and optimization work on it is only honest when every
 claim is backed by a per-stage number.  The stage sites time themselves
 with :meth:`repro.obs.trace.Tracer.stage`, the one stage-timing
@@ -83,7 +83,8 @@ def collect_profile(dataset_name: str, samples: List[Any],
     """Run the cold pipeline over ``samples`` inside one collected trace
     and return the profile document (not yet written to disk).
 
-    One-time per-process warmup (IR2vec seed-embedding training) is
+    One-time per-process warmup (resolving the IR2vec seed table: a
+    file load for the pinned seed, training for any other) is
     handled outside the timed window, and the default engine is a fresh
     one, so the numbers reflect steady-state cold throughput: every
     sample is compiled, optimized, and embedded from scratch.  A caller

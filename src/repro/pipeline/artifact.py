@@ -5,7 +5,11 @@ opaque blob per stateful stage::
 
     model.rpd/
         manifest.json       # schema version, stage names + configs, ...
+        featurizer.bin      # e.g. the IR2vec seed table (npz, no pickle)
         classifier.bin      # e.g. the fitted decision tree / GNN weights
+
+Each stage entry names its blob and records the blob's ``sha256``;
+loading and inspection reject a blob that no longer matches it.
 
 The manifest records everything needed to rebuild the pipeline from the
 stage registries — no code objects are pickled wholesale, so artifacts
@@ -25,7 +29,7 @@ import json
 import os
 import warnings
 import zipfile
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.pipeline.registry import CLASSIFIERS, FEATURIZERS, FRONTENDS
 from repro.pipeline.pipeline import DetectionPipeline
@@ -102,7 +106,8 @@ def save_pipeline(pipeline: DetectionPipeline, path: str) -> None:
             continue
         blob_name = f"{role}.bin"
         blobs[blob_name] = state
-        manifest["stages"][role]["state"] = blob_name
+        manifest["stages"][role].update(
+            state=blob_name, sha256=hashlib.sha256(state).hexdigest())
 
     # The manifest is persisted in the unified envelope form (kind +
     # schema/repro versions + content digest over the payload); loaders
@@ -191,6 +196,31 @@ def _open_container(path: str) -> Tuple[Dict[str, Any],
                         "artifact, nor a recognizable legacy pickle")
 
 
+def _read_state(entry: Dict[str, Any], read_blob: Callable[[str], bytes],
+                role: str) -> Optional[Tuple[bytes, str]]:
+    """A stage's state blob and its sha256, checked against the digest
+    the manifest records (manifests written before blob digests carry
+    none and load unchecked); ``None`` for a stateless stage."""
+    blob_name = entry.get("state")
+    if not blob_name:
+        return None
+    try:
+        blob = read_blob(blob_name)
+    except (FileNotFoundError, KeyError):
+        raise ArtifactError(
+            f"artifact is missing blob {blob_name!r} referenced "
+            f"by its {role} stage") from None
+    digest = hashlib.sha256(blob).hexdigest()
+    recorded = entry.get("sha256")
+    if recorded is not None and recorded != digest:
+        raise ArtifactError(
+            f"blob {blob_name!r} of the {role} stage does not match the "
+            f"sha256 its manifest records ({digest[:12]}… != "
+            f"{str(recorded)[:12]}…): the artifact was altered or is "
+            "incomplete")
+    return blob, digest
+
+
 def validate_manifest(manifest: Dict[str, Any]) -> None:
     """Validate a manifest (flat or envelope form) through the unified
     schema registry, mapping violations to :class:`ArtifactError`."""
@@ -210,9 +240,10 @@ def inspect_artifact(path: str) -> Dict[str, Any]:
     """Summarize an artifact *without unpickling any stage blob*.
 
     Validates the manifest and reads each referenced blob only to hash
-    it, so inspection is safe on untrusted or half-written artifacts —
-    which is exactly why the serving registry runs it before committing
-    to a hot reload, and why ``repro artifact inspect`` exists.
+    it and check the hash against the manifest's, so inspection is safe
+    on untrusted or half-written artifacts — which is exactly why the
+    serving registry runs it before committing to a hot reload, and why
+    ``repro artifact inspect`` exists.
 
     Returns a JSON-able dict: format/schema/repro versions, method,
     label_mode, fitted, per-stage ``{name, config, state{blob, bytes,
@@ -228,17 +259,11 @@ def inspect_artifact(path: str) -> Dict[str, Any]:
         entry = manifest["stages"][role]
         info: Dict[str, Any] = {"name": entry["name"],
                                 "config": entry.get("config") or {}}
-        blob_name = entry.get("state")
-        if blob_name:
-            try:
-                blob = read_blob(blob_name)
-            except (FileNotFoundError, KeyError):
-                raise ArtifactError(
-                    f"artifact is missing blob {blob_name!r} referenced "
-                    f"by its {role} stage") from None
-            digest = hashlib.sha256(blob).hexdigest()
-            blob_digests[blob_name] = digest
-            info["state"] = {"blob": blob_name, "bytes": len(blob),
+        state = _read_state(entry, read_blob, role)
+        if state is not None:
+            blob, digest = state
+            blob_digests[entry["state"]] = digest
+            info["state"] = {"blob": entry["state"], "bytes": len(blob),
                              "sha256": digest}
         stages[role] = info
 
@@ -272,20 +297,14 @@ def load_pipeline(path: str) -> DetectionPipeline:
             raise ArtifactError(
                 f"artifact needs {role} {entry['name']!r} which is not "
                 f"registered: {exc.args[0]}") from None
-        blob_name = entry.get("state")
-        if blob_name:
+        state = _read_state(entry, read_blob, role)
+        if state is not None:
             set_state = getattr(stage, "set_state", None)
             if set_state is None:
                 raise ArtifactError(
                     f"artifact carries state for {role} {entry['name']!r} "
                     "but the registered stage has no set_state()")
-            try:
-                blob = read_blob(blob_name)
-            except (FileNotFoundError, KeyError):
-                raise ArtifactError(
-                    f"artifact is missing blob {blob_name!r} referenced "
-                    f"by its {role} stage") from None
-            set_state(blob)
+            set_state(state[0])
         stages[role] = stage
 
     try:

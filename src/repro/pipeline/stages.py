@@ -139,7 +139,13 @@ class IR2VecFeaturizerConfig:
 
 
 class IR2VecFeaturizer:
-    """IR modules → stacked (n, 512) symbolic‖flow-aware embedding matrix."""
+    """IR modules → stacked (n, 512) symbolic‖flow-aware embedding matrix.
+
+    The seed table is the featurizer's state: an artifact installs its
+    own (``set_state``), and without one ``transform`` uses the default
+    table for the configured seed.  An installed table pickles with the
+    featurizer, so pool workers never rebuild it.
+    """
 
     name = "ir2vec"
     kind = "matrix"
@@ -148,6 +154,8 @@ class IR2VecFeaturizer:
     def __init__(self, config: Optional[IR2VecFeaturizerConfig] = None,
                  **overrides):
         self.config = config or IR2VecFeaturizerConfig(**overrides)
+        self._encoder = None       # installed table's encoder, if any
+        self._table_id = None      # its identity, once resolved
 
     @property
     def opt_level(self) -> str:
@@ -157,23 +165,58 @@ class IR2VecFeaturizer:
     def seed(self) -> int:
         return self.config.seed
 
-    def warmup(self) -> None:
-        """Build the per-process encoder (seed-embedding training) now.
-
-        The execution engine calls this before forking workers so they
-        inherit the trained encoder instead of each rebuilding it.
-        """
+    def encoder(self):
+        """The installed table's encoder, else the seed's default one."""
+        if self._encoder is not None:
+            return self._encoder
         from repro.embeddings.ir2vec import default_encoder
 
-        default_encoder(self.config.seed)
+        return default_encoder(self.config.seed)
+
+    def state_digest(self) -> str:
+        """Identity of the seed table: with the config, the stage's
+        identity for the engine's cache keys and worker pools.
+
+        An artifact's table is named by its content digest, the default
+        one by :func:`~repro.embeddings.ir2vec.default_table_id`, so
+        naming it never trains and ``warmup`` never changes the name.
+        """
+        if self._table_id is not None:
+            return self._table_id
+        from repro.embeddings.ir2vec import default_table_id
+
+        return default_table_id(self.config.seed)
+
+    def warmup(self) -> None:
+        """Resolve and install the seed table now (training it, for a
+        seed without a pinned table).
+
+        The execution engine calls this before starting workers, so a
+        forked worker inherits the table and a spawned one unpickles it
+        with the featurizer instead of rebuilding it.
+        """
+        self._table_id = self.state_digest()
+        self._encoder = self.encoder()
 
     def transform(self, modules: Sequence[Module]) -> np.ndarray:
-        from repro.embeddings.ir2vec import default_encoder
-
-        encoder = default_encoder(self.config.seed)
+        encoder = self.encoder()
         if not modules:
             return np.zeros((0, 2 * encoder.dim))
         return encoder.encode_batch(list(modules))
+
+    # -- artifact state ------------------------------------------------------
+    def get_state(self) -> bytes:
+        from repro.embeddings import seed_table
+
+        return seed_table.to_bytes(self.encoder().seeds)
+
+    def set_state(self, blob: bytes) -> None:
+        from repro.embeddings import seed_table
+        from repro.embeddings.ir2vec import IR2VecEncoder
+
+        seeds, _recipe = seed_table.from_bytes(blob)
+        self._encoder = IR2VecEncoder(seeds)
+        self._table_id = self._encoder.digest
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ verification, program graph, embedding, runtime simulation, and every
 trusted verify-tool analogue plus the static dataflow analyzer — all
 clean (:func:`repro.fuzz.harness.check_source` returning ``agree``), and
 the compile must be **byte-deterministic**: two independent compilations
-at each opt level print identical IR, so an accepted patch can never
-smuggle nondeterminism past the fleet's content-addressed cache (routing
-and caching both key on byte identity).
+at each opt level (the harness's own and one fresh compile) print
+identical IR, so an accepted patch can never smuggle nondeterminism past
+the fleet's content-addressed cache (routing and caching both key on
+byte identity).
 
 The same gate runs on the *unpatched* input first: a program the gate
 already accepts needs no repair, and the runner turns that into a
@@ -45,17 +46,18 @@ class GateVerdict:
                 "oracles": dict(self.oracles)}
 
 
-def deterministic_compile(name: str, source: str) -> bool:
-    """True iff two compilations at each opt level print identical IR."""
+def deterministic_compile(name: str, source: str,
+                          printed: Dict[str, str]) -> bool:
+    """True iff one fresh compilation at each opt level prints the IR in
+    ``printed`` (the IR :func:`repro.fuzz.harness.check_source` printed
+    right after its own compiles, keyed by opt level)."""
     from repro.frontend import compile_c
     from repro.ir.printer import print_module
 
     for opt_level in ("O0", "O2"):
-        first = print_module(compile_c(source, name, opt_level,
+        fresh = print_module(compile_c(source, name, opt_level,
                                        verify=True))
-        second = print_module(compile_c(source, name, opt_level,
-                                        verify=True))
-        if first != second:
+        if printed[opt_level] != fresh:
             return False
     return True
 
@@ -65,13 +67,15 @@ def run_gate(name: str, source: str, nprocs: int = 3,
     """Push one source through the whole harness; judge it."""
     from repro.fuzz.harness import check_source
 
+    printed: Dict[str, str] = {}
     record = check_source(name, source, expected="correct",
-                          nprocs=nprocs, max_steps=max_steps)
+                          nprocs=nprocs, max_steps=max_steps,
+                          printed_ir=printed)
     agreed = record["status"] == "agree"
     deterministic = False
     if agreed:
         try:
-            deterministic = deterministic_compile(name, source)
+            deterministic = deterministic_compile(name, source, printed)
         except Exception:                      # a flaky compile is a veto
             deterministic = False
     return GateVerdict(clean=agreed and deterministic,

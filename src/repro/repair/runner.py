@@ -161,11 +161,8 @@ def repair_tasks(tasks: Sequence[RepairTask], config: RepairConfig,
                  engine: Any = None) -> List[Dict[str, Any]]:
     """Repair every task through the engine; results in input order."""
     from repro.engine import default_engine
-    from repro.fuzz.harness import _warm_stages
 
     engine = engine or default_engine()
-    if tasks and engine.workers > 0:
-        _warm_stages()
     payloads = [(t.name, t.source, t.hint, t.origin, config.nprocs,
                  config.max_steps, config.max_attempts) for t in tasks]
     return engine.map(_repair_worker, payloads,

@@ -155,9 +155,9 @@ def test_corrupted_cache_entry_recovered_end_to_end(tmp_path):
 
     # Truncate one persisted feature entry on disk.
     store = engine.store
-    from repro.engine.engine import FEATURE_STAGE, _feature_parts
+    from repro.engine.engine import FEATURE_STAGE, _stage_ids
 
-    key = store.key(FEATURE_STAGE, _feature_parts(fe, feat, *named[2]))
+    key = store.key(FEATURE_STAGE, _stage_ids(fe, feat) + named[2])
     with open(store._path(FEATURE_STAGE, key), "wb") as fh:
         fh.write(b"truncated")
 

@@ -135,6 +135,28 @@ def test_spawn_pool_programl_byte_identical_and_spans_come_home(
     assert len(compiles) == len(named)
 
 
+def test_spawn_workers_use_the_artifact_seed_table(
+        fan_out_small, spawn_pool, traced, tmp_path):
+    """A spawned worker unpickles the featurizer with its installed seed
+    table instead of training the seed's default one (seed 3 has no
+    pinned table, so a fallback would train and show as seed_embed)."""
+    named = _named_sources(8)
+    fe = CFrontend(CFrontendConfig(opt_level="Os"))
+    feat = _tiny_table_featurizer(fe, named, tmp_path, seed=3)
+    serial = ExecutionEngine(EngineConfig(workers=0)) \
+        .featurize_sources(fe, feat, named)
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        with TRACER.start_trace("table", trace_id="ttable"):
+            parallel = engine.featurize_sources(fe, feat, named)
+        assert engine.stats_dict()["pool"]["start_method"] == "spawn"
+        assert engine.counters["parallel_chunks"] > 1
+    assert _row_bytes(parallel) == _row_bytes(serial)
+    worker_stages = {s["name"] for s in _worker_spans("ttable")}
+    assert "stage.embed" in worker_stages
+    names = {s["name"] for s in TRACER.get_trace("ttable")["spans"]}
+    assert "stage.seed_embed" not in names
+
+
 def test_single_encode_matches_batch_row():
     """encode(m) must be the row encode_batch would produce, or serial
     (per-miss) and parallel (chunked) cache entries would disagree."""
@@ -192,6 +214,41 @@ def test_pool_restarts_when_featurizer_changes(fan_out_small):
         assert engine.counters["pool_starts"] == 2
     assert a.shape == b.shape
     assert a.tobytes() != b.tobytes()    # different seed, different rows
+
+
+def _tiny_table_featurizer(fe, named, tmp_path, seed=42):
+    """An ir2vec featurizer loaded from an artifact whose seed table was
+    trained on two programs at dim 8, not the seed's default table."""
+    from repro.embeddings import seed_table
+    from repro.embeddings.ir2vec import default_encoder
+    from repro.pipeline import DetectionPipeline
+    from repro.pipeline.stages import DecisionTreeStage
+
+    tiny = default_encoder(seed, corpus=[fe.compile(src, name)
+                                         for name, src in named[:2]], dim=8)
+    feat = IR2VecFeaturizer(IR2VecFeaturizerConfig(seed=seed))
+    feat.set_state(seed_table.to_bytes(tiny.seeds))
+    path = str(tmp_path / "tiny.rpd")
+    DetectionPipeline(fe, feat, DecisionTreeStage()).save(path)
+    return DetectionPipeline.load(path).featurizer
+
+
+def test_same_config_different_table_shares_no_cache_or_pool(
+        fan_out_small, tmp_path):
+    from repro.engine.engine import stage_identity
+
+    named = _named_sources(8)
+    fe = CFrontend(CFrontendConfig(opt_level="Os"))
+    default = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+    loaded = _tiny_table_featurizer(fe, named, tmp_path)
+    assert loaded.config == default.config
+    assert stage_identity(loaded) != stage_identity(default)
+    with ExecutionEngine(EngineConfig(workers=2)) as engine:
+        a = engine.featurize_sources(fe, default, named)
+        b = engine.featurize_sources(fe, loaded, named)
+        assert engine.stats["features"].hits == 0
+        assert engine.counters["pool_starts"] == 2
+    assert a.shape == (8, 512) and b.shape == (8, 16)
 
 
 def test_chunk_payloads_exclude_stage_objects(fan_out_small):

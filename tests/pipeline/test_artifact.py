@@ -1,8 +1,10 @@
 """Versioned artifact format: manifest, round-trips, legacy rejection."""
 
+import hashlib
 import json
 import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.pipeline import (
     SCHEMA_VERSION,
     ArtifactError,
     DetectionPipeline,
+    inspect_artifact,
     load_pipeline,
     save_pipeline,
 )
@@ -81,6 +84,62 @@ def test_manifest_contents(fitted, tmp_path):
     # The classifier carries fitted state; its blob must exist on disk.
     blob = stages["classifier"]["state"]
     assert os.path.exists(os.path.join(path, blob))
+
+
+def test_manifest_records_blob_sha256(fitted, tmp_path):
+    path = str(tmp_path / "model.rpd")
+    save_pipeline(fitted, path)
+    with open(os.path.join(path, MANIFEST_NAME)) as fh:
+        stages = validate_envelope(json.load(fh))["stages"]
+    roles = {role for role, entry in stages.items() if "state" in entry}
+    # An ir2vec featurizer carries its seed table; ProGraML is stateless.
+    assert roles == ({"featurizer", "classifier"}
+                     if fitted.method == "ir2vec" else {"classifier"})
+    for role in roles:
+        with open(os.path.join(path, stages[role]["state"]), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert stages[role]["sha256"] == digest
+
+
+@pytest.fixture(scope="module")
+def ir2vec_artifact(dataset, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ir2vec") / "model.rpd")
+    DetectionPipeline.from_method("ir2vec", ga_config=SMOKE_GA) \
+        .fit(dataset).save(path)
+    return path
+
+
+def test_tampered_featurizer_blob_rejected(ir2vec_artifact, tmp_path):
+    path = str(tmp_path / "model.rpd")
+    shutil.copytree(ir2vec_artifact, path)
+    blob_path = os.path.join(path, "featurizer.bin")
+    with open(blob_path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[len(blob) // 2] ^= 0x01                 # a bit of a seed vector
+    with open(blob_path, "wb") as fh:
+        fh.write(bytes(blob))
+    with pytest.raises(ArtifactError, match="sha256"):
+        load_pipeline(path)
+    with pytest.raises(ArtifactError, match="sha256"):
+        inspect_artifact(path)
+
+
+def test_manifest_without_blob_digests_still_loads(ir2vec_artifact,
+                                                   dataset, tmp_path):
+    path = str(tmp_path / "model.rpd")
+    shutil.copytree(ir2vec_artifact, path)
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        envelope = json.load(fh)
+    for entry in envelope["payload"]["stages"].values():
+        entry.pop("sha256", None)
+    envelope["digest"] = payload_digest(envelope["payload"])
+    with open(manifest_path, "w") as fh:
+        json.dump(envelope, fh)
+    loaded = load_pipeline(path)
+    reference = load_pipeline(ir2vec_artifact)
+    assert np.array_equal(loaded.predict_dataset(dataset),
+                          reference.predict_dataset(dataset))
 
 
 def test_missing_artifact_errors():

@@ -1,5 +1,7 @@
 """ModelRegistry: validated loads, atomic swaps, mtime polling."""
 
+import hashlib
+import json
 import os
 import time
 
@@ -7,6 +9,7 @@ import pytest
 
 from repro.engine import EngineConfig, ExecutionEngine
 from repro.pipeline import ArtifactError, inspect_artifact
+from repro.schema import payload_digest
 from repro.serve import ModelRegistry, artifact_mtime
 
 
@@ -133,8 +136,19 @@ def test_unpicklable_blob_becomes_artifact_error(tmp_path, artifact_v1):
     registry = ModelRegistry(path)
     served = registry.load()
     blob = os.path.join(path, "classifier.bin")
+    garbage = b"\x80\x05garbage-not-a-pickle"
     with open(blob, "wb") as fh:
-        fh.write(b"\x80\x05garbage-not-a-pickle")
+        fh.write(garbage)
+    # The manifest records the new blob's digest, so the blob passes the
+    # integrity check and fails only when deserialized.
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as fh:
+        envelope = json.load(fh)
+    envelope["payload"]["stages"]["classifier"]["sha256"] = \
+        hashlib.sha256(garbage).hexdigest()
+    envelope["digest"] = payload_digest(envelope["payload"])
+    with open(manifest_path, "w") as fh:
+        json.dump(envelope, fh)
     with pytest.raises(ArtifactError, match="failed to load"):
         registry.load()
     assert registry.current is served

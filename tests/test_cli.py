@@ -362,6 +362,24 @@ def test_artifact_inspect_json(trained_artifact, capsys):
     assert len(info["version"]) == 12
 
 
+def test_artifact_inspect_shows_seed_table_digest(trained_artifact, capsys,
+                                                  tmp_path):
+    import json
+    import shutil
+
+    assert main(["artifact", "inspect", trained_artifact, "--json"]) == 0
+    state = json.loads(capsys.readouterr().out)["stages"]["featurizer"][
+        "state"]
+    assert state["blob"] == "featurizer.bin" and len(state["sha256"]) == 64
+
+    tampered = str(tmp_path / "tampered.rpd")
+    shutil.copytree(trained_artifact, tampered)
+    with open(os.path.join(tampered, "featurizer.bin"), "ab") as fh:
+        fh.write(b"\0")
+    assert main(["artifact", "inspect", tampered]) == 1
+    assert "sha256" in capsys.readouterr().err
+
+
 def test_artifact_inspect_never_unpickles(trained_artifact, capsys,
                                           monkeypatch):
     import pickle
