@@ -25,11 +25,8 @@ profile        time the cold pipeline per stage, write PERF_profile.json
 cache          inspect / clear the persistent engine cache
 artifact       inspect a saved pipeline artifact (manifest only, no unpickle)
 serve          run the async micro-batching HTTP detection service
-bench-serve    load-test a served model, write BENCH_serving.json
 fleet          run N serve replicas behind one digest-routing front door
                with a fleet-shared compile cache (network CAS)
-bench-fleet    measure 1-vs-N replica cold-path scaling, merge a
-               ``fleet`` section into BENCH_serving.json
 obs            scrape telemetry (``obs dump``) from a running server
 trace          fetch one trace by id and print its span tree
 =============  ==============================================================
@@ -786,25 +783,18 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_config(args: argparse.Namespace):
-    from repro.serve import ServeConfig
-
-    return ServeConfig.from_env(
-        host=args.host, port=args.port, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
-        poll_interval_s=getattr(args, "poll_interval", None),
-        workers=args.workers, cache_dir=args.cache_dir,
-        trace=False if getattr(args, "no_trace", False) else None,
-        trace_ring=getattr(args, "trace_ring", None),
-        obs_log=getattr(args, "obs_log", None))
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.pipeline import ArtifactError
-    from repro.serve import serve
+    from repro.serve import ServeConfig, serve
 
     try:
-        config = _serve_config(args)
+        config = ServeConfig.from_env(
+            host=args.host, port=args.port, max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
+            poll_interval_s=args.poll_interval,
+            workers=args.workers, cache_dir=args.cache_dir,
+            trace=False if args.no_trace else None,
+            trace_ring=args.trace_ring, obs_log=args.obs_log)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -819,69 +809,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Start a server in-process and measure sequential vs micro-batched
-    dispatch over a generated corpus; writes ``BENCH_serving.json``."""
-    import dataclasses
-    import json
-
-    from repro.pipeline import ArtifactError
-    from repro.serve import BackgroundServer, measure_regimes
-
-    try:
-        config = _serve_config(args)
-        if args.port is None and not os.environ.get("REPRO_SERVE_PORT"):
-            # Benchmarks shouldn't collide with a live service: default
-            # to an ephemeral port unless one was asked for explicitly.
-            config = dataclasses.replace(config, port=0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    from repro.datasets import load_mbi
-
-    corpus = [(s.name, s.source)
-              for s in load_mbi(subsample=args.requests)][:args.requests]
-    try:
-        with BackgroundServer(args.model, config) as server:
-            results = {
-                "model": args.model,
-                "max_batch": config.max_batch,
-                "max_wait_ms": config.max_wait_ms,
-                **measure_regimes(config.host, server.port, corpus,
-                                  concurrency=args.concurrency),
-            }
-    except (ArtifactError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-    print(json.dumps(results, indent=2, sort_keys=True))
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _fleet_config(args: argparse.Namespace, *, ephemeral: bool = False):
-    from repro.fleet import FleetConfig
-
-    port = args.port
-    if ephemeral and port is None \
-            and not os.environ.get("REPRO_FLEET_PORT"):
-        port = 0
-    return FleetConfig.from_env(
-        host=args.host, port=port, replicas=args.replicas,
-        cas_max_bytes=args.cas_max_bytes, workers=args.workers,
-        cache_dir=args.cache_dir,
-        request_timeout_s=getattr(args, "request_timeout", None))
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
     """``fleet``: N replica subprocesses, one front door, one shared CAS."""
-    from repro.fleet import serve_fleet
+    from repro.fleet import FleetConfig, serve_fleet
     from repro.pipeline import ArtifactError
 
     try:
-        config = _fleet_config(args)
+        config = FleetConfig.from_env(
+            host=args.host, port=args.port, replicas=args.replicas,
+            cas_max_bytes=args.cas_max_bytes, workers=args.workers,
+            cache_dir=args.cache_dir,
+            request_timeout_s=args.request_timeout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -890,36 +828,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except (ArtifactError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_bench_fleet(args: argparse.Namespace) -> int:
-    """``bench-fleet``: cold-path scaling of 1 vs N replicas; merges a
-    ``fleet`` section into BENCH_serving.json (see repro.fleet.bench)."""
-    import json
-
-    from repro.fleet.bench import run_bench
-    from repro.pipeline import ArtifactError
-
-    try:
-        config = _fleet_config(args, ephemeral=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        results = run_bench(
-            args.model, args.output, replicas=config.replicas,
-            requests=args.requests, concurrency=args.concurrency,
-            workers=config.workers, timeout=config.request_timeout_s,
-            target_speedup=args.target_speedup)
-    except (ArtifactError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(results, indent=2, sort_keys=True))
-    print(f"merged 'fleet' section into {args.output}")
     return 0
 
 
@@ -1282,35 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the manifest summary as JSON")
     p.set_defaults(func=cmd_artifact)
 
-    def _add_serve_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--host", default=None,
-                        help="bind address (default: $REPRO_SERVE_HOST "
-                             "or 127.0.0.1)")
-        sp.add_argument("--port", type=int, default=None,
-                        help="bind port, 0 = ephemeral (default: "
-                             "$REPRO_SERVE_PORT or 8321)")
-        sp.add_argument("--max-batch", type=int, default=None, metavar="N",
-                        help="samples coalesced per predict_batch call "
-                             "(default: $REPRO_SERVE_MAX_BATCH or 16)")
-        sp.add_argument("--max-wait-ms", type=float, default=None,
-                        metavar="MS",
-                        help="micro-batch window after the first queued "
-                             "request (default: $REPRO_SERVE_MAX_WAIT_MS "
-                             "or 10)")
-        sp.add_argument("--max-queue", type=int, default=None, metavar="N",
-                        help="queued samples before 429 backpressure "
-                             "(default: $REPRO_SERVE_MAX_QUEUE or 256)")
-        sp.add_argument("--no-trace", action="store_true",
-                        help="disable trace spans / metric collection "
-                             "(default: on, or $REPRO_SERVE_TRACE)")
-        sp.add_argument("--trace-ring", type=int, default=None, metavar="N",
-                        help="completed traces kept for GET /v1/trace/<id> "
-                             "(default: $REPRO_SERVE_TRACE_RING or 256)")
-        sp.add_argument("--obs-log", default=None, metavar="PATH",
-                        help="JSON-lines event log sink: a path, or '-' "
-                             "for stderr (default: $REPRO_OBS_LOG or off)")
-        _add_engine_flags(sp)
-
     p = sub.add_parser("serve",
                        help="run the micro-batching HTTP detection service")
     p.add_argument("model", help="pipeline artifact to serve")
@@ -1318,69 +1197,63 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reload the artifact when its mtime changes, "
                         "checked every S seconds (default: "
                         "$REPRO_SERVE_POLL_INTERVAL or disabled)")
-    _add_serve_flags(p)
+    p.add_argument("--host", default=None,
+                   help="bind address (default: $REPRO_SERVE_HOST "
+                        "or 127.0.0.1)")
+    p.add_argument("--port", type=int, default=None,
+                   help="bind port, 0 = ephemeral (default: "
+                        "$REPRO_SERVE_PORT or 8321)")
+    p.add_argument("--max-batch", type=int, default=None, metavar="N",
+                   help="samples coalesced per predict_batch call "
+                        "(default: $REPRO_SERVE_MAX_BATCH or 16)")
+    p.add_argument("--max-wait-ms", type=float, default=None,
+                   metavar="MS",
+                   help="micro-batch window after the first queued "
+                        "request (default: $REPRO_SERVE_MAX_WAIT_MS "
+                        "or 10)")
+    p.add_argument("--max-queue", type=int, default=None, metavar="N",
+                   help="queued samples before 429 backpressure "
+                        "(default: $REPRO_SERVE_MAX_QUEUE or 256)")
+    p.add_argument("--no-trace", action="store_true",
+                   help="disable trace spans / metric collection "
+                        "(default: on, or $REPRO_SERVE_TRACE)")
+    p.add_argument("--trace-ring", type=int, default=None, metavar="N",
+                   help="completed traces kept for GET /v1/trace/<id> "
+                        "(default: $REPRO_SERVE_TRACE_RING or 256)")
+    p.add_argument("--obs-log", default=None, metavar="PATH",
+                   help="JSON-lines event log sink: a path, or '-' "
+                        "for stderr (default: $REPRO_OBS_LOG or off)")
+    _add_engine_flags(p)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("bench-serve",
-                       help="load-test a model artifact, write "
-                            "BENCH_serving.json")
-    p.add_argument("model", help="pipeline artifact to serve")
-    p.add_argument("--requests", type=int, default=48, metavar="N",
-                   help="distinct generated sources to send per regime")
-    p.add_argument("--concurrency", type=int, default=8, metavar="C",
-                   help="client threads in the micro-batched regime")
-    p.add_argument("-o", "--output", default="BENCH_serving.json")
-    _add_serve_flags(p)
-    p.set_defaults(func=cmd_bench_serve)
-
-    def _add_fleet_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--host", default=None,
-                        help="front-door bind address (default: "
-                             "$REPRO_FLEET_HOST or 127.0.0.1)")
-        sp.add_argument("--port", type=int, default=None,
-                        help="front-door port, 0 = ephemeral (default: "
-                             "$REPRO_FLEET_PORT or 8320)")
-        sp.add_argument("--replicas", type=int, default=None, metavar="N",
-                        help="serve subprocesses behind the front door "
-                             "(default: $REPRO_FLEET_REPLICAS or 2)")
-        sp.add_argument("--cas-max-bytes", type=int, default=None,
-                        metavar="B",
-                        help="shared CAS byte budget (default: "
-                             "$REPRO_FLEET_CAS_MAX_BYTES or 256 MiB)")
-        sp.add_argument("--request-timeout", type=float, default=None,
-                        metavar="S",
-                        help="per-replica forward timeout (default: "
-                             "$REPRO_FLEET_REQUEST_TIMEOUT or 300)")
-        sp.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="engine workers per replica (default: "
-                             "each replica's $REPRO_WORKERS policy)")
-        sp.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="base cache dir; replica i gets "
-                             "PATH/replica<i> (default: a temp dir)")
 
     p = sub.add_parser("fleet",
                        help="run N serve replicas behind a digest-routing "
                             "front door with a shared network CAS")
     p.add_argument("model", help="pipeline artifact every replica serves")
-    _add_fleet_flags(p)
+    p.add_argument("--host", default=None,
+                   help="front-door bind address (default: "
+                        "$REPRO_FLEET_HOST or 127.0.0.1)")
+    p.add_argument("--port", type=int, default=None,
+                   help="front-door port, 0 = ephemeral (default: "
+                        "$REPRO_FLEET_PORT or 8320)")
+    p.add_argument("--replicas", type=int, default=None, metavar="N",
+                   help="serve subprocesses behind the front door "
+                        "(default: $REPRO_FLEET_REPLICAS or 2)")
+    p.add_argument("--cas-max-bytes", type=int, default=None,
+                   metavar="B",
+                   help="shared CAS byte budget (default: "
+                        "$REPRO_FLEET_CAS_MAX_BYTES or 256 MiB)")
+    p.add_argument("--request-timeout", type=float, default=None,
+                   metavar="S",
+                   help="per-replica forward timeout (default: "
+                        "$REPRO_FLEET_REQUEST_TIMEOUT or 300)")
+    p.add_argument("--workers", type=int, default=None, metavar="N",
+                   help="engine workers per replica (default: "
+                        "each replica's $REPRO_WORKERS policy)")
+    p.add_argument("--cache-dir", default=None, metavar="PATH",
+                   help="base cache dir; replica i gets "
+                        "PATH/replica<i> (default: a temp dir)")
     p.set_defaults(func=cmd_fleet)
-
-    p = sub.add_parser("bench-fleet",
-                       help="measure 1-vs-N replica cold-path scaling, "
-                            "merge a 'fleet' section into "
-                            "BENCH_serving.json")
-    p.add_argument("model", help="pipeline artifact every replica serves")
-    p.add_argument("--requests", type=int, default=12, metavar="N",
-                   help="cold sources per run (default: 12)")
-    p.add_argument("--concurrency", type=int, default=4, metavar="C",
-                   help="closed-loop client threads (default: 4)")
-    p.add_argument("--target-speedup", type=float, default=1.6,
-                   metavar="X",
-                   help="cold-path speedup gate; soft unless "
-                        "REPRO_BENCH_STRICT=1 (default: 1.6)")
-    p.add_argument("-o", "--output", default="BENCH_serving.json")
-    _add_fleet_flags(p)
-    p.set_defaults(func=cmd_bench_fleet)
 
     def _add_obs_client_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--host", default=None,

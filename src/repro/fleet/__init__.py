@@ -11,9 +11,7 @@ pool); this package scales *out*:
   subprocesses, each with a *private* local cache;
 * :mod:`repro.fleet.frontdoor` — rendezvous-hashes request content
   digests onto replicas, fails over when one dies, propagates traces
-  across the hop, and sheds load only when every replica sheds;
-* :mod:`repro.fleet.bench` — the 1-vs-N cold-path scaling benchmark
-  behind ``repro bench-fleet``.
+  across the hop, and sheds load only when every replica sheds.
 
 See ``docs/fleet.md``.
 """

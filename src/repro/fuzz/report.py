@@ -1,7 +1,7 @@
 """Schema checking and persistence for the fuzz-campaign report.
 
 ``FUZZ_report.json`` is a generated artifact (untracked, like
-``BENCH_*``/``EVAL_*``) that CI uploads and gates on, so — exactly like
+``EVAL_*``) that CI uploads and gates on, so — exactly like
 the evaluation-matrix artifact — it is validated on both ends: the
 harness refuses to emit an invalid document and the replay/gating
 tooling refuses to consume one.  The schema and validator now live in

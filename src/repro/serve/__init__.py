@@ -9,7 +9,7 @@ backpressure (429 + ``Retry-After``) and atomic hot reloads of
 versioned pipeline artifacts (``POST /v1/reload`` or mtime polling)
 that never drop in-flight requests.
 
-Entry points: ``repro serve`` / ``repro bench-serve`` on the CLI,
+Entry points: ``repro serve`` on the CLI,
 :func:`serve` / :class:`BackgroundServer` from Python.  See
 ``docs/serving.md``.
 """
@@ -17,12 +17,7 @@ Entry points: ``repro serve`` / ``repro bench-serve`` on the CLI,
 from repro.serve.batching import BatcherMetrics, MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
 from repro.serve.http import error_response
-from repro.serve.loadgen import (
-    ServeClient,
-    batching_delta,
-    measure_regimes,
-    run_load,
-)
+from repro.serve.loadgen import ServeClient, run_load
 from repro.serve.registry import LoadedModel, ModelRegistry, artifact_mtime
 from repro.serve.server import (
     BackgroundServer,
@@ -37,5 +32,5 @@ __all__ = [
     "ModelRegistry", "LoadedModel", "artifact_mtime",
     "DetectionServer", "BackgroundServer", "serve", "build_engine",
     "error_response",
-    "ServeClient", "run_load", "batching_delta", "measure_regimes",
+    "ServeClient", "run_load",
 ]

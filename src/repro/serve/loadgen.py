@@ -1,17 +1,11 @@
-"""Threaded load generator for the detection service.
+"""Threaded load generator and client for the detection service.
 
-Drives ``POST /v1/check`` with single-sample requests in two regimes —
-
-* ``sequential``: one closed-loop client, one request at a time; this is
-  the no-coalescing baseline (each request becomes its own
-  ``predict_batch`` call), and
-* ``concurrent``: N closed-loop clients firing in parallel, which is
-  what lets the micro-batcher coalesce requests into real batches —
-
-and reports client-side latency quantiles (p50/p99), wall-clock
-throughput, and error counts.  `benchmarks/test_serving_throughput.py`
-and ``repro bench-serve`` both build ``BENCH_serving.json`` from these
-numbers plus the server's achieved-batch-size metrics.
+:class:`ServeClient` is a minimal JSON client over one keep-alive
+connection.  :func:`run_load` drives ``POST /v1/check`` with
+single-sample requests from N closed-loop clients (``concurrency=1`` is
+sequential dispatch: no request can coalesce with another) and reports
+client-side latency quantiles (p50/p99), wall-clock throughput, and
+error counts.  ``repro obs``, the CI smokes and the tests use both.
 
 Stdlib-only (``http.client`` over keep-alive connections, one per
 worker thread).
@@ -159,58 +153,4 @@ def run_load(host: str, port: int, sources: Sequence[Tuple[str, str]], *,
         "latency_p99_ms": round(percentile(ordered, 99) * 1000, 2),
         "latency_mean_ms": round(
             sum(ordered) / len(ordered) * 1000, 2) if ordered else 0.0,
-    }
-
-
-def batching_delta(before: Dict[str, Any],
-                   after: Dict[str, Any]) -> Dict[str, Any]:
-    """Achieved batch shape between two /metrics snapshots."""
-    batcher_b, batcher_a = before["batcher"], after["batcher"]
-    batches = batcher_a["batches"] - batcher_b["batches"]
-    samples = batcher_a["batched_samples"] - batcher_b["batched_samples"]
-    return {
-        "batches": batches,
-        "samples": samples,
-        "mean_batch_size": round(samples / batches, 3) if batches else 0.0,
-    }
-
-
-def measure_regimes(host: str, port: int,
-                    jobs: Sequence[Tuple[str, str]], *,
-                    concurrency: int = 8,
-                    timeout: float = 60.0) -> Dict[str, Any]:
-    """The BENCH_serving measurement protocol, in one place.
-
-    Warms every source once (so neither regime pays the cold compiles),
-    then measures sequential dispatch (``concurrency=1`` — no
-    coalescing possible) and micro-batched dispatch (``concurrency``
-    closed-loop clients) over the same jobs, pairing each with the
-    server-side achieved-batch-size delta.  Used by both
-    ``repro bench-serve`` and ``benchmarks/test_serving_throughput.py``
-    so the CLI and CI always measure the same thing.
-    """
-    client = ServeClient(host, port, timeout=timeout)
-    try:
-        warm = run_load(host, port, jobs, concurrency=concurrency,
-                        timeout=timeout)
-        snap0 = client.metrics()
-        sequential = run_load(host, port, jobs, concurrency=1,
-                              timeout=timeout)
-        snap1 = client.metrics()
-        microbatched = run_load(host, port, jobs, concurrency=concurrency,
-                                timeout=timeout)
-        snap2 = client.metrics()
-    finally:
-        client.close()
-    return {
-        "requests_per_regime": len(jobs),
-        "concurrency": concurrency,
-        "warmup": warm,
-        "sequential": sequential,
-        "sequential_batching": batching_delta(snap0, snap1),
-        "microbatched": microbatched,
-        "microbatched_batching": batching_delta(snap1, snap2),
-        "throughput_speedup": round(
-            microbatched["throughput_rps"] / sequential["throughput_rps"],
-            3) if sequential["throughput_rps"] else None,
     }

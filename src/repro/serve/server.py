@@ -260,8 +260,8 @@ class DetectionServer(HTTPService):
         if self.registry._current is not None:
             self.registry.current.pipeline.close()
         if self.config.trace:
-            # Leave the process as we found it (tests run servers
-            # back-to-back, benchmarks compare traced vs untraced).
+            # Leave the process as we found it (tests run traced and
+            # untraced servers back-to-back).
             TRACER.disable()
             METRICS.enabled = False
 
@@ -636,8 +636,7 @@ def serve(model_path: str, config: Optional[ServeConfig] = None) -> None:
 class BackgroundServer(ServiceRunner):
     """A :class:`DetectionServer` on its own thread + event loop.
 
-    Context-manager shaped, used by the test suite, the serving
-    benchmark, and ``repro bench-serve``:
+    Context-manager shaped, used by the test suite:
 
     >>> with BackgroundServer(model_path, config) as server:
     ...     urllib.request.urlopen(server.base_url + "/healthz")

@@ -1,6 +1,10 @@
 """The pinned seed table: packaged, loaded without training, carried by
 artifacts, and tied to the code that would retrain it."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,3 +136,32 @@ def test_warm_store_answers_a_trained_seed_without_training(tmp_path,
     assert warm.tobytes() == cold.tobytes()
     assert engine.stats["features"].hits == len(samples)
     assert ir2vec._DEFAULT_ENCODERS == {}
+
+
+_LOAD_FROM_BUILD = """
+import repro
+from repro.embeddings import ir2vec, seed_table
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the seed table must not be trained")
+
+seed_table.train_seed_embeddings = forbidden
+assert repro.__file__.startswith(BUILD), repro.__file__
+assert ir2vec.default_encoder(42).dim == seed_table.PINNED_DIM
+"""
+
+
+def test_built_package_loads_the_pinned_table(tmp_path):
+    """``setup.py build`` ships the table as package data: the built
+    tree, alone on the path, loads ``default_encoder(42)`` untrained."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    build = tmp_path / "build"
+    subprocess.run([sys.executable, "setup.py", "-q", "build",
+                    "--build-base", str(build)],
+                   cwd=root, check=True, capture_output=True)
+    lib = str(build / "lib")
+    env = {**os.environ, "PYTHONPATH": lib}
+    subprocess.run([sys.executable, "-c",
+                    f"BUILD = {lib!r}\n" + _LOAD_FROM_BUILD],
+                   cwd=str(tmp_path), env=env, check=True)

@@ -482,9 +482,9 @@ def test_map_single_item_runs_inline():
 def test_small_batches_stay_serial_despite_workers():
     """The stage path's cold-path guard: below workers *
     MIN_SAMPLES_PER_WORKER samples a parallel engine must not pay pool
-    startup — the BENCH_engine small corpus showed forced fan-out running
-    ~14x slower than serial.  ``map`` tasks are sized by their caller
-    and skip the guard."""
+    startup — on a small MBI corpus forced fan-out once ran ~14x slower
+    than serial.  ``map`` tasks are sized by their caller and skip the
+    guard."""
     engine = ExecutionEngine(EngineConfig(workers=2))    # threshold 64
     fe = CFrontend(CFrontendConfig(opt_level="O0"))
     feat = ProGraMLFeaturizer()

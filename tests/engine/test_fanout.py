@@ -17,6 +17,7 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine import EngineConfig, ExecutionEngine
+from repro.engine import engine as engine_module
 from repro.engine.engine import (
     _DEFAULT_CHUNK_SIZE,
     _MAX_CHUNK_SIZE,
@@ -103,18 +104,26 @@ def _worker_spans(trace_id, kind="stage"):
 # Byte identity across start methods
 # ---------------------------------------------------------------------------
 
-def test_fork_pool_features_byte_identical_to_serial(fan_out_small):
-    named = _named_sources(10)
+def test_fork_pool_features_byte_identical_to_serial(request):
     fe = CFrontend(CFrontendConfig(opt_level="Os"))
-    for feat in (IR2VecFeaturizer(IR2VecFeaturizerConfig()),
-                 ProGraMLFeaturizer()):
+    ir2vec = IR2VecFeaturizer(IR2VecFeaturizerConfig())
+
+    def check(feat, named, min_chunks):
         serial = ExecutionEngine(EngineConfig(workers=0)) \
             .featurize_sources(fe, feat, named)
         with ExecutionEngine(EngineConfig(workers=2)) as engine:
             parallel = engine.featurize_sources(fe, feat, named)
             assert engine.stats_dict()["pool"]["start_method"] == "fork"
-            assert engine.counters["parallel_chunks"] > 1
+            assert engine.counters["parallel_chunks"] >= min_chunks
         assert _row_bytes(parallel) == _row_bytes(serial)
+
+    # The stock guard: a batch that clears it fans out unaided.
+    check(ir2vec, _named_sources(2 * engine_module.MIN_SAMPLES_PER_WORKER),
+          min_chunks=1)
+    # Tiny batches, with the guard lowered.
+    request.getfixturevalue("fan_out_small")
+    for feat in (ir2vec, ProGraMLFeaturizer()):
+        check(feat, _named_sources(10), min_chunks=2)
 
 
 def test_spawn_pool_programl_byte_identical_and_spans_come_home(

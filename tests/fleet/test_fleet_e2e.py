@@ -22,7 +22,6 @@ import time
 import pytest
 
 from repro.fleet import BackgroundFleet, FleetConfig
-from repro.fleet.bench import cold_corpus
 from repro.serve import ServeClient, run_load
 
 _REPLICAS = 2
@@ -92,7 +91,7 @@ def test_error_surface_matches_single_process_service(client):
     assert doc["error"]["code"] == "method_not_allowed"
 
 
-def test_check_is_routed_and_trace_is_merged(client, fleet):
+def test_check_is_routed_and_trace_is_merged(client, fleet, cold_corpus):
     [(name, source)] = cold_corpus(1, "trace")
     status, headers, doc = client.request_full(
         "POST", "/v1/check", {"name": name, "source": source})
@@ -133,7 +132,7 @@ def test_prometheus_metrics_include_fleet_families(client):
     assert "repro_repair_requests_total" in text
 
 
-def test_front_door_pools_replica_connections(client, fleet):
+def test_front_door_pools_replica_connections(client, fleet, cold_corpus):
     """Regression: forwards must reuse keep-alive connections, not open
     a fresh TCP connection per request."""
     jobs = cold_corpus(2, "pool")
@@ -183,7 +182,7 @@ int main(int argc, char** argv) {
     assert entry["after"]["clean"] is True
 
 
-def test_crashed_replica_is_auto_restarted(client, fleet):
+def test_crashed_replica_is_auto_restarted(client, fleet, cold_corpus):
     """An *unexpected* replica death heals: the supervision loop
     respawns it (fresh port, same cache subtree) and the topology
     recovers to full strength."""
@@ -213,7 +212,8 @@ def test_crashed_replica_is_auto_restarted(client, fleet):
     assert isinstance(payload["results"][0]["is_correct"], bool)
 
 
-def test_campaign_survives_replica_kill_with_cas_warmth(client, fleet):
+def test_campaign_survives_replica_kill_with_cas_warmth(
+        client, fleet, cold_corpus):
     """The tentpole acceptance test: kill a replica mid-campaign.
 
     Pass 1 (both replicas): every digest compiles cold on its rendezvous

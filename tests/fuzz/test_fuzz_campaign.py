@@ -94,6 +94,9 @@ def test_serial_and_parallel_campaigns_are_byte_identical():
         parallel = run_campaign(config, engine=engine)
     assert json.dumps(serial, sort_keys=True) \
         == json.dumps(parallel, sort_keys=True)
+    assert serial["counts"]["generated"] == config.budget
+    assert serial["counts"]["hard_failures"] == 0
+    assert serial["counts"]["generator_rejects"] == 0
 
 
 _DIVERGENT_BARRIER = """#include <mpi.h>

@@ -137,23 +137,31 @@ def test_bad_requests_and_unknown_routes(server):
     client.close()
 
 
-def test_concurrent_requests_coalesce_into_batches(server, corpus):
-    """The tentpole claim: N concurrent singles → fewer predict calls."""
-    client = _client(server)
-    before = client.metrics()
-    jobs = [(s.name, s.source) for s in corpus.samples[:24]]
-    stats = run_load("127.0.0.1", server.port, jobs, concurrency=8)
-    after = client.metrics()
-    client.close()
+def _batched(client, jobs, port, concurrency):
+    """``(batches, samples)`` the server ran for one closed-loop load."""
+    before = client.metrics()["batcher"]
+    stats = run_load("127.0.0.1", port, jobs, concurrency=concurrency)
+    after = client.metrics()["batcher"]
+    assert stats["failed"] == 0 and stats["ok"] == len(jobs)
+    return (after["batches"] - before["batches"],
+            after["batched_samples"] - before["batched_samples"])
 
-    assert stats["failed"] == 0 and stats["ok"] == 24
-    batches = after["batcher"]["batches"] - before["batcher"]["batches"]
-    samples = (after["batcher"]["batched_samples"]
-               - before["batcher"]["batched_samples"])
+
+def test_concurrent_requests_coalesce_into_batches(server, corpus):
+    """The tentpole claim: N concurrent singles → fewer predict calls,
+    while sequential dispatch has nothing to coalesce."""
+    client = _client(server)
+    jobs = [(s.name, s.source) for s in corpus.samples[:24]]
+    batches, samples = _batched(client, jobs, server.port, concurrency=8)
     assert samples == 24
     assert batches < 24, "every request got its own predict_batch call"
     assert samples / batches > 1
-    assert after["batcher"]["max_batch_observed"] <= 8
+    assert client.metrics()["batcher"]["max_batch_observed"] <= 8
+
+    batches, samples = _batched(client, jobs[:6], server.port,
+                                concurrency=1)
+    assert batches == samples == 6, "one batch per sequential request"
+    client.close()
 
 
 def test_queue_overflow_returns_429_with_retry_after(artifact_v1):

@@ -28,6 +28,7 @@ def test_c_to_every_representation():
     # Simulation terminates with a verdict.
     report = simulate(module, nprocs=2, max_steps=100_000)
     assert report.outcome in RunOutcome
+    assert report.steps > 0
 
 
 def test_embeddings_separate_correct_from_deadlock_population():
