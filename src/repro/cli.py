@@ -18,9 +18,13 @@ experiment     regenerate one of the paper's tables / figures
 eval           evaluation matrix: run the scenario grid (``eval matrix``),
                gate an artifact against a baseline (``eval compare``)
 mutate         inject MPI bugs into a correct program (mutation operators)
+localize       rank the suspect functions / MPI call sites of a file with a
+               saved ir2vec pipeline artifact
 fuzz           differential pipeline fuzzing: ``fuzz run`` generates
                programs, cross-checks the oracles, minimizes findings
                into a replay-first corpus; ``fuzz replay`` re-checks it
+repair         rule-based automated repair of a file, a fuzz corpus or
+               generated mutants, validated by the differential harness
 profile        time the cold pipeline per stage, write PERF_profile.json
 cache          inspect / clear the persistent engine cache
 artifact       inspect a saved pipeline artifact (manifest only, no unpickle)

@@ -9,6 +9,16 @@ Performance notes (per the HPC guides): segment reductions avoid
 ``np.add.at`` (an order of magnitude slower than ``reduceat``) via
 :class:`SegmentContext`, which presorts indices once per batch and is
 reused across layers and epochs; tensors are float32.
+
+Memory contract: the graph is a DAG that reference counting frees. A
+node holds its parents (``_prev``) and its op's ``backward(out)``
+function, which the driver calls with the node, so no node refers back
+to itself and dropping the last reference to a result frees its graph
+at once, without the cyclic GC. An op whose inputs need no gradient
+returns a plain leaf and records nothing. ``backward()`` releases the
+graph as it goes: after propagating a node it drops that node's
+``_backward``, ``_prev`` and ``grad``. Only leaves (parameters and
+``requires_grad`` inputs) keep ``.grad``.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  _prev: Tuple["Tensor", ...] = (),
-                 _backward: Optional[Callable[[], None]] = None):
+                 _backward: Optional[Callable[["Tensor"], None]] = None):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
@@ -98,11 +108,10 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
               backward: Callable[["Tensor"], None]) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _prev=parents)
-        if requires:
-            out._backward = lambda: backward(out)
-        return out
+        if not any(p.requires_grad for p in parents):
+            return Tensor(data)
+        return Tensor(data, requires_grad=True, _prev=parents,
+                      _backward=backward)
 
     # -- arithmetic --------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
@@ -201,9 +210,13 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
+                node._backward(node)
+            node._backward, node._prev, node.grad = None, (), None
 
 
 # ---------------------------------------------------------------------------

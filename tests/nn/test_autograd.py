@@ -150,3 +150,73 @@ def test_backward_through_shared_subexpression():
     z = y + y          # 2 x^2 ; dz/dx = 4x = 8
     z.sum().backward()
     assert np.allclose(x.grad, [8.0])
+    # backward() released the graph: only the leaf keeps its gradient.
+    assert y.grad is None and y._prev == () and y._backward is None
+    assert z.grad is None and z._prev == ()
+
+
+def _mlp_steps():
+    from repro.nn import Adam, Linear, cross_entropy
+
+    rng = np.random.default_rng(0)
+    fc1, fc2 = Linear(4, 8, rng), Linear(8, 2, rng)
+    optimizer = Adam(fc1.parameters() + fc2.parameters(), lr=1e-2)
+    x = rng.normal(size=(6, 4))
+    labels = np.array([0, 1] * 3)
+
+    def run():
+        for _ in range(3):
+            loss = cross_entropy(fc2(relu(fc1(Tensor(x)))), labels)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+        return []
+
+    return run
+
+
+def _gnn_fit_predict():
+    from repro.frontend import compile_c
+    from repro.graphs import build_program_graph
+    from repro.models.gnn_model import GNNModel
+
+    bare = ("#include <mpi.h>\nint main(int argc, char** argv) {"
+            " MPI_Init(&argc, &argv); MPI_Finalize(); return 0; }")
+    send = ("#include <mpi.h>\nint main(int argc, char** argv) {"
+            " int buf[4]; MPI_Init(&argc, &argv);"
+            " MPI_Send(buf, 4, MPI_INT, 1, 0, MPI_COMM_WORLD);"
+            " MPI_Finalize(); return 0; }")
+    graphs = [build_program_graph(compile_c(s, "t", "O0"))
+              for s in (bare, send) * 3]
+    labels = ["ok", "bug"] * 3
+
+    def run():
+        model = GNNModel(epochs=2, batch_size=4, emb_dim=8, hidden=(8, 4))
+        model.fit(graphs, labels)
+        model.predict_logits(graphs)
+        return model.network.parameters()
+
+    return run
+
+
+@pytest.mark.parametrize("make_loop", [_mlp_steps, _gnn_fit_predict],
+                         ids=["mlp-adam", "gnn-fit-predict"])
+def test_training_graph_is_freed_without_cyclic_gc(make_loop):
+    """Reference counting alone frees every step's graph."""
+    import gc
+
+    def live_tensors():
+        return [o for o in gc.get_objects() if isinstance(o, Tensor)]
+
+    run = make_loop()
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tensors()
+        kept = run()
+        # Both lists hold their tensors alive, so no id can be reused.
+        known = {id(t) for t in before + kept}
+        left = [t for t in live_tensors() if id(t) not in known]
+    finally:
+        gc.enable()
+    assert not left, f"{len(left)} tensors outlived the loop"

@@ -49,6 +49,20 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+def test_docstring_table_lists_every_subcommand():
+    import argparse
+
+    import repro.cli
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    lines = repro.cli.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=====")]
+    rows = {line.split()[0] for line in lines[rules[1] + 1:rules[2]]
+            if line and not line.startswith(" ")}
+    assert set(sub.choices) <= rows, sorted(set(sub.choices) - rows)
+
+
 def test_compile_to_stdout(correct_file, capsys):
     assert main(["compile", correct_file]) == 0
     out = capsys.readouterr().out
