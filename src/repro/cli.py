@@ -787,18 +787,25 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     return 0
 
 
+def _given(**fields):
+    """The config fields whose flags were given; a flag left unset
+    (``None``) keeps the config dataclass's default."""
+    return {name: value for name, value in fields.items()
+            if value is not None}
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.pipeline import ArtifactError
     from repro.serve import ServeConfig, serve
 
     try:
-        config = ServeConfig.from_env(
+        config = ServeConfig(**_given(
             host=args.host, port=args.port, max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
             poll_interval_s=args.poll_interval,
             workers=args.workers, cache_dir=args.cache_dir,
             trace=False if args.no_trace else None,
-            trace_ring=args.trace_ring, obs_log=args.obs_log)
+            trace_ring=args.trace_ring, obs_log=args.obs_log))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -819,11 +826,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.pipeline import ArtifactError
 
     try:
-        config = FleetConfig.from_env(
+        config = FleetConfig(**_given(
             host=args.host, port=args.port, replicas=args.replicas,
             cas_max_bytes=args.cas_max_bytes, workers=args.workers,
             cache_dir=args.cache_dir,
-            request_timeout_s=args.request_timeout)
+            request_timeout_s=args.request_timeout))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -836,12 +843,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _obs_client(args: argparse.Namespace):
-    """Resolve --host/--port against REPRO_SERVE_* like `serve` does,
-    then open one keep-alive client to the running service."""
+    """Resolve --host/--port against the serve defaults, then open one
+    keep-alive client to the running service."""
     from repro.serve import ServeConfig
     from repro.serve.loadgen import ServeClient
 
-    config = ServeConfig.from_env(host=args.host, port=args.port)
+    config = ServeConfig(**_given(host=args.host, port=args.port))
     return ServeClient(config.host, config.port, timeout=args.timeout)
 
 
@@ -1199,31 +1206,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="pipeline artifact to serve")
     p.add_argument("--poll-interval", type=float, default=None, metavar="S",
                    help="reload the artifact when its mtime changes, "
-                        "checked every S seconds (default: "
-                        "$REPRO_SERVE_POLL_INTERVAL or disabled)")
+                        "checked every S seconds (default: disabled)")
     p.add_argument("--host", default=None,
-                   help="bind address (default: $REPRO_SERVE_HOST "
-                        "or 127.0.0.1)")
+                   help="bind address (default: 127.0.0.1)")
     p.add_argument("--port", type=int, default=None,
-                   help="bind port, 0 = ephemeral (default: "
-                        "$REPRO_SERVE_PORT or 8321)")
+                   help="bind port, 0 = ephemeral (default: 8321)")
     p.add_argument("--max-batch", type=int, default=None, metavar="N",
                    help="samples coalesced per predict_batch call "
-                        "(default: $REPRO_SERVE_MAX_BATCH or 16)")
+                        "(default: 16)")
     p.add_argument("--max-wait-ms", type=float, default=None,
                    metavar="MS",
                    help="micro-batch window after the first queued "
-                        "request (default: $REPRO_SERVE_MAX_WAIT_MS "
-                        "or 10)")
+                        "request (default: 10)")
     p.add_argument("--max-queue", type=int, default=None, metavar="N",
                    help="queued samples before 429 backpressure "
-                        "(default: $REPRO_SERVE_MAX_QUEUE or 256)")
+                        "(default: 256)")
     p.add_argument("--no-trace", action="store_true",
                    help="disable trace spans / metric collection "
-                        "(default: on, or $REPRO_SERVE_TRACE)")
+                        "(default: on)")
     p.add_argument("--trace-ring", type=int, default=None, metavar="N",
                    help="completed traces kept for GET /v1/trace/<id> "
-                        "(default: $REPRO_SERVE_TRACE_RING or 256)")
+                        "(default: 256)")
     p.add_argument("--obs-log", default=None, metavar="PATH",
                    help="JSON-lines event log sink: a path, or '-' "
                         "for stderr (default: $REPRO_OBS_LOG or off)")
@@ -1235,22 +1238,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "front door with a shared network CAS")
     p.add_argument("model", help="pipeline artifact every replica serves")
     p.add_argument("--host", default=None,
-                   help="front-door bind address (default: "
-                        "$REPRO_FLEET_HOST or 127.0.0.1)")
+                   help="front-door bind address (default: 127.0.0.1)")
     p.add_argument("--port", type=int, default=None,
-                   help="front-door port, 0 = ephemeral (default: "
-                        "$REPRO_FLEET_PORT or 8320)")
+                   help="front-door port, 0 = ephemeral (default: 8320)")
     p.add_argument("--replicas", type=int, default=None, metavar="N",
                    help="serve subprocesses behind the front door "
-                        "(default: $REPRO_FLEET_REPLICAS or 2)")
+                        "(default: 2)")
     p.add_argument("--cas-max-bytes", type=int, default=None,
                    metavar="B",
-                   help="shared CAS byte budget (default: "
-                        "$REPRO_FLEET_CAS_MAX_BYTES or 256 MiB)")
+                   help="shared CAS byte budget (default: 256 MiB)")
     p.add_argument("--request-timeout", type=float, default=None,
                    metavar="S",
-                   help="per-replica forward timeout (default: "
-                        "$REPRO_FLEET_REQUEST_TIMEOUT or 300)")
+                   help="per-replica forward timeout (default: 300)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="engine workers per replica (default: "
                         "each replica's $REPRO_WORKERS policy)")
@@ -1261,11 +1260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_obs_client_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--host", default=None,
-                        help="server address (default: $REPRO_SERVE_HOST "
-                             "or 127.0.0.1)")
+                        help="server address (default: 127.0.0.1)")
         sp.add_argument("--port", type=int, default=None,
-                        help="server port (default: $REPRO_SERVE_PORT "
-                             "or 8321)")
+                        help="server port (default: 8321)")
         sp.add_argument("--timeout", type=float, default=10.0, metavar="S",
                         help="HTTP timeout in seconds (default: 10)")
 

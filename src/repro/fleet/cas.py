@@ -145,28 +145,25 @@ class CASServer:
     Single-threaded by construction — all mutation happens on the owning
     event loop — so there is no locking.  Eviction is LRU by *bytes* —
     the memory tier never holds more than ``max_bytes`` of values — but
-    evicted blobs **spill to a disk tier** instead of vanishing (unless
-    ``spill=False``): under budget pressure a hot entry costs one file
-    read on its next GET, never a fleet-wide re-compile.  A disk hit is
-    promoted back into memory (which may spill something colder).
+    evicted blobs **spill to a disk tier** instead of vanishing: under
+    budget pressure a hot entry costs one file read on its next GET,
+    never a fleet-wide re-compile.  A disk hit is promoted back into
+    memory (which may spill something colder).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 max_bytes: int = 256 * 1024 * 1024,
-                 spill: bool = True, spill_dir: Optional[str] = None):
+                 max_bytes: int = 256 * 1024 * 1024):
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         self.host = host
         self.config_port = port
         self.max_bytes = max_bytes
-        self.spill = spill
         self.port: Optional[int] = None
         self._data: "OrderedDict[str, bytes]" = OrderedDict()
         self.bytes_stored = 0
         self._disk: Dict[str, int] = {}       # key → spilled blob size
         self.disk_bytes = 0
-        self._spill_dir = spill_dir
-        self._owns_spill_dir = spill and spill_dir is None
+        self._spill_dir: Optional[str] = None
         self.counters: Dict[str, int] = {
             "gets": 0, "hits": 0, "misses": 0, "puts": 0, "has": 0,
             "evictions": 0, "spills": 0, "disk_hits": 0, "errors": 0,
@@ -189,8 +186,7 @@ class CASServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._owns_spill_dir and self._spill_dir \
-                and os.path.isdir(self._spill_dir):
+        if self._spill_dir and os.path.isdir(self._spill_dir):
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
             self._disk.clear()
@@ -204,8 +200,6 @@ class CASServer:
         return os.path.join(self._spill_dir, name)
 
     def _spill(self, key: str, value: bytes) -> None:
-        if not self.spill:
-            return
         if self._spill_dir is None:
             self._spill_dir = tempfile.mkdtemp(prefix="repro-cas-spill-")
         try:
@@ -378,8 +372,8 @@ class BackgroundCAS(ServiceRunner):
     """A :class:`CASServer` on its own thread + loop (tests, benches)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 max_bytes: int = 256 * 1024 * 1024, spill: bool = True):
-        self.server = CASServer(host, port, max_bytes, spill=spill)
+                 max_bytes: int = 256 * 1024 * 1024):
+        self.server = CASServer(host, port, max_bytes)
         super().__init__(self.server, name="repro-fleet-cas", timeout=60.0)
 
     @property

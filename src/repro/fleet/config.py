@@ -1,39 +1,13 @@
 """Fleet configuration.
 
-Same pattern as :class:`~repro.serve.ServeConfig`: one frozen dataclass,
-unset fields defaulting from ``REPRO_FLEET_*`` environment variables
-(malformed values warn and fall back):
-
-================================  =========================================
-variable                          meaning (dataclass field)
-================================  =========================================
-``REPRO_FLEET_HOST``              front-door bind address (``host``)
-``REPRO_FLEET_PORT``              front-door port, 0 = ephemeral (``port``)
-``REPRO_FLEET_REPLICAS``          replica subprocess count (``replicas``)
-``REPRO_FLEET_CAS_MAX_BYTES``     shared CAS byte budget
-                                  (``cas_max_bytes``)
-``REPRO_FLEET_RETRY_AFTER``       shed-response Retry-After seconds
-                                  (``retry_after_s``)
-``REPRO_FLEET_CONNECT_TIMEOUT``   per-replica connect timeout seconds
-                                  (``connect_timeout_s``)
-``REPRO_FLEET_REQUEST_TIMEOUT``   per-replica request timeout seconds
-                                  (``request_timeout_s``)
-``REPRO_FLEET_STARTUP_TIMEOUT``   replica readiness deadline seconds
-                                  (``startup_timeout_s``)
-``REPRO_FLEET_TRACE``             0/false disables front-door tracing
-                                  (``trace``)
-``REPRO_FLEET_TRACE_RING``        completed front-door traces kept
-                                  (``trace_ring``)
-``REPRO_FLEET_RESTART``           0/false disables replica auto-restart
-                                  (``restart``)
-``REPRO_FLEET_RESTART_BACKOFF``   base restart backoff seconds, doubled
-                                  per consecutive attempt
-                                  (``restart_backoff_s``)
-``REPRO_FLEET_RESTART_POLL``      supervision-loop poll interval seconds
-                                  (``restart_poll_s``)
-``REPRO_FLEET_CAS_SPILL``         0/false disables the CAS disk spill
-                                  tier (``cas_spill``)
-================================  =========================================
+Same pattern as :class:`~repro.serve.ServeConfig`: one frozen dataclass
+whose fields ``repro fleet`` sets from its flags, and Python callers
+pass directly.  Values no deployment has needed to change are module
+constants next to the code that reads them: the Retry-After the front
+door advertises (:data:`repro.serve.http.RETRY_AFTER_S`), its replica
+connect timeout and trace ring (:mod:`repro.fleet.frontdoor`), and the
+replica startup deadline and restart backoff
+(:mod:`repro.fleet.supervisor`).
 
 ``cache_dir`` is the *base* directory: the supervisor gives replica *i*
 its own ``<cache_dir>/replica<i>`` subtree, which is what makes the
@@ -43,37 +17,8 @@ come through the network tier, never a shared filesystem path.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional
-
-ENV_PREFIX = "REPRO_FLEET_"
-
-
-def _env_number(name: str, default, cast, minimum):
-    raw = os.environ.get(ENV_PREFIX + name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = cast(raw)
-    except ValueError:
-        warnings.warn(f"ignoring malformed {ENV_PREFIX}{name}={raw!r}",
-                      RuntimeWarning, stacklevel=3)
-        return default
-    if value < minimum:
-        warnings.warn(
-            f"ignoring out-of-range {ENV_PREFIX}{name}={raw!r} "
-            f"(minimum {minimum})", RuntimeWarning, stacklevel=3)
-        return default
-    return value
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(ENV_PREFIX + name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
 
 
 @dataclass(frozen=True)
@@ -84,19 +29,10 @@ class FleetConfig:
     port: int = 8320                   # 0 binds an ephemeral port
     replicas: int = 2                  # repro.serve subprocesses
     cas_max_bytes: int = 256 * 1024 * 1024
-    retry_after_s: int = 1             # advertised on all-replicas-shedding
-    connect_timeout_s: float = 5.0
     request_timeout_s: float = 300.0   # cold GNN compiles are slow
-    startup_timeout_s: float = 180.0
     max_body_bytes: int = 8 * 1024 * 1024
     workers: Optional[int] = None      # per-replica engine workers
     cache_dir: Optional[str] = None    # base dir; replicas get subdirs
-    trace: bool = True
-    trace_ring: int = 256
-    restart: bool = True               # auto-restart crashed replicas
-    restart_backoff_s: float = 0.5     # doubled per attempt, capped 30s
-    restart_poll_s: float = 0.5        # supervision-loop poll interval
-    cas_spill: bool = True             # spill LRU-evicted blobs to disk
 
     def __post_init__(self):
         if self.port < 0 or self.port > 65535:
@@ -105,54 +41,7 @@ class FleetConfig:
             raise ValueError("replicas must be >= 1")
         if self.cas_max_bytes < 1:
             raise ValueError("cas_max_bytes must be positive")
-        if self.retry_after_s < 0:
-            raise ValueError("retry_after_s must be >= 0")
-        if self.connect_timeout_s <= 0 or self.request_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.startup_timeout_s <= 0:
-            raise ValueError("startup_timeout_s must be positive")
+        if self.request_timeout_s <= 0:
+            raise ValueError("request_timeout_s must be positive")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be positive")
-        if self.trace_ring < 1:
-            raise ValueError("trace_ring must be >= 1")
-        if self.restart_backoff_s <= 0:
-            raise ValueError("restart_backoff_s must be positive")
-        if self.restart_poll_s <= 0:
-            raise ValueError("restart_poll_s must be positive")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "FleetConfig":
-        """Build a config from ``REPRO_FLEET_*``; ``overrides`` win.
-
-        An override of ``None`` means "not given on the command line",
-        so the environment (or the field default) still applies.
-        """
-        values = {
-            "host": os.environ.get(ENV_PREFIX + "HOST") or cls.host,
-            "port": _env_number("PORT", cls.port, int, 0),
-            "replicas": _env_number("REPLICAS", cls.replicas, int, 1),
-            "cas_max_bytes": _env_number("CAS_MAX_BYTES", cls.cas_max_bytes,
-                                         int, 1),
-            "retry_after_s": _env_number("RETRY_AFTER", cls.retry_after_s,
-                                         int, 0),
-            "connect_timeout_s": _env_number("CONNECT_TIMEOUT",
-                                             cls.connect_timeout_s,
-                                             float, 0.1),
-            "request_timeout_s": _env_number("REQUEST_TIMEOUT",
-                                             cls.request_timeout_s,
-                                             float, 0.1),
-            "startup_timeout_s": _env_number("STARTUP_TIMEOUT",
-                                             cls.startup_timeout_s,
-                                             float, 1.0),
-            "trace": _env_flag("TRACE", cls.trace),
-            "trace_ring": _env_number("TRACE_RING", cls.trace_ring, int, 1),
-            "restart": _env_flag("RESTART", cls.restart),
-            "restart_backoff_s": _env_number("RESTART_BACKOFF",
-                                             cls.restart_backoff_s,
-                                             float, 0.05),
-            "restart_poll_s": _env_number("RESTART_POLL",
-                                          cls.restart_poll_s, float, 0.05),
-            "cas_spill": _env_flag("CAS_SPILL", cls.cas_spill),
-        }
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)

@@ -53,14 +53,20 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import enable_all
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, new_id
 from repro.fleet.cas import CASServer
 from repro.fleet.config import FleetConfig
-from repro.fleet.supervisor import Replica, ReplicaSupervisor
+from repro.fleet.supervisor import (
+    STARTUP_TIMEOUT_S,
+    Replica,
+    ReplicaSupervisor,
+)
 from repro.serve.http import (
     PROM_CONTENT_TYPE,
+    RETRY_AFTER_S,
     TRACE_PREFIX,
     HTTPService,
     RawResponse,
@@ -90,6 +96,15 @@ _ROUTED_PATHS = ("/v1/check", "/v1/analyze", "/v1/repair")
 
 #: Idle keep-alive connections retained per replica address.
 _POOL_PER_REPLICA = 4
+
+#: Seconds to open a connection to a replica before failing over.
+CONNECT_TIMEOUT_S = 5.0
+
+#: Completed front-door traces kept for ``GET /v1/trace/<id>``.
+TRACE_RING = 256
+
+#: Seconds between the supervision loop's checks for crashed replicas.
+RESTART_POLL_S = 0.5
 
 #: A replica that is dead, dying or garbled: fail over to the next one.
 _FORWARD_ERRORS = (OSError, asyncio.TimeoutError,
@@ -170,10 +185,9 @@ class FleetFrontDoor(HTTPService):
                  config: Optional[FleetConfig] = None):
         super().__init__()
         self.model_path = model_path
-        self.config = config or FleetConfig.from_env()
+        self.config = config or FleetConfig()
         self.cas = CASServer(host=self.config.host,
-                             max_bytes=self.config.cas_max_bytes,
-                             spill=self.config.cas_spill)
+                             max_bytes=self.config.cas_max_bytes)
         self.supervisor: Optional[ReplicaSupervisor] = None
         self.counters: Dict[str, int] = {
             "routed": 0, "rerouted": 0, "shed": 0, "forward_errors": 0,
@@ -189,10 +203,7 @@ class FleetFrontDoor(HTTPService):
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        if self.config.trace:
-            TRACER.enable(ring_size=self.config.trace_ring)
-            METRICS.enabled = True
-            EVENTS.configure_from_env()
+        enable_all(ring_size=TRACE_RING)
         await self.cas.start()
         self.supervisor = ReplicaSupervisor(self.model_path, self.config,
                                             self.cas.addr)
@@ -201,8 +212,7 @@ class FleetFrontDoor(HTTPService):
         # serving while replicas warm up.
         await loop.run_in_executor(None, self.supervisor.start)
         await self._listen()
-        if self.config.restart:
-            self._supervise_task = asyncio.ensure_future(self._supervise())
+        self._supervise_task = asyncio.ensure_future(self._supervise())
         EVENTS.emit("fleet.start", port=self.port, cas=self.cas.addr,
                     replicas=[r.port for r in self.supervisor.replicas])
 
@@ -222,9 +232,8 @@ class FleetFrontDoor(HTTPService):
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.supervisor.stop)
         await self.cas.stop()
-        if self.config.trace:
-            TRACER.disable()
-            METRICS.enabled = False
+        TRACER.disable()
+        METRICS.enabled = False
 
     def _alive(self) -> List[Replica]:
         return self.supervisor.alive() if self.supervisor else []
@@ -241,7 +250,7 @@ class FleetFrontDoor(HTTPService):
         assert self.supervisor is not None
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.config.restart_poll_s)
+            await asyncio.sleep(RESTART_POLL_S)
             try:
                 restarted = await loop.run_in_executor(
                     None, self.supervisor.maybe_restart)
@@ -286,7 +295,7 @@ class FleetFrontDoor(HTTPService):
             return reader, writer, True
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(replica.host, replica.port),
-            timeout=self.config.connect_timeout_s)
+            timeout=CONNECT_TIMEOUT_S)
         self.counters["conn_opened"] += 1
         if METRICS.enabled:
             _FLEET_CONNS_OPENED.inc()
@@ -413,7 +422,7 @@ class FleetFrontDoor(HTTPService):
             try:
                 retry_after = int(shed_retry)
             except (TypeError, ValueError):
-                retry_after = self.config.retry_after_s
+                retry_after = RETRY_AFTER_S
             return error_response(429, "fleet_saturated",
                                   "every live replica is shedding load",
                                   retry_after=retry_after)
@@ -605,7 +614,7 @@ def _relay(headers: Dict[str, str], body: bytes) -> RawResponse:
 def serve_fleet(model_path: str,
                 config: Optional[FleetConfig] = None) -> None:
     """Blocking entry point: run the fleet until interrupted."""
-    config = config or FleetConfig.from_env()
+    config = config or FleetConfig()
     door = FleetFrontDoor(model_path, config)
 
     def banner() -> str:
@@ -613,7 +622,7 @@ def serve_fleet(model_path: str,
                 f"({config.replicas} replicas, CAS {door.cas.addr})")
 
     ServiceRunner(door, name="repro-fleet",
-                  timeout=config.startup_timeout_s + 60).run(banner)
+                  timeout=STARTUP_TIMEOUT_S + 60).run(banner)
 
 
 class BackgroundFleet(ServiceRunner):
@@ -626,10 +635,10 @@ class BackgroundFleet(ServiceRunner):
     def __init__(self, model_path: str,
                  config: Optional[FleetConfig] = None):
         self.model_path = model_path
-        self.config = config or FleetConfig.from_env(port=0)
+        self.config = config or FleetConfig(port=0)
         self.door = FleetFrontDoor(model_path, self.config)
         super().__init__(self.door, name="repro-fleet",
-                         timeout=self.config.startup_timeout_s + 60)
+                         timeout=STARTUP_TIMEOUT_S + 60)
 
     @property
     def base_url(self) -> str:

@@ -36,6 +36,13 @@ from typing import IO, Any, Dict, List, Optional
 
 from repro.fleet.config import FleetConfig
 
+#: Seconds a replica has to answer ``/healthz`` after it is spawned.
+STARTUP_TIMEOUT_S = 180.0
+
+#: First restart delay for a crashed replica, doubled per consecutive
+#: attempt and capped at 30 s.
+RESTART_BACKOFF_S = 0.5
+
 
 def free_port(host: str = "127.0.0.1") -> int:
     """An OS-assigned free TCP port (bind-and-release)."""
@@ -99,15 +106,15 @@ class ReplicaSupervisor:
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> List[Replica]:
         """Spawn every replica and block until all answer ``/healthz``
-        (or raise after ``startup_timeout_s``, tearing down spawned
-        processes)."""
+        (or raise after :data:`STARTUP_TIMEOUT_S`, tearing down
+        spawned processes)."""
         if self._base_dir is None:
             self._base_dir = tempfile.mkdtemp(prefix="repro-fleet-")
         os.makedirs(self._base_dir, exist_ok=True)
         try:
             for index in range(self.config.replicas):
                 self.replicas.append(self._spawn(index))
-            deadline = time.time() + self.config.startup_timeout_s
+            deadline = time.time() + STARTUP_TIMEOUT_S
             for replica in self.replicas:
                 self._await_ready(replica, deadline)
         except BaseException:
@@ -159,7 +166,7 @@ class ReplicaSupervisor:
             time.sleep(0.2)
         raise RuntimeError(
             f"replica {replica.index} not ready within "
-            f"{self.config.startup_timeout_s}s (log: {replica.log_path})")
+            f"{STARTUP_TIMEOUT_S}s (log: {replica.log_path})")
 
     def kill(self, index: int) -> None:
         """Hard-kill and *decommission* one replica: the supervision
@@ -197,8 +204,7 @@ class ReplicaSupervisor:
         # process alive from here on, and ``restarts`` must not lag it.
         self.restarts += 1
         self.replicas[index] = replica
-        self._await_ready(replica,
-                          time.time() + self.config.startup_timeout_s)
+        self._await_ready(replica, time.time() + STARTUP_TIMEOUT_S)
         return replica
 
     def maybe_restart(self) -> List[tuple]:
@@ -206,8 +212,8 @@ class ReplicaSupervisor:
         has elapsed; returns ``[(index, old_port), ...]`` for each one
         actually restarted.
 
-        Backoff is exponential per index (``restart_backoff_s`` doubling
-        per consecutive attempt, capped at 30s) and resets once a
+        Backoff is exponential per index (:data:`RESTART_BACKOFF_S`
+        doubling per consecutive attempt, capped at 30s) and resets once a
         restarted replica is seen alive again — a crash-looping replica
         can't hog the supervision loop.
         """
@@ -222,8 +228,7 @@ class ReplicaSupervisor:
             attempts, next_at = self._backoff.get(index, (0, 0.0))
             if now < next_at:
                 continue
-            delay = min(30.0,
-                        self.config.restart_backoff_s * (2 ** attempts))
+            delay = min(30.0, RESTART_BACKOFF_S * (2 ** attempts))
             self._backoff[index] = (attempts + 1, now + delay)
             old_port = replica.port
             self.restart(index)

@@ -12,8 +12,8 @@ pays one attribute check per instrumentation site:
 * :data:`EVENTS` — rate-limited structured JSON-lines event log with
   severity and trace context (:mod:`repro.obs.log`).
 
-``enable_all()`` is what the serve layer calls at startup; ``repro obs
-dump`` and ``repro trace <id>`` are the CLI faces.
+``enable_all()`` is what the server and the fleet front door call at
+startup; ``repro obs dump`` and ``repro trace <id>`` are the CLI faces.
 """
 
 from repro.obs.log import EVENTS, EventLog
@@ -32,22 +32,15 @@ __all__ = [
     "METRICS", "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "DEFAULT_BUCKETS",
     "TRACER", "Tracer", "TraceContext", "new_id",
-    "enable_all", "disable_all",
+    "enable_all",
 ]
 
 
 def enable_all(ring_size=None, log_path=None):
-    """Turn the whole telemetry layer on (serve startup, campaigns)."""
+    """Turn the whole telemetry layer on (server and front-door startup)."""
     TRACER.enable(ring_size=ring_size)
     METRICS.enabled = True
     if log_path:
         EVENTS.configure(path=log_path)
     else:
         EVENTS.configure_from_env()
-
-
-def disable_all():
-    """Back to the library default: everything off."""
-    TRACER.disable()
-    METRICS.enabled = False
-    EVENTS.close()

@@ -1,71 +1,22 @@
 """Serving configuration.
 
 Every knob of the detection service lives in one frozen dataclass so the
-CLI, the tests, and the benchmark all configure servers the same way.
-Unset fields default from ``REPRO_SERVE_*`` environment variables
-(malformed values warn and fall back rather than killing the server at
-startup — same policy as ``REPRO_WORKERS`` in the engine):
-
-================================  =========================================
-variable                          meaning (dataclass field)
-================================  =========================================
-``REPRO_SERVE_HOST``              bind address (``host``)
-``REPRO_SERVE_PORT``              bind port, 0 = ephemeral (``port``)
-``REPRO_SERVE_MAX_BATCH``         micro-batch size cap (``max_batch``)
-``REPRO_SERVE_MAX_WAIT_MS``       batch window in ms (``max_wait_ms``)
-``REPRO_SERVE_MAX_QUEUE``         queued-sample cap (``max_queue``)
-``REPRO_SERVE_RETRY_AFTER``       429 Retry-After seconds (``retry_after_s``)
-``REPRO_SERVE_POLL_INTERVAL``     artifact mtime poll secs, 0 off
-                                  (``poll_interval_s``)
-``REPRO_SERVE_TRACE``             0/false disables trace collection
-                                  (``trace``; on by default)
-``REPRO_SERVE_TRACE_RING``        completed traces kept for
-                                  ``GET /v1/trace/<id>`` (``trace_ring``)
-``REPRO_OBS_LOG``                 JSON-lines event log sink: a path, or
-                                  ``-``/``stderr`` (``obs_log``; unset
-                                  disables)
-================================  =========================================
+CLI, the tests, and the benchmark all configure servers the same way:
+``repro serve`` sets a field from its flag when the flag is given, and
+Python callers pass the fields they need.  Unset fields keep the
+defaults below.
 
 Engine sharing: ``workers`` / ``cache_dir`` configure the single
-:class:`~repro.engine.ExecutionEngine` every loaded model runs on (they
-default from ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` like the rest of
-the CLI), so hot reloads keep the warm worker pool and the persistent
-content-addressed cache.
+:class:`~repro.engine.ExecutionEngine` every loaded model runs on
+(``None`` keeps the process default engine's setting, which comes from
+``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``), so hot reloads keep the warm
+worker pool and the persistent content-addressed cache.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional
-
-ENV_PREFIX = "REPRO_SERVE_"
-
-
-def _env_number(name: str, default, cast, minimum):
-    raw = os.environ.get(ENV_PREFIX + name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = cast(raw)
-    except ValueError:
-        warnings.warn(f"ignoring malformed {ENV_PREFIX}{name}={raw!r}",
-                      RuntimeWarning, stacklevel=3)
-        return default
-    if value < minimum:
-        warnings.warn(
-            f"ignoring out-of-range {ENV_PREFIX}{name}={raw!r} "
-            f"(minimum {minimum})", RuntimeWarning, stacklevel=3)
-        return default
-    return value
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(ENV_PREFIX + name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "no", "off")
 
 
 @dataclass(frozen=True)
@@ -77,7 +28,6 @@ class ServeConfig:
     max_batch: int = 16              # samples coalesced per predict_batch
     max_wait_ms: float = 10.0        # batch window after the first arrival
     max_queue: int = 256             # queued samples before 429 backpressure
-    retry_after_s: int = 1           # advertised Retry-After on 429
     poll_interval_s: float = 0.0     # artifact mtime polling; 0 disables
     max_body_bytes: int = 8 * 1024 * 1024
     workers: Optional[int] = None    # engine workers (None → $REPRO_WORKERS)
@@ -95,36 +45,9 @@ class ServeConfig:
             raise ValueError("max_wait_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.retry_after_s < 0:
-            raise ValueError("retry_after_s must be >= 0")
         if self.poll_interval_s < 0:
             raise ValueError("poll_interval_s must be >= 0")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be positive")
         if self.trace_ring < 1:
             raise ValueError("trace_ring must be >= 1")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServeConfig":
-        """Build a config from ``REPRO_SERVE_*``; ``overrides`` win.
-
-        An override of ``None`` means "not given on the command line",
-        so the environment (or the field default) still applies.
-        """
-        values = {
-            "host": os.environ.get(ENV_PREFIX + "HOST") or cls.host,
-            "port": _env_number("PORT", cls.port, int, 0),
-            "max_batch": _env_number("MAX_BATCH", cls.max_batch, int, 1),
-            "max_wait_ms": _env_number("MAX_WAIT_MS", cls.max_wait_ms,
-                                       float, 0.0),
-            "max_queue": _env_number("MAX_QUEUE", cls.max_queue, int, 1),
-            "retry_after_s": _env_number("RETRY_AFTER", cls.retry_after_s,
-                                         int, 0),
-            "poll_interval_s": _env_number("POLL_INTERVAL",
-                                           cls.poll_interval_s, float, 0.0),
-            "trace": _env_flag("TRACE", cls.trace),
-            "trace_ring": _env_number("TRACE_RING", cls.trace_ring, int, 1),
-            "obs_log": os.environ.get("REPRO_OBS_LOG") or None,
-        }
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)

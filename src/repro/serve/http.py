@@ -50,6 +50,9 @@ TRACE_PREFIX = "/v1/trace/"
 
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: ``Retry-After`` seconds on a 429 from the server or the front door.
+RETRY_AFTER_S = 1
+
 Response = Tuple[int, Any, Dict[str, str]]
 
 

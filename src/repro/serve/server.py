@@ -54,10 +54,12 @@ subtree of the fleet-level trace.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs import enable_all
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, new_id
@@ -66,6 +68,7 @@ from repro.serve.batching import MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     PROM_CONTENT_TYPE,
+    RETRY_AFTER_S,
     TRACE_PREFIX,
     HTTPService,
     RawResponse,
@@ -185,22 +188,17 @@ def named_sources(payload: Dict[str, Any]) -> List[Tuple[str, str]]:
 
 def build_engine(config: ServeConfig):
     """The one engine every served model runs on (pool + cache shared
-    across hot reloads).  Without explicit serve-level settings this is
-    the process default engine, which already honors ``REPRO_WORKERS`` /
-    ``REPRO_CACHE_DIR``."""
-    from repro.engine import EngineConfig, ExecutionEngine, default_engine
-    from repro.engine.engine import _env_workers
+    across hot reloads): the process default engine, or a copy of its
+    config with the serve-level ``workers`` / ``cache_dir`` applied."""
+    from repro.engine import ExecutionEngine, default_engine
 
-    if config.workers is None and config.cache_dir is None:
-        return default_engine()
-    import os
-
-    return ExecutionEngine(EngineConfig(
-        workers=(config.workers if config.workers is not None
-                 else _env_workers()),
-        cache_dir=(config.cache_dir
-                   or os.environ.get("REPRO_CACHE_DIR") or None),
-        cas_addr=os.environ.get("REPRO_CAS_ADDR") or None))
+    engine = default_engine()
+    overrides = {name: value for name, value in
+                 (("workers", config.workers),
+                  ("cache_dir", config.cache_dir)) if value is not None}
+    if not overrides:
+        return engine
+    return ExecutionEngine(dataclasses.replace(engine.config, **overrides))
 
 
 class DetectionServer(HTTPService):
@@ -214,7 +212,7 @@ class DetectionServer(HTTPService):
                  config: Optional[ServeConfig] = None):
         super().__init__()
         self.registry = registry
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
         self.batcher = MicroBatcher(self._run_batch,
                                     max_batch=self.config.max_batch,
                                     max_wait_ms=self.config.max_wait_ms,
@@ -226,14 +224,9 @@ class DetectionServer(HTTPService):
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         if self.config.trace:
-            # The server owns the process-wide telemetry switches: spans
-            # + metrics + (if configured) the JSON-lines event log.
-            TRACER.enable(ring_size=self.config.trace_ring)
-            METRICS.enabled = True
-            if self.config.obs_log:
-                EVENTS.configure(path=self.config.obs_log)
-            else:
-                EVENTS.configure_from_env()
+            # The server owns the process-wide telemetry switches.
+            enable_all(ring_size=self.config.trace_ring,
+                       log_path=self.config.obs_log)
         loop = asyncio.get_running_loop()
         if self.registry._current is None:
             await loop.run_in_executor(None, self.registry.load)
@@ -390,7 +383,7 @@ class DetectionServer(HTTPService):
             return error_response(400, "bad_request", str(exc))
         except QueueFullError as exc:
             return error_response(429, "queue_full", str(exc),
-                                  retry_after=self.config.retry_after_s)
+                                  retry_after=RETRY_AFTER_S)
         except Exception as exc:   # never kill the connection loop
             EVENTS.emit("serve.error", severity="error", path=path,
                         error=f"{type(exc).__name__}: {exc}")
@@ -620,7 +613,7 @@ class DetectionServer(HTTPService):
 
 def serve(model_path: str, config: Optional[ServeConfig] = None) -> None:
     """Blocking entry point: serve ``model_path`` until interrupted."""
-    config = config or ServeConfig.from_env()
+    config = config or ServeConfig()
     registry = ModelRegistry(model_path, engine=build_engine(config))
     server = DetectionServer(registry, config)
 
@@ -645,7 +638,7 @@ class BackgroundServer(ServiceRunner):
     def __init__(self, model_path: Optional[str] = None,
                  config: Optional[ServeConfig] = None, *,
                  registry: Optional[ModelRegistry] = None):
-        self.config = config or ServeConfig.from_env(port=0)
+        self.config = config or ServeConfig(port=0)
         if registry is None:
             if model_path is None:
                 raise ValueError("need model_path or a registry")

@@ -24,6 +24,7 @@ from repro.serve import (
     ServeConfig,
     run_load,
 )
+from repro.serve.http import RETRY_AFTER_S
 
 CHECK_SRC = """#include <mpi.h>
 int main(int argc, char** argv) {
@@ -165,8 +166,7 @@ def test_concurrent_requests_coalesce_into_batches(server, corpus):
 
 
 def test_queue_overflow_returns_429_with_retry_after(artifact_v1):
-    config = ServeConfig(port=0, max_batch=1, max_wait_ms=0, max_queue=2,
-                         retry_after_s=7)
+    config = ServeConfig(port=0, max_batch=1, max_wait_ms=0, max_queue=2)
     registry = ModelRegistry(
         artifact_v1, loader=lambda p: SlowPipeline(load_pipeline(p), 0.25))
     with BackgroundServer(config=config, registry=registry) as handle:
@@ -203,8 +203,8 @@ def test_queue_overflow_returns_429_with_retry_after(artifact_v1):
         assert 429 in codes, "overflow must surface as backpressure"
         for status, retry_after, payload in statuses:
             if status == 429:
-                assert retry_after == "7"
-                assert payload["retry_after_s"] == 7
+                assert retry_after == str(RETRY_AFTER_S)
+                assert payload["retry_after_s"] == RETRY_AFTER_S
                 assert payload["error"]["code"] == "queue_full"
                 assert "queue is full" in payload["error"]["message"]
             else:

@@ -445,3 +445,29 @@ def test_artifact_inspect_flags_corrupt_blob_reference(tmp_path, capsys,
     os.unlink(os.path.join(broken, "classifier.bin"))
     assert main(["artifact", "inspect", broken]) == 1
     assert "missing blob" in capsys.readouterr().err
+
+
+def test_serve_config_comes_from_flags_not_environment(monkeypatch):
+    import repro.serve
+
+    seen = []
+    monkeypatch.setattr(repro.serve, "serve",
+                        lambda model, config: seen.append(config))
+    monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "3")
+    assert main(["serve", "model.rpd", "--max-wait-ms", "5"]) == 0
+    (config,) = seen
+    assert config.max_batch == 16
+    assert config.max_wait_ms == 5.0
+
+
+def test_fleet_config_comes_from_flags_not_environment(monkeypatch):
+    import repro.fleet
+
+    seen = []
+    monkeypatch.setattr(repro.fleet, "serve_fleet",
+                        lambda model, config: seen.append(config))
+    monkeypatch.setenv("REPRO_FLEET_REPLICAS", "5")
+    assert main(["fleet", "model.rpd", "--request-timeout", "9"]) == 0
+    (config,) = seen
+    assert config.replicas == 2
+    assert config.request_timeout_s == 9.0
