@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.graphs.programl import EDGE_TYPES, ProgramGraph
+from repro.graphs.programl import EDGE_TYPES, NODE_TYPES, ProgramGraph
 from repro.graphs.vocab import GraphVocabulary, build_vocabulary
 from repro.nn.batching import MERGED_EDGE_TYPE, GraphBatch, batch_graphs
 from repro.nn.gnn import (
@@ -32,7 +32,7 @@ class _GNNNetwork(Module):
                  pooling: str = "max", attention: bool = True,
                  hetero: bool = True):
         self.embedding = Embedding(vocab_size, emb_dim, rng)
-        self.type_embedding = Embedding(3, emb_dim, rng)   # control/var/const
+        self.type_embedding = Embedding(len(NODE_TYPES), emb_dim, rng)
         edge_types = EDGE_TYPES if hetero else (MERGED_EDGE_TYPE,)
         dims = [emb_dim, *hidden]
         self.layers = [
@@ -45,7 +45,8 @@ class _GNNNetwork(Module):
         self.pool = global_max_pool if pooling == "max" else global_mean_pool
 
     def __call__(self, batch: GraphBatch) -> Tensor:
-        x = self.embedding(batch.node_index) + self.type_embedding(batch.node_type)
+        x = (self.embedding(batch.node_index, batch.node_ctx)
+             + self.type_embedding(batch.node_type, batch.type_ctx))
         for layer in self.layers:
             x = layer(x, batch.edges, batch.src_ctx, batch.dst_ctx)
         pooled = self.pool(x, batch.graph_ids, batch.num_graphs, batch.pool_ctx)

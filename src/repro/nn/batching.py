@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.graphs.programl import EDGE_TYPES, ProgramGraph
+from repro.graphs.programl import EDGE_TYPES, NODE_TYPES, ProgramGraph
 from repro.graphs.vocab import GraphVocabulary
 from repro.nn.tensor import SegmentContext
 
@@ -19,10 +19,15 @@ class GraphBatch:
     edges: Dict[str, np.ndarray]            # edge type -> (2, E)
     graph_ids: np.ndarray                   # (N,) graph membership
     num_graphs: int
+    # Rows of the node-vocabulary embedding; without it the vocabulary
+    # lookup's backward falls back to ``np.add.at``.
+    vocab_size: Optional[int] = None
     # Precomputed segment contexts, reused across layers and epochs.
     src_ctx: Dict[str, SegmentContext] = field(default_factory=dict)
     dst_ctx: Dict[str, SegmentContext] = field(default_factory=dict)
     pool_ctx: SegmentContext = None  # type: ignore[assignment]
+    node_ctx: Optional[SegmentContext] = None   # over node_index
+    type_ctx: SegmentContext = None  # type: ignore[assignment]
 
     def __post_init__(self):
         n = len(self.node_index)
@@ -31,6 +36,10 @@ class GraphBatch:
             self.dst_ctx[etype] = SegmentContext(arr[1], n)
         if self.pool_ctx is None:
             self.pool_ctx = SegmentContext(self.graph_ids, self.num_graphs)
+        if self.node_ctx is None and self.vocab_size is not None:
+            self.node_ctx = SegmentContext(self.node_index, self.vocab_size)
+        if self.type_ctx is None:
+            self.type_ctx = SegmentContext(self.node_type, len(NODE_TYPES))
 
 
 #: Edge-type key used when heterogeneity is ablated away.
@@ -71,4 +80,5 @@ def batch_graphs(graphs: Sequence[ProgramGraph],
         edges=edges,
         graph_ids=np.concatenate(id_chunks) if id_chunks else np.zeros(0, np.int64),
         num_graphs=len(graphs),
+        vocab_size=len(vocab),
     )

@@ -49,9 +49,10 @@ class GATv2Conv(Module):
             return zeros + self.bias
         src, dst = edge_index[0], edge_index[1]
         hs = x @ self.w_src
+        hs_edges = gather_rows(hs, src, src_ctx)     # (E,out), shared below
         if self.attention:
             hd = x @ self.w_dst
-            edge_feat = gather_rows(hs, src, src_ctx) + gather_rows(hd, dst, dst_ctx)
+            edge_feat = hs_edges + gather_rows(hd, dst, dst_ctx)
             scores = leaky_relu(edge_feat, self.negative_slope) @ self.attn  # (E,1)
             alpha = segment_softmax(scores.sum(axis=1), dst, num_nodes, dst_ctx)
             # Weight messages by attention: (E,out) * (E,1)
@@ -63,7 +64,7 @@ class GATv2Conv(Module):
             # Uniform 1/deg(dst) weights — no learned attention.
             deg = np.bincount(dst, minlength=num_nodes).clip(min=1)
             weights = Tensor(1.0 / deg[dst][:, None])
-        messages = gather_rows(hs, src, src_ctx) * weights
+        messages = hs_edges * weights
         return scatter_add(messages, dst, num_nodes, dst_ctx) + self.bias
 
 

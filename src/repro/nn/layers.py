@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, gather_rows
+from repro.nn.tensor import SegmentContext, Tensor, gather_rows
 
 
 class Parameter(Tensor):
@@ -60,5 +60,11 @@ class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.table = Parameter(rng.normal(0.0, 0.1, size=(vocab_size, dim)))
 
-    def __call__(self, index: np.ndarray) -> Tensor:
-        return gather_rows(self.table, index)
+    def __call__(self, index: np.ndarray,
+                 ctx: Optional[SegmentContext] = None) -> Tensor:
+        """Rows of the table; ``ctx`` (over ``index``, one segment per
+        table row) turns the backward scatter into a planned sum."""
+        if ctx is not None and ctx.num_segments != len(self.table.data):
+            raise ValueError(f"segment context has {ctx.num_segments} "
+                             f"segments for {len(self.table.data)} rows")
+        return gather_rows(self.table, index, ctx)

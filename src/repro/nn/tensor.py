@@ -5,10 +5,33 @@ elementwise arithmetic, matmul, activations, reductions, row gather /
 scatter-add, segment softmax and segment max (the message-passing and
 pooling primitives).
 
-Performance notes (per the HPC guides): segment reductions avoid
-``np.add.at`` (an order of magnitude slower than ``reduceat``) via
-:class:`SegmentContext`, which presorts indices once per batch and is
-reused across layers and epochs; tensors are float32.
+Performance notes: tensors are float32, and every op keeps them so
+(no float64 temporaries). Segment reductions never call ``np.add.at``;
+they go through a :class:`SegmentContext`, which presorts its index
+once per batch and is reused across layers and epochs. The context
+picks one of two reduction plans from its own run lengths:
+
+- *by rank* when each rank step covers many rows (message passing over
+  edges, whose runs hold 1-8 rows): for each rank k it holds the
+  segments that have a k-th row and that row's index, so a sum is
+  ``out[segs] = values[rows]`` for k = 0 and ``out[segs] += values[rows]``
+  for each later rank, one vectorized gather-add per rank;
+- *reduceat* when a few long runs would make that many small steps
+  (graph pooling, embedding lookups): one ``np.add.reduceat`` over the
+  stably sorted rows.
+
+Summation-order contract: under the by-rank plan, each segment's sum
+adds its rows one after another in row (edge) order,
+``((v[r0] + v[r1]) + v[r2]) + ...`` with ``r0 < r1 < r2``, so it is
+bit-identical to a sequential loop over the rows.
+
+Gradient adoption: ``_accumulate`` keeps the first gradient a tensor
+receives as its ``.grad`` instead of adding it into fresh zeros. It
+copies only when that array is a view, is not float32, or is handed to
+another parent too (the caller says so with ``shared=True``, as
+``__add__`` does when both operands take ``out.grad`` unchanged). So no
+two tensors ever share a ``.grad`` buffer, and a later ``+=`` into one
+cannot change another.
 
 Memory contract: the graph is a DAG that reference counting frees. A
 node holds its parents (``_prev``) and its op's ``backward(out)``
@@ -30,37 +53,65 @@ import numpy as np
 DTYPE = np.float32
 
 
+#: The by-rank plan costs one gather-add per rank, reduceat a pass whose
+#: cost grows with runs x columns, so the plan follows rows / longest
+#: run. Measured with float32 on a 2-core box: on gnn-train batches the
+#: edge contexts (85-830 rows per longest run) sum 2-13x faster by rank
+#: at 32-128 columns, while pooling (24), the vocabulary (5) and the
+#: node types (2) sum 1.2-55x slower. Sweeps with equal runs put the
+#: crossover at 30-60 rows per longest run for 128 columns and at
+#: 150-300 for 32.
+RANK_PLAN_MIN_ROWS = 64
+
+
 class SegmentContext:
-    """Precomputed sort order + run boundaries for segment reductions."""
+    """A segment-reduction plan over ``index``, built once at construction.
+
+    ``sum`` and ``max`` reduce the rows of ``values`` that share an index
+    value into ``num_segments`` rows; segments no row names get 0 (sum)
+    or -inf (max). See the module notes for the two plans and the
+    summation order.
+    """
 
     def __init__(self, index: np.ndarray, num_segments: int):
         index = np.asarray(index, dtype=np.int64)
         self.index = index
         self.num_segments = num_segments
-        self.order = np.argsort(index, kind="stable")
-        sorted_idx = index[self.order]
-        if len(sorted_idx):
-            self.run_starts = np.flatnonzero(
-                np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-            self.run_segments = sorted_idx[self.run_starts]
+        order = np.argsort(index, kind="stable")
+        sorted_idx = index[order]
+        starts = np.flatnonzero(np.diff(sorted_idx, prepend=sorted_idx[:1] - 1))
+        lengths = np.diff(starts, append=len(index))
+        #: (segments, rows) per rank, or None under the reduceat plan.
+        self.ranks: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        if len(index) >= RANK_PLAN_MIN_ROWS * lengths.max(initial=0):
+            rank = np.arange(len(index)) - np.repeat(starts, lengths)
+            by_rank = np.argsort(rank, kind="stable")
+            cuts = np.cumsum(np.bincount(rank))[:-1]
+            self.ranks = [(sorted_idx[p], order[p])
+                          for p in np.split(by_rank, cuts)]
         else:
-            self.run_starts = np.zeros(0, dtype=np.int64)
-            self.run_segments = np.zeros(0, dtype=np.int64)
+            self.order = order
+            self.run_starts = starts
+            self.run_segments = sorted_idx[starts]
+
+    def _reduce(self, values: np.ndarray, ufunc: np.ufunc,
+                fill: float) -> np.ndarray:
+        out = np.full((self.num_segments,) + values.shape[1:], fill,
+                      dtype=values.dtype)
+        if self.ranks is None:
+            out[self.run_segments] = ufunc.reduceat(
+                values[self.order], self.run_starts, axis=0)
+            return out
+        for k, (segs, rows) in enumerate(self.ranks):
+            gathered = values[rows]
+            out[segs] = gathered if k == 0 else ufunc(out[segs], gathered)
+        return out
 
     def sum(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.num_segments,) + values.shape[1:], dtype=values.dtype)
-        if len(self.order):
-            sums = np.add.reduceat(values[self.order], self.run_starts, axis=0)
-            out[self.run_segments] = sums
-        return out
+        return self._reduce(values, np.add, 0.0)
 
     def max(self, values: np.ndarray) -> np.ndarray:
-        out = np.full((self.num_segments,) + values.shape[1:], -np.inf,
-                      dtype=values.dtype)
-        if len(self.order):
-            maxs = np.maximum.reduceat(values[self.order], self.run_starts, axis=0)
-            out[self.run_segments] = maxs
-        return out
+        return self._reduce(values, np.maximum, -np.inf)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -90,10 +141,15 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+    def _accumulate(self, grad: np.ndarray, shared: bool = False) -> None:
+        """Add ``grad`` into ``.grad``, adopting the first one (module
+        notes); ``shared`` says another parent receives ``grad`` too."""
+        if self.grad is not None:
+            self.grad += grad
+        elif shared or grad.base is not None or grad.dtype != DTYPE:
+            self.grad = np.array(grad, dtype=DTYPE)
+        else:
+            self.grad = grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -119,7 +175,9 @@ class Tensor:
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.data.shape))
+                grad = _unbroadcast(out.grad, self.data.shape)
+                self._accumulate(grad, shared=grad is out.grad
+                                 and other.requires_grad)
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad, other.data.shape))
 
@@ -178,7 +236,7 @@ class Tensor:
             grad = out.grad
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(grad, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(grad, self.data.shape))
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
                             (self,), backward)
@@ -235,7 +293,7 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     mask = x.data > 0
-    factor = np.where(mask, 1.0, slope)
+    factor = np.where(mask, DTYPE(1.0), DTYPE(slope))
 
     def backward(out: Tensor) -> None:
         if x.requires_grad:
@@ -264,7 +322,7 @@ def gather_rows(x: Tensor, index: np.ndarray,
     """Select rows x[index]; scatter-adds gradients back.
 
     Passing a :class:`SegmentContext` built over ``index`` (with
-    ``num_segments == len(x)``) makes the backward a sorted reduceat
+    ``num_segments == len(x)``) makes the backward a planned segment sum
     instead of ``np.add.at``.
     """
     index = np.asarray(index, dtype=np.int64)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -400,23 +401,26 @@ class ServiceRunner:
     def port(self) -> Optional[int]:
         return self.service.port
 
-    async def _main(self, banner: Optional[Callable[[], str]]) -> None:
+    async def _main(self, banner: Optional[Callable[[], str]],
+                    stop_on_sigterm: bool = False) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        if stop_on_sigterm:
+            self._loop.add_signal_handler(signal.SIGTERM, self._stop_event.set)
         await self.service.start()
         try:
             if banner is not None:
                 print(banner(), flush=True)
             self._ready.set()
-            await self._stop_event.wait()      # until stop() / ^C
+            await self._stop_event.wait()      # until stop() / ^C / TERM
         finally:
             await self.service.stop()
 
     def run(self, banner: Optional[Callable[[], str]] = None) -> None:
-        """Serve on this thread until interrupted; ``banner()`` is
-        printed once the service is up."""
+        """Serve on this (main) thread until ^C or SIGTERM, then stop the
+        service; ``banner()`` is printed once the service is up."""
         try:
-            asyncio.run(self._main(banner))
+            asyncio.run(self._main(banner, stop_on_sigterm=True))
         except KeyboardInterrupt:
             pass
 

@@ -128,7 +128,9 @@ def test_full_network_gradients_small():
         edges=_EDGES,
         graph_ids=_GRAPH_IDS,
         num_graphs=2,
+        vocab_size=7,
     )
+    assert batch.node_ctx is not None and batch.type_ctx is not None
     labels = np.array([0, 1])
 
     def loss(as_tensor=False):

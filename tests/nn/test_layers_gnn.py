@@ -1,6 +1,7 @@
 """GNN layers, loss, optimizer, and batching."""
 
 import numpy as np
+import pytest
 
 from repro.frontend import compile_c
 from repro.graphs import build_program_graph, build_vocabulary
@@ -200,3 +201,15 @@ def test_gnn_model_rejects_bad_pooling():
 
     with pytest.raises(ValueError):
         GNNModel(pooling="sum")
+
+
+def test_embedding_uses_a_segment_context_with_one_segment_per_row():
+    from repro.nn.tensor import SegmentContext
+
+    table = Embedding(5, 3, np.random.default_rng(0))
+    index = np.array([4, 0, 4, 2])
+    out = table(index, SegmentContext(index, 5))
+    out.sum().backward()
+    assert np.array_equal(table.table.grad[:, 0], [1, 0, 1, 0, 2])
+    with pytest.raises(ValueError):
+        table(index, SegmentContext(index, 4))
