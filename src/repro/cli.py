@@ -25,7 +25,6 @@ fuzz           differential pipeline fuzzing: ``fuzz run`` generates
                into a replay-first corpus; ``fuzz replay`` re-checks it
 repair         rule-based automated repair of a file, a fuzz corpus or
                generated mutants, validated by the differential harness
-profile        time the cold pipeline per stage, write PERF_profile.json
 cache          inspect / clear the persistent engine cache
 artifact       inspect a saved pipeline artifact (manifest only, no unpickle)
 serve          run the async micro-batching HTTP detection service
@@ -647,49 +646,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """``profile``: drive a dataset through the cold pipeline under the
-    per-stage timers and write the schema-checked profile artifact."""
-    import json
-
-    from repro.engine import ExecutionEngine, default_engine
-    from repro.eval.config import ReproConfig
-    from repro.perf import collect_profile, save_profile
-
-    _apply_engine_flags(args)
-    config = getattr(ReproConfig, args.profile)()
-    samples = list(config.dataset(args.dataset))
-    if args.subsample:
-        samples = samples[:args.subsample]
-    if not samples:
-        print("error: empty dataset", file=sys.stderr)
-        return 1
-    # A fresh engine with the default's knobs: the run is cold even
-    # when this process already featurized the same samples.
-    with ExecutionEngine(default_engine().config) as engine:
-        doc = collect_profile(args.dataset, samples, method=args.method,
-                              opt_level=args.opt, engine=engine,
-                              classify=not args.no_classify)
-    save_profile(doc, args.output)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    print(f"profiled {doc['samples']} {args.dataset} samples "
-          f"({doc['method']}, {doc['opt_level']}, "
-          f"workers={doc['workers']}): "
-          f"{doc['samples_per_sec']:.1f} samples/s")
-    width = max((len(k) for k in doc["stage_sec"]), default=0)
-    for stage, sec in sorted(doc["stage_sec"].items(),
-                             key=lambda kv: -kv[1]):
-        share = sec / doc["wall_sec"] if doc["wall_sec"] else 0.0
-        print(f"  {stage:<{width}}  {sec:>9.4f}s  {share:>6.1%}  "
-              f"(x{doc['stage_counts'][stage]})")
-    print(f"  {'total':<{width}}  {doc['stage_total_sec']:>9.4f}s  "
-          f"coverage {doc['coverage']:.1%} of {doc['wall_sec']:.4f}s wall")
-    print(f"wrote {args.output}")
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.engine import ContentStore
 
@@ -1159,30 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full report as JSON")
     _add_engine_flags(p)
     p.set_defaults(func=cmd_repair)
-
-    p = sub.add_parser("profile",
-                       help="time the cold pipeline per stage, write "
-                            "PERF_profile.json")
-    p.add_argument("dataset", choices=("mbi", "corrbench", "mix", "hypre"),
-                   help="dataset to drive through the cold path")
-    p.add_argument("--profile", default="fast",
-                   choices=("paper", "fast", "smoke"),
-                   help="scaling profile controlling subsampling "
-                        "(default: fast)")
-    p.add_argument("--method", default="ir2vec", choices=("ir2vec", "gnn"),
-                   help="featurization pipeline to profile")
-    p.add_argument("-O", "--opt", default="Os", metavar="LEVEL",
-                   help="optimization level (default: Os)")
-    p.add_argument("--subsample", type=int, default=None, metavar="N",
-                   help="profile only the first N samples")
-    p.add_argument("--no-classify", action="store_true",
-                   help="skip the classify stage (featurize only)")
-    p.add_argument("-o", "--output", default="PERF_profile.json",
-                   help="output path (default: PERF_profile.json)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full profile document as JSON")
-    _add_engine_flags(p)
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("cache",
                        help="inspect / clear the persistent engine cache")

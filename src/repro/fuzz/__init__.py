@@ -30,7 +30,6 @@ from repro.fuzz.harness import FuzzConfig, replay_corpus, run_campaign
 from repro.fuzz.oracles import OracleVerdict, TRUSTED_ORACLES
 from repro.fuzz.reduce import ddmin_lines
 from repro.fuzz.report import (
-    FUZZ_SCHEMA,
     load_fuzz_report,
     save_fuzz_report,
     validate_fuzz_report,
@@ -43,7 +42,6 @@ __all__ = [
     "generate_programs", "known_bug_seeds", "KNOWN_BUG_TEMPLATES",
     "OracleVerdict", "TRUSTED_ORACLES",
     "CorpusStore", "CorpusCase", "ddmin_lines",
-    "FUZZ_SCHEMA", "save_fuzz_report", "load_fuzz_report",
-    "validate_fuzz_report",
+    "save_fuzz_report", "load_fuzz_report", "validate_fuzz_report",
     "failure_stage", "classify_failure", "is_input_fault",
 ]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.mpi.simulator import RunOutcome, SimReport
+from repro.obs.trace import TRACER
 from repro.verify import (
     ITACTool,
     MPICheckerTool,
@@ -97,19 +98,20 @@ class OracleBench:
         Any exception an oracle raises propagates — the harness triages
         it into an ``oracle_crash`` hard failure.
         """
-        return [
-            simulator_verdict(report),
-            self._tool_verdict("itac", self.itac,
-                               lambda: self.itac.verdict_of(report)),
-            self._tool_verdict("must", self.must,
-                               lambda: self.must.verdict_of(report)),
-            self._tool_verdict("parcoach", self.parcoach,
-                               lambda: self.parcoach.check_module(module)),
-            self._tool_verdict("mpi-checker", self.checker,
-                               lambda: self.checker.check_module(module)),
-            self._tool_verdict("static", self.static,
-                               lambda: self.static.check_module(module)),
-        ]
+        with TRACER.stage("oracles"):
+            return [
+                simulator_verdict(report),
+                self._tool_verdict("itac", self.itac,
+                                   lambda: self.itac.verdict_of(report)),
+                self._tool_verdict("must", self.must,
+                                   lambda: self.must.verdict_of(report)),
+                self._tool_verdict("parcoach", self.parcoach,
+                                   lambda: self.parcoach.check_module(module)),
+                self._tool_verdict("mpi-checker", self.checker,
+                                   lambda: self.checker.check_module(module)),
+                self._tool_verdict("static", self.static,
+                                   lambda: self.static.check_module(module)),
+            ]
 
 
 def first_false_alarm(verdicts: List[OracleVerdict],

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.schema import SchemaError, validate  # noqa: F401  (re-export)
-from repro.schema.kinds import FUZZ_SCHEMA  # noqa: F401  (re-export)
-
 FUZZ_KIND = "repro-fuzz-report"
 
 

@@ -24,6 +24,7 @@ from repro.nn.layers import Embedding, Linear, Module
 from repro.nn.loss import cross_entropy, softmax_probabilities
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, relu
+from repro.obs.trace import TRACER
 
 
 class _GNNNetwork(Module):
@@ -109,11 +110,13 @@ class GNNModel:
             total_loss = 0.0
             for b in rng.permutation(len(batches)):
                 batch, labels, size = batches[b]
-                logits = self.network(batch)
-                loss = cross_entropy(logits, labels)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+                with TRACER.stage("forward"):
+                    loss = cross_entropy(self.network(batch), labels)
+                with TRACER.stage("backward"):
+                    optimizer.zero_grad()
+                    loss.backward()
+                with TRACER.stage("optim"):
+                    optimizer.step()
                 total_loss += float(loss.data) * size
             if self.verbose:
                 print(f"  epoch {epoch + 1}/{self.epochs}: loss {total_loss / n:.4f}")
@@ -124,7 +127,8 @@ class GNNModel:
         outputs = []
         for start in range(0, len(graphs), self.batch_size):
             batch = self._batch(graphs[start:start + self.batch_size])
-            outputs.append(self.network(batch).data)
+            with TRACER.stage("forward"):
+                outputs.append(self.network(batch).data)
         return np.concatenate(outputs) if outputs else np.zeros((0, len(self.classes_)))
 
     def predict(self, graphs: List[ProgramGraph]) -> np.ndarray:

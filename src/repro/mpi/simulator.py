@@ -33,6 +33,7 @@ from repro.mpi.api import (
     MPI_FUNCTIONS,
 )
 from repro.mpi.interp import DONE, STEP, ExternCall, InterpError, RankVM
+from repro.obs.trace import TRACER
 
 ANY_SOURCE = MPI_CONSTANTS["MPI_ANY_SOURCE"]
 ANY_TAG = MPI_CONSTANTS["MPI_ANY_TAG"]
@@ -237,35 +238,36 @@ class MPISimulator:
 
     # ------------------------------------------------------------------ driver
     def run(self) -> SimReport:
-        order = list(range(self.nprocs))
-        rotate = self.seed % max(1, self.nprocs)
-        order = order[rotate:] + order[:rotate]
+        with TRACER.stage("simulate"):
+            order = list(range(self.nprocs))
+            rotate = self.seed % max(1, self.nprocs)
+            order = order[rotate:] + order[:rotate]
 
-        while True:
-            progress = False
-            for r in order:
-                ctx = self.ranks[r]
-                if ctx.status is not _RankStatus.RUNNABLE:
-                    continue
-                progress |= self._run_slice(ctx)
-                if self._aborted:
-                    return self._finish(RunOutcome.ABORT)
-            if self._match_all():
-                progress = True
-            statuses = [c.status for c in self.ranks]
-            if all(s in (_RankStatus.DONE, _RankStatus.FAULT) for s in statuses):
-                outcome = (RunOutcome.FAULT
-                           if any(s is _RankStatus.FAULT for s in statuses)
-                           else RunOutcome.OK)
-                return self._finish(outcome)
-            if self._total_steps > self.max_steps:
-                return self._finish(RunOutcome.TIMEOUT)
-            if not progress:
-                blocked = [c for c in self.ranks if c.status is _RankStatus.BLOCKED]
-                for ctx in blocked:
-                    call = ctx.pending.data.get("call", "?") if ctx.pending else "?"
-                    self._event("deadlock", ctx.rank, call, "no global progress")
-                return self._finish(RunOutcome.DEADLOCK)
+            while True:
+                progress = False
+                for r in order:
+                    ctx = self.ranks[r]
+                    if ctx.status is not _RankStatus.RUNNABLE:
+                        continue
+                    progress |= self._run_slice(ctx)
+                    if self._aborted:
+                        return self._finish(RunOutcome.ABORT)
+                if self._match_all():
+                    progress = True
+                statuses = [c.status for c in self.ranks]
+                if all(s in (_RankStatus.DONE, _RankStatus.FAULT) for s in statuses):
+                    outcome = (RunOutcome.FAULT
+                               if any(s is _RankStatus.FAULT for s in statuses)
+                               else RunOutcome.OK)
+                    return self._finish(outcome)
+                if self._total_steps > self.max_steps:
+                    return self._finish(RunOutcome.TIMEOUT)
+                if not progress:
+                    blocked = [c for c in self.ranks if c.status is _RankStatus.BLOCKED]
+                    for ctx in blocked:
+                        call = ctx.pending.data.get("call", "?") if ctx.pending else "?"
+                        self._event("deadlock", ctx.rank, call, "no global progress")
+                    return self._finish(RunOutcome.DEADLOCK)
 
     def _finish(self, outcome: RunOutcome) -> SimReport:
         for ctx in self.ranks:

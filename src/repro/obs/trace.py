@@ -19,14 +19,14 @@ drops ``contextvars``:
   (:meth:`Tracer.merge_spans`).  Spans are the only thing a worker
   ships home.
 
-:meth:`Tracer.stage` is the one stage-timing primitive: every
-``compile``/``verify``/``passes``/``graph``/``embed``/``classify`` site
-wraps its hot region in ``with TRACER.stage(name):``.  Disabled, that
-is one attribute check and the shared no-op span.  Enabled, the frame
-becomes a ``stage.<name>`` span (kind ``stage``) under every trace in
-context, nested stages become its children, and its elapsed time feeds
-the ``repro_stage_seconds`` histogram.  ``repro profile`` folds the
-same spans into exclusive per-stage seconds (:mod:`repro.perf`).
+:meth:`Tracer.stage` is the one stage-timing primitive: each layer
+wraps its entry in ``with TRACER.stage(name):``, with ``name`` from
+:data:`STAGES`.  Disabled, that is one attribute check and the shared
+no-op span.  Enabled, the frame becomes a ``stage.<name>`` span (kind
+``stage``) under every trace in context, nested stages become its
+children, and its elapsed time feeds the ``repro_stage_seconds``
+histogram.  ``repro trace <id>`` shows one request's stages,
+``/metrics`` the process's.
 
 Completed traces land in a bounded in-memory ring served by
 ``GET /v1/trace/<trace_id>``.
@@ -51,9 +51,18 @@ TraceContext = Tuple[Tuple[str, str], ...]
 _CTX: "contextvars.ContextVar[Optional[TraceContext]]" = \
     contextvars.ContextVar("repro_obs_ctx", default=None)
 
+#: Every stage name a ``TRACER.stage`` site may use, in pipeline order:
+#: the cold path (compile → classify), the static analyzer's three
+#: phases, the simulator and oracle battery, the repair gate and
+#: propose, then the GNN training step.
+STAGES = ("compile", "verify", "passes", "graph", "seed_embed", "embed",
+          "classify", "analyze_checks", "analyze_interpret",
+          "analyze_match", "simulate", "oracles", "gate", "propose",
+          "forward", "backward", "optim")
+
 #: Stage latency by stage name, fed by every stage frame (worker frames
-#: as the parent merges them) so /metrics carries the same per-stage
-#: seconds `repro profile` reports.
+#: as the parent merges them), so /metrics carries per-process stage
+#: seconds.
 _STAGE_SEC = METRICS.histogram(
     "repro_stage_seconds", "Pipeline stage latency by stage.",
     labelnames=("stage",))
@@ -104,7 +113,7 @@ class _Span:
 
     A pipeline stage frame (``stage`` set) is a ``stage.<name>`` span
     that also observes ``repro_stage_seconds``; a collecting process
-    (pool worker, profile run) leaves that observation to whoever folds
+    (a pool worker) leaves that observation to the parent that merges
     its spans."""
 
     __slots__ = ("_tracer", "name", "kind", "_attrs", "_stage", "_entries",
@@ -122,8 +131,8 @@ class _Span:
         self._attrs.update(attrs)
 
     def __enter__(self):
-        # Clock first: the span's own set-up falls inside its interval,
-        # so a profile fold covers it instead of losing it between spans.
+        # Clock first: the span's own set-up falls inside its interval
+        # instead of being lost between spans.
         self._start = perf_counter()
         self._wall = time.time()
         entries = self._entries = _CTX.get() or ()
@@ -260,7 +269,7 @@ class Tracer:
         return _Span(self, name, kind, attrs)
 
     def stage(self, name: str) -> Any:
-        """Time pipeline stage ``name`` (one of :data:`repro.perf.STAGES`)
+        """Time pipeline stage ``name`` (one of :data:`STAGES`)
         as a ``stage.<name>`` span; the shared no-op while disabled."""
         if not self.enabled:
             return _NOOP_SPAN
@@ -313,8 +322,8 @@ class Tracer:
     def collect(self, ctx: TraceContext):
         """Record every span under ``ctx`` into an uncapped buffer (the
         yielded list) instead of the ring, tracing on for the scope.
-        The tracer's prior state comes back on exit.  Pool workers ship
-        the buffer home with their chunk; ``repro profile`` folds it."""
+        The tracer's prior state comes back on exit, also after an
+        exception.  Pool workers ship the buffer home with their chunk."""
         buffer: List[Dict[str, Any]] = []
         saved = self.enabled, self._collect
         self.enabled, self._collect = True, buffer

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
+from repro.obs.trace import TRACER
+
 #: Trusted-oracle verdicts that count as "the bug is still there".
 FAILING_VERDICTS = ("incorrect", "timeout", "runtime_error")
 
@@ -68,16 +70,17 @@ def run_gate(name: str, source: str, nprocs: int = 3,
     from repro.fuzz.harness import check_source
 
     printed: Dict[str, str] = {}
-    record = check_source(name, source, expected="correct",
-                          nprocs=nprocs, max_steps=max_steps,
-                          printed_ir=printed)
-    agreed = record["status"] == "agree"
-    deterministic = False
-    if agreed:
-        try:
-            deterministic = deterministic_compile(name, source, printed)
-        except Exception:                      # a flaky compile is a veto
-            deterministic = False
+    with TRACER.stage("gate"):
+        record = check_source(name, source, expected="correct",
+                              nprocs=nprocs, max_steps=max_steps,
+                              printed_ir=printed)
+        agreed = record["status"] == "agree"
+        deterministic = False
+        if agreed:
+            try:
+                deterministic = deterministic_compile(name, source, printed)
+            except Exception:                  # a flaky compile is a veto
+                deterministic = False
     return GateVerdict(clean=agreed and deterministic,
                        status=record["status"], kind=record["kind"],
                        oracle=record["oracle"],

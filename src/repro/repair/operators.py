@@ -41,6 +41,7 @@ from repro.datasets.mutation import (
     _replace_span,
     find_mpi_calls,
 )
+from repro.obs.trace import TRACER
 
 #: Comment the ``drop_call`` mutator leaves where a statement used to be.
 DROP_MARKER = "/* call removed by mutation */"
@@ -468,20 +469,21 @@ def propose(source: str, nprocs: int = 3, hint: Optional[str] = None,
     ``findings`` (:class:`~repro.verify.static.StaticFinding` rows)
     stably rank candidates that edit a flagged call ahead of the rest.
     """
-    order = list(INVERSE_RULES)
-    if hint in INVERSE_RULES:
-        order.remove(hint)
-        order.insert(0, hint)
-    seen = {source}
-    out: List[CandidatePatch] = []
-    for op in order:
-        for rule in INVERSE_RULES[op]:
-            for cand in rule(source, nprocs):
-                if cand.source in seen:
-                    continue
-                seen.add(cand.source)
-                out.append(cand)
-    flagged = {getattr(f, "call", "") for f in findings} - {""}
-    if flagged:
-        out.sort(key=lambda c: 0 if c.call in flagged else 1)
-    return out
+    with TRACER.stage("propose"):
+        order = list(INVERSE_RULES)
+        if hint in INVERSE_RULES:
+            order.remove(hint)
+            order.insert(0, hint)
+        seen = {source}
+        out: List[CandidatePatch] = []
+        for op in order:
+            for rule in INVERSE_RULES[op]:
+                for cand in rule(source, nprocs):
+                    if cand.source in seen:
+                        continue
+                    seen.add(cand.source)
+                    out.append(cand)
+        flagged = {getattr(f, "call", "") for f in findings} - {""}
+        if flagged:
+            out.sort(key=lambda c: 0 if c.call in flagged else 1)
+        return out

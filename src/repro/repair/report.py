@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-from repro.schema import SchemaError, validate  # noqa: F401  (re-export)
+from repro.schema import SchemaError
 from repro.schema.envelope import KindSpec, register_kind
 
 REPAIR_KIND = "repro-repair-report"

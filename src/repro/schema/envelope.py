@@ -149,8 +149,8 @@ def _flatten(envelope: Mapping[str, Any], spec: KindSpec) -> Dict[str, Any]:
     flat[spec.kind_key] = spec.name
     flat["schema_version"] = envelope["schema_version"]
     # Only kinds whose flat shape carries repro_version get it merged
-    # back — perf profiles, for one, never did, and flat → envelope →
-    # flat must round-trip exactly.
+    # back — the fleet CAS's stats document, for one, never did, and
+    # flat → envelope → flat must round-trip exactly.
     properties = (spec.flat_schema or {}).get("properties", {})
     if "repro_version" in properties:
         flat.setdefault("repro_version", envelope["repro_version"])

@@ -2,12 +2,10 @@
 
 One :class:`~repro.schema.envelope.KindSpec` per persisted artifact the
 project ships: the evaluation matrix (``EVAL_matrix.json``), the fuzz
-campaign report (``FUZZ_report.json``), the perf profile
-(``PERF_profile.json``), and the pipeline-artifact manifest
-(``manifest.json``).  Importing this module registers them all; the
-legacy modules (:mod:`repro.fuzz.report`, :mod:`repro.perf`,
-:mod:`repro.pipeline.artifact`) re-export their old names as thin shims
-over this registry.
+campaign report (``FUZZ_report.json``) and the pipeline-artifact
+manifest (``manifest.json``).  Importing this module registers them
+all.  The repair report (:mod:`repro.repair.report`) and the fleet
+CAS's stats document (:mod:`repro.fleet.cas`) register their own kinds.
 """
 
 from __future__ import annotations
@@ -272,55 +270,6 @@ def _check_fuzz(doc: Mapping[str, Any]) -> None:
 FUZZ_REPORT = register_kind(KindSpec(
     name="repro-fuzz-report", schema_version=1,
     flat_schema=FUZZ_SCHEMA, check=_check_fuzz))
-
-
-# ---------------------------------------------------------------------------
-# repro-perf-profile
-# ---------------------------------------------------------------------------
-
-PROFILE_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "schema_version", "dataset", "samples", "method",
-                 "opt_level", "workers", "wall_sec", "samples_per_sec",
-                 "stage_sec", "stage_counts", "stage_total_sec", "coverage"],
-    "properties": {
-        "kind": {"const": "repro-perf-profile"},
-        "schema_version": {"type": "integer"},
-        "dataset": {"type": "string"},
-        "samples": {"type": "integer"},
-        "method": {"type": "string"},
-        "opt_level": {"type": "string"},
-        "workers": {"type": "integer"},
-        "wall_sec": {"type": "number"},
-        "samples_per_sec": {"type": "number"},
-        "stage_sec": {"type": "object",
-                      "additionalProperties": {"type": "number"}},
-        "stage_counts": {"type": "object",
-                         "additionalProperties": {"type": "integer"}},
-        "stage_total_sec": {"type": "number"},
-        "coverage": {"type": "number"},
-        "engine_counters": {"type": "object"},
-        "notes": {"type": "string"},
-    },
-}
-
-
-def _check_profile(doc: Mapping[str, Any]) -> None:
-    from repro.perf import SCHEMA_VERSION, STAGES
-
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError("$.schema_version",
-                          f"unsupported schema version "
-                          f"{doc['schema_version']} (this build "
-                          f"understands {SCHEMA_VERSION})")
-    unknown = sorted(set(doc["stage_sec"]) - set(STAGES))
-    if unknown:
-        raise SchemaError("$.stage_sec", f"unknown stages {unknown}")
-
-
-PERF_PROFILE = register_kind(KindSpec(
-    name="repro-perf-profile", schema_version=1,
-    flat_schema=PROFILE_SCHEMA, check=_check_profile))
 
 
 # ---------------------------------------------------------------------------

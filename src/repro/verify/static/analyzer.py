@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.datasets.loader import Sample
 from repro.frontend import CompileError, compile_c
 from repro.ir.module import Module
+from repro.obs.trace import TRACER
 from repro.verify.base import ToolVerdict, VerificationTool
 from repro.verify.static import checkers
 from repro.verify.static.findings import StaticFinding, StaticWitness
@@ -38,16 +39,19 @@ def analyze_module(module: Module, nprocs: int = DEFAULT_NPROCS,
     surface as failures instead of silence.
     """
     try:
-        findings = checkers.check_module(module, nprocs)
+        with TRACER.stage("analyze_checks"):
+            findings = checkers.check_module(module, nprocs)
         main = module.get_function("main")
         if main is not None and not main.is_declaration:
             try:
-                traces = [interpret_rank(module, rank, nprocs)
-                          for rank in range(nprocs)]
+                with TRACER.stage("analyze_interpret"):
+                    traces = [interpret_rank(module, rank, nprocs)
+                              for rank in range(nprocs)]
             except Imprecise:
                 traces = None
             if traces is not None:
-                findings.extend(match_traces(traces, nprocs))
+                with TRACER.stage("analyze_match"):
+                    findings.extend(match_traces(traces, nprocs))
         seen = set()
         unique: List[StaticFinding] = []
         for finding in findings:

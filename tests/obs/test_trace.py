@@ -2,6 +2,7 @@
 bounded ring, the span cap, cross-thread activation, and the worker
 collect/merge transport."""
 
+import collections
 import os
 import threading
 
@@ -31,6 +32,7 @@ def _spans_by_name(doc):
 def test_disabled_tracer_returns_shared_noop():
     t = Tracer()
     assert t.start_trace("x") is t.span("y")      # one shared _NOOP_SPAN
+    assert t.stage("compile") is t.stage("verify") is t.span("y")
     assert t.capture() is None
 
 
@@ -253,3 +255,69 @@ def test_merged_worker_stage_frames_observe_once_per_frame(tracer,
     tracer.merge_spans(spans)
     assert stage_metrics("passes") == before + 1
     assert len(tracer._open["ta"]) == len(tracer._open["tb"]) == 1
+
+
+# -- collect buffers --------------------------------------------------------
+
+def _one_trace():
+    return ((new_id(), new_id()),)
+
+
+def test_global_tracer_is_disabled_by_default():
+    # Production default: stage sites must cost ~nothing.
+    assert TRACER.enabled is False
+    assert TRACER.stage("compile") is TRACER.stage("embed")
+
+
+def test_reentered_stage_records_one_span_per_entry():
+    tracer = Tracer()
+    with tracer.collect(_one_trace()) as spans:
+        for _ in range(5):
+            with tracer.stage("passes"):
+                pass
+    assert [s["name"] for s in spans] == ["stage.passes"] * 5
+    assert len({s["span_id"] for s in spans}) == 5
+    # A new collect scope starts from an empty buffer.
+    with tracer.collect(_one_trace()) as spans:
+        pass
+    assert spans == []
+
+
+def test_collect_restores_the_tracer_after_an_exception():
+    for enabled in (False, True):
+        tracer = Tracer()
+        tracer.enabled = enabled
+        with pytest.raises(RuntimeError):
+            with tracer.collect(_one_trace()):
+                assert tracer.enabled is True
+                with tracer.stage("embed"):
+                    raise RuntimeError("boom")
+        assert tracer.enabled is enabled
+        assert tracer._collect is None
+        assert tracer.current() is None
+
+
+def test_collect_buffer_keeps_spans_past_the_span_cap():
+    tracer = Tracer()
+    tracer.max_spans_per_trace = 4
+    with tracer.collect(_one_trace()) as spans:
+        for _ in range(10):
+            with tracer.stage("verify"):
+                pass
+    assert len(spans) == 10
+    assert tracer.stats()["dropped_spans"] == 0
+
+
+def test_merge_spans_while_collecting_extends_the_buffer():
+    parent = Tracer()
+    with parent.collect(_one_trace()) as spans:
+        worker = Tracer()                # another process in production
+        with worker.worker_scope(parent.capture()) as shipped:
+            with worker.stage("embed"):
+                pass
+        with parent.stage("compile"):
+            pass
+        parent.merge_spans(shipped)
+        parent.merge_spans(shipped)      # merging twice doubles
+    names = collections.Counter(s["name"] for s in spans)
+    assert names == {"stage.embed": 2, "stage.compile": 1}

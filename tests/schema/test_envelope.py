@@ -66,21 +66,18 @@ def _fuzz_doc():
     }
 
 
-def _profile_doc():
+def _cas_stats_doc():
+    # Registered by repro.fleet.cas; its flat shape has no repro_version,
+    # so it checks that _flatten does not add one.
+    import repro.fleet.cas  # noqa: F401
+
     return {
-        "kind": "repro-perf-profile",
+        "kind": "repro-cas-stats",
         "schema_version": 1,
-        "dataset": "mbi",
-        "samples": 1,
-        "method": "ir2vec",
-        "opt_level": "Os",
-        "workers": 0,
-        "wall_sec": 1.0,
-        "samples_per_sec": 1.0,
-        "stage_sec": {"compile": 0.5},
-        "stage_counts": {"compile": 1},
-        "stage_total_sec": 0.5,
-        "coverage": 0.5,
+        "entries": 2,
+        "bytes": 64,
+        "max_bytes": 1024,
+        "counters": {"hits": 1, "misses": 0},
     }
 
 
@@ -102,7 +99,7 @@ def _manifest_doc():
 ALL_KINDS = [
     ("repro-eval-matrix", _matrix_doc),
     ("repro-fuzz-report", _fuzz_doc),
-    ("repro-perf-profile", _profile_doc),
+    ("repro-cas-stats", _cas_stats_doc),
     ("repro.detection-pipeline", _manifest_doc),
 ]
 
@@ -180,8 +177,8 @@ def test_committed_ci_artifacts_load_as_envelopes(relpath):
 
 
 def test_digest_tamper_detected():
-    envelope = make_envelope(_profile_doc())
-    envelope["payload"]["samples"] = 999
+    envelope = make_envelope(_cas_stats_doc())
+    envelope["payload"]["entries"] = 999
     with pytest.raises(SchemaError, match="digest mismatch"):
         validate_envelope(envelope)
 
@@ -196,7 +193,7 @@ def test_unknown_kind_rejected():
 
 
 def test_wrong_kind_pinned_by_validate_kind():
-    envelope = make_envelope(_profile_doc())
+    envelope = make_envelope(_matrix_doc())
     with pytest.raises(SchemaError, match="expected 'repro-fuzz-report'"):
         validate_kind("repro-fuzz-report", envelope)
 

@@ -231,6 +231,20 @@ def test_traces_index_lists_recent(server):
         client.close()
 
 
+def test_analyze_trace_shows_the_analyzer_phases(server):
+    client = _client(server)
+    try:
+        status, headers, body = client.request_full(
+            "POST", "/v1/analyze", {"source": CHECK_SRC})
+        assert status == 200, body
+        status, doc = client.trace(headers["x-repro-trace"])
+        assert status == 200
+        names = {s["name"] for s in doc["spans"]}
+        assert "stage.analyze_checks" in names, names
+    finally:
+        client.close()
+
+
 # -- tracing disabled (library default on the hot path) ---------------------
 
 def test_disabled_tracing_still_serves_with_header(artifact_v1):

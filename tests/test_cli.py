@@ -264,6 +264,14 @@ def test_cache_stats_empty_directory(tmp_path, capsys):
     assert str(tmp_path) in out and "(empty)" in out
 
 
+def test_cli_cache_stats_reports_engine_counters(tmp_path, capsys):
+    assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "engine (this process)" in out
+    assert "payload_bytes_per_task" in out
+    assert "pool_utilization" in out
+
+
 def test_cache_dir_from_environment(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["cache", "stats"]) == 0
