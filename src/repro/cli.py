@@ -757,7 +757,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServeConfig(**_given(
             host=args.host, port=args.port, max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
+            max_queue=args.max_queue,
             poll_interval_s=args.poll_interval,
             workers=args.workers, cache_dir=args.cache_dir,
             trace=False if args.no_trace else None,
@@ -1146,10 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=None, metavar="N",
                    help="samples coalesced per predict_batch call "
                         "(default: 16)")
-    p.add_argument("--max-wait-ms", type=float, default=None,
-                   metavar="MS",
-                   help="micro-batch window after the first queued "
-                        "request (default: 10)")
     p.add_argument("--max-queue", type=int, default=None, metavar="N",
                    help="queued samples before 429 backpressure "
                         "(default: 256)")

@@ -101,6 +101,7 @@ def _failure_record(record: Dict[str, Any], exc: Exception,
 def check_source(name: str, source: str, expected: str = "correct",
                  nprocs: int = 3, max_steps: int = 120_000,
                  printed_ir: Optional[Dict[str, str]] = None,
+                 static_findings: Optional[list] = None,
                  ) -> Dict[str, Any]:
     """Run one source through the whole chain; classify the outcome.
 
@@ -116,6 +117,8 @@ def check_source(name: str, source: str, expected: str = "correct",
     ``printed_ir``, when given, receives the IR printed right after the
     O0 and O2 compiles (keyed by opt level), for a caller that checks
     the compile is deterministic against a fresh one.
+    ``static_findings``, when given, receives the findings of the
+    ``static`` oracle (the dataflow analyzer on the O0 module).
     """
     import numpy as np
 
@@ -187,7 +190,7 @@ def check_source(name: str, source: str, expected: str = "correct",
 
     bench = OracleBench(nprocs=nprocs, max_steps=max_steps)
     try:
-        verdicts = bench.verdicts(module, report)
+        verdicts = bench.verdicts(module, report, static_findings)
     except Exception as exc:
         info = classify_failure(exc)
         record.update(status="hard_failure",

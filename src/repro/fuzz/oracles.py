@@ -92,11 +92,15 @@ class OracleBench:
                              tuple(verdict.detected_kinds),
                              verdict.detail[:200])
 
-    def verdicts(self, module, report: SimReport) -> List[OracleVerdict]:
+    def verdicts(self, module, report: SimReport,
+                 static_findings: Optional[list] = None,
+                 ) -> List[OracleVerdict]:
         """All oracle verdicts for one compiled module + its sim report.
 
-        Any exception an oracle raises propagates — the harness triages
-        it into an ``oracle_crash`` hard failure.
+        ``static_findings``, when given, receives the static analyzer's
+        findings behind its verdict.  Any exception an oracle raises
+        propagates — the harness triages it into an ``oracle_crash``
+        hard failure.
         """
         with TRACER.stage("oracles"):
             return [
@@ -110,7 +114,8 @@ class OracleBench:
                 self._tool_verdict("mpi-checker", self.checker,
                                    lambda: self.checker.check_module(module)),
                 self._tool_verdict("static", self.static,
-                                   lambda: self.static.check_module(module)),
+                                   lambda: self.static.check_module(
+                                       module, static_findings)),
             ]
 
 

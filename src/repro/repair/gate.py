@@ -20,7 +20,7 @@ the acceptance bar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.trace import TRACER
 
@@ -39,6 +39,9 @@ class GateVerdict:
     detail: str
     deterministic: bool          # double-compile printed identical IR
     oracles: Dict[str, str] = field(default_factory=dict)
+    #: The static oracle's findings; ``None`` when the gate stopped
+    #: before the oracle battery ran (not part of :meth:`as_dict`).
+    findings: Optional[Tuple[Any, ...]] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {"clean": self.clean, "status": self.status,
@@ -70,10 +73,11 @@ def run_gate(name: str, source: str, nprocs: int = 3,
     from repro.fuzz.harness import check_source
 
     printed: Dict[str, str] = {}
+    found: list = []
     with TRACER.stage("gate"):
         record = check_source(name, source, expected="correct",
                               nprocs=nprocs, max_steps=max_steps,
-                              printed_ir=printed)
+                              printed_ir=printed, static_findings=found)
         agreed = record["status"] == "agree"
         deterministic = False
         if agreed:
@@ -81,9 +85,12 @@ def run_gate(name: str, source: str, nprocs: int = 3,
                 deterministic = deterministic_compile(name, source, printed)
             except Exception:                  # a flaky compile is a veto
                 deterministic = False
+    # An unavailable or never-reached static oracle leaves no findings.
+    analyzed = record["oracles"].get("static") in ("correct", "incorrect")
     return GateVerdict(clean=agreed and deterministic,
                        status=record["status"], kind=record["kind"],
                        oracle=record["oracle"],
                        detail=record["detail"],
                        deterministic=deterministic,
-                       oracles=dict(record["oracles"]))
+                       oracles=dict(record["oracles"]),
+                       findings=tuple(found) if analyzed else None)

@@ -111,14 +111,15 @@ def repair_source(name: str, source: str, *, nprocs: int = 3,
         "after": None,
     }
     if not before.clean:
-        findings: Sequence = ()
-        try:
-            from repro.verify.static import analyze_source
+        findings: Optional[Sequence] = before.findings
+        if findings is None:     # the gate stopped before its oracles
+            try:
+                from repro.verify.static import analyze_source
 
-            _verdict, findings = analyze_source(source, name=name,
-                                                nprocs=nprocs)
-        except Exception:
-            findings = ()
+                _verdict, findings = analyze_source(source, name=name,
+                                                    nprocs=nprocs)
+            except Exception:
+                findings = ()
         candidates = propose(source, nprocs=nprocs, hint=hint,
                              findings=findings)
         entry["outcome"] = "unrepaired"

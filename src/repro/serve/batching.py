@@ -6,12 +6,13 @@ The embedding/classifier stages are batch-first: one
 :class:`MicroBatcher` converts a stream of concurrent single-sample
 submissions into exactly those calls:
 
-* the first queued item opens a batch window of ``max_wait_ms``;
-* the window closes early once ``max_batch`` items are queued;
-* the batch is handed to the runner coroutine while new arrivals queue
-  up behind it — dispatch is deliberately serial, which is both what
-  keeps the underlying pipeline single-writer and what makes arrivals
-  pile into full batches under load;
+* dispatch is work-conserving: whenever the runner is free and
+  anything is queued, the scheduler hands it the first ``max_batch``
+  items in FIFO order at once — an idle service adds no wait;
+* everything that arrives while a batch is in flight queues up behind
+  it and forms the next batch — dispatch is deliberately serial, which
+  is both what keeps the underlying pipeline single-writer and what
+  makes arrivals pile into full batches under load;
 * a bounded queue (``max_queue`` samples) provides backpressure: when
   it is full, ``submit`` raises :class:`QueueFullError` and the HTTP
   layer turns that into ``429 Retry-After``.
@@ -93,17 +94,13 @@ class MicroBatcher:
     """Coalesce concurrent submissions into bounded batches."""
 
     def __init__(self, runner: Callable[[List[Any]], Awaitable[Sequence[Any]]],
-                 *, max_batch: int = 16, max_wait_ms: float = 10.0,
-                 max_queue: int = 256):
+                 *, max_batch: int = 16, max_queue: int = 256):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self._runner = runner
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.metrics = BatcherMetrics()
         self._pending: Deque[Tuple[Any, asyncio.Future]] = deque()
@@ -174,26 +171,9 @@ class MicroBatcher:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            await self._fill_window()
             batch = [self._pending.popleft()
                      for _ in range(min(self.max_batch, len(self._pending)))]
-            if not batch:        # stop(drain=False) raced the window
-                continue
             await self._dispatch(batch)
-
-    async def _fill_window(self) -> None:
-        """Hold the batch open for up to ``max_wait_ms`` after the first
-        arrival, closing early when it is full (or on shutdown)."""
-        deadline = time.monotonic() + self.max_wait_ms / 1000.0
-        while (len(self._pending) < self.max_batch and not self._closed):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            self._wakeup.clear()
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
-            except asyncio.TimeoutError:
-                return
 
     async def _dispatch(self, batch: List[Tuple[Any, asyncio.Future]]) -> None:
         items = [item for item, _future in batch]

@@ -26,7 +26,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8321                 # 0 binds an ephemeral port
     max_batch: int = 16              # samples coalesced per predict_batch
-    max_wait_ms: float = 10.0        # batch window after the first arrival
     max_queue: int = 256             # queued samples before 429 backpressure
     poll_interval_s: float = 0.0     # artifact mtime polling; 0 disables
     max_body_bytes: int = 8 * 1024 * 1024
@@ -41,8 +40,6 @@ class ServeConfig:
             raise ValueError("port must be in [0, 65535]")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.poll_interval_s < 0:

@@ -215,7 +215,6 @@ class DetectionServer(HTTPService):
         self.config = config or ServeConfig()
         self.batcher = MicroBatcher(self._run_batch,
                                     max_batch=self.config.max_batch,
-                                    max_wait_ms=self.config.max_wait_ms,
                                     max_queue=self.config.max_queue)
         self.polls = 0
         self.poll_reloads = 0

@@ -116,8 +116,14 @@ class StaticAnalyzerTool(VerificationTool):
                                            self.nprocs)
         return self._verdict(verdict, findings)
 
-    def check_module(self, module: Module) -> ToolVerdict:
+    def check_module(self, module: Module,
+                     found: Optional[List[StaticFinding]] = None,
+                     ) -> ToolVerdict:
+        """The verdict for ``module``; ``found``, when given, also
+        receives the findings behind it."""
         findings = analyze_module(module, self.nprocs)
+        if found is not None:
+            found.extend(findings)
         return self._verdict("incorrect" if findings else "correct",
                              findings)
 

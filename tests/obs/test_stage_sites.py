@@ -104,3 +104,20 @@ def test_repair_source_records_every_repair_layer():
         assert counts[stage] >= 1, (stage, counts)
     # One gate before the patch and one per attempt.
     assert counts["gate"] == 1 + entry["attempts"]
+
+
+def test_repair_reuses_the_gates_static_findings():
+    """The before-gate's ``static`` oracle already analyzed the case, so
+    ``propose`` gets its findings: two gates cost two analyzer runs and
+    six compiles (O0 + O2 before; O0 + O2 + the deterministic pair
+    after), with no third analysis of the input."""
+    from repro.repair.runner import repair_source
+
+    with TRACER.collect(((new_id(), new_id()),)) as spans:
+        entry = repair_source("mutant.c", _MUTANT, hint="tag_mismatch",
+                              max_attempts=4)
+    assert (entry["outcome"], entry["attempts"]) == ("repaired", 1)
+    counts = _count_stages(spans)
+    assert counts["gate"] == 2
+    assert counts["analyze_checks"] == 2
+    assert counts["compile"] == 6

@@ -1,11 +1,13 @@
 """DetectionPipeline: fit/predict_batch, custom stages, batch parity."""
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_corrbench
+from repro.engine import EngineConfig, ExecutionEngine
 from repro.ml import GAConfig
 from repro.pipeline import (
     DetectionPipeline,
@@ -96,6 +98,38 @@ def test_batch_matches_per_sample_check(which, dataset, ir2vec_pipeline,
     batch = pipeline.predict_batch(samples)
     singles = [pipeline.predict_source(s.source, s.name) for s in samples]
     assert [r.label for r in batch] == [r.label for r in singles]
+
+
+def _cold_run(pipeline, samples, which):
+    """Labels and per-sample scores for one ``predict_batch`` call on a
+    fresh engine, so no store tier answers from an earlier call.  The
+    scores are GNN probabilities, or the IR2vec rows the tree reads."""
+    cold = copy.copy(pipeline)
+    with ExecutionEngine(EngineConfig(workers=0)) as engine:
+        cold.engine = engine
+        labels = [r.label for r in cold.predict_batch(samples)]
+        features = engine.featurize_samples(cold.frontend, cold.featurizer,
+                                            samples)
+    scores = (cold.classifier.predict_proba(features) if which == "gnn"
+              else np.asarray(features))
+    return labels, scores
+
+
+@pytest.mark.parametrize("which", ["ir2vec", "gnn"])
+def test_results_do_not_depend_on_batch_composition(which, dataset,
+                                                    ir2vec_pipeline,
+                                                    gnn_pipeline):
+    """A micro-batch may hold one source several times next to others:
+    each sample gets exactly the verdict and scores it gets alone."""
+    pipeline = ir2vec_pipeline if which == "ir2vec" else gnn_pipeline
+    a, b = dataset.samples[0], dataset.samples[1]
+    assert a.source != b.source
+    labels, scores = _cold_run(pipeline, [a, a, b, a], which)
+    alone = {s.name: _cold_run(pipeline, [s], which) for s in (a, b)}
+    for i, sample in enumerate([a, a, b, a]):
+        alone_labels, alone_scores = alone[sample.name]
+        assert labels[i] == alone_labels[0]
+        np.testing.assert_array_equal(scores[i], alone_scores[0])
 
 
 def test_predict_dataset_matches_batch(ir2vec_pipeline, dataset):

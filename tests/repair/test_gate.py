@@ -1,11 +1,14 @@
 """The repair gate's determinism check: the harness's own O0/O2 compiles
 are the first of each pair, so a clean gate call compiles four times,
-and a compile whose printed IR changes between calls is still vetoed."""
+and a compile whose printed IR changes between calls is still vetoed.
+The gate also hands out its static oracle's findings, which must equal
+what the analyzer finds on its own."""
 
 import pytest
 
 import repro.frontend
-from repro.repair import run_gate
+from repro.repair import generated_tasks, run_gate
+from repro.verify.static import analyze_source
 
 SOURCE = """
 #include <mpi.h>
@@ -54,3 +57,22 @@ def test_alternating_compile_is_vetoed(compiles):
     assert verdict.status == "agree"             # every oracle is clean
     assert not verdict.deterministic
     assert not verdict.clean
+
+
+def test_gate_findings_equal_the_analyzers_on_detected_mutants():
+    detected = 0
+    for task in generated_tasks(5, 40):
+        verdict = run_gate(task.name, task.source)
+        if verdict.clean:
+            continue
+        detected += 1
+        assert verdict.findings is not None, verdict
+        _verdict, findings = analyze_source(task.source, name=task.name)
+        assert list(verdict.findings) == findings, task.name
+    assert detected
+
+
+def test_gate_stopped_before_the_oracles_has_no_findings():
+    verdict = run_gate("broken.c", "int main( {")
+    assert verdict.status == "rejected"
+    assert verdict.findings is None

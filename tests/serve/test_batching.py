@@ -1,4 +1,5 @@
-"""MicroBatcher unit tests: coalescing, windows, backpressure, errors.
+"""MicroBatcher unit tests: dispatch on idle, coalescing, backpressure,
+errors.
 
 Pure asyncio — a counting stub stands in for the pipeline, and each
 test drives its own event loop via ``asyncio.run`` (no plugin needed).
@@ -12,14 +13,17 @@ from repro.serve import MicroBatcher, QueueFullError
 
 
 class CountingRunner:
-    """Echo runner that records every batch it was handed."""
+    """Echo runner that records every batch it was handed (``started``
+    on entry, ``batches`` once it returns)."""
 
     def __init__(self, delay: float = 0.0, gate: "asyncio.Event" = None):
+        self.started = []
         self.batches = []
         self.delay = delay
         self.gate = gate
 
     async def __call__(self, items):
+        self.started.append(list(items))
         if self.gate is not None:
             await self.gate.wait()
         if self.delay:
@@ -31,8 +35,7 @@ class CountingRunner:
 def test_coalesces_concurrent_submissions_into_fewer_batches():
     async def scenario():
         runner = CountingRunner()
-        batcher = MicroBatcher(runner, max_batch=8, max_wait_ms=50,
-                               max_queue=64)
+        batcher = MicroBatcher(runner, max_batch=8, max_queue=64)
         batcher.start()
         futures = [batcher.submit(i) for i in range(12)]
         results = await asyncio.gather(*futures)
@@ -47,8 +50,7 @@ def test_coalesces_concurrent_submissions_into_fewer_batches():
 
 def test_observed_mean_batch_size_exceeds_one():
     async def scenario():
-        batcher = MicroBatcher(CountingRunner(), max_batch=4, max_wait_ms=50,
-                               max_queue=64)
+        batcher = MicroBatcher(CountingRunner(), max_batch=4, max_queue=64)
         batcher.start()
         await asyncio.gather(*[batcher.submit(i) for i in range(10)])
         await batcher.stop()
@@ -60,29 +62,59 @@ def test_observed_mean_batch_size_exceeds_one():
     assert metrics.max_batch_observed <= 4
 
 
-def test_window_closes_early_when_batch_full():
+async def _yield(times: int = 5) -> None:
+    """Let ready callbacks run without letting any clock advance."""
+    for _ in range(times):
+        await asyncio.sleep(0)
+
+
+def test_idle_batcher_dispatches_a_lone_submission_at_once():
     async def scenario():
         runner = CountingRunner()
-        # A window so long the test would time out if it were honored:
-        # a full batch must dispatch immediately instead.
-        batcher = MicroBatcher(runner, max_batch=2, max_wait_ms=60_000,
-                               max_queue=8)
+        batcher = MicroBatcher(runner, max_batch=8, max_queue=8)
         batcher.start()
-        await asyncio.wait_for(
-            asyncio.gather(batcher.submit("a"), batcher.submit("b")),
-            timeout=5)
-        await asyncio.wait_for(batcher.stop(), timeout=5)
-        return runner
+        await _yield()                   # the scheduler is now idle
+        future = batcher.submit("alone")
+        await _yield()                   # no timer may be involved
+        dispatched = list(runner.batches)
+        result = await future
+        await batcher.stop()
+        return dispatched, result
 
-    runner = asyncio.run(scenario())
-    assert runner.batches == [["a", "b"]]
+    dispatched, result = asyncio.run(scenario())
+    assert dispatched == [["alone"]]
+    assert result == "ok:alone"
 
 
-def test_zero_wait_dispatches_singletons():
+def test_arrivals_during_a_batch_form_the_next_batch_in_fifo_order():
+    async def scenario():
+        gate = asyncio.Event()
+        runner = CountingRunner(gate=gate)
+        batcher = MicroBatcher(runner, max_batch=4, max_queue=16)
+        batcher.start()
+        first = batcher.submit("first")
+        await _yield()                   # "first" is in flight, gated
+        in_flight = list(runner.started)
+        later = [batcher.submit(i) for i in range(6)]
+        await _yield()                   # the runner is busy: no dispatch
+        queued = (list(runner.started), batcher.queue_depth)
+        gate.set()
+        results = await asyncio.gather(first, *later)
+        await batcher.stop()
+        return in_flight, queued, runner, results
+
+    in_flight, queued, runner, results = asyncio.run(scenario())
+    assert in_flight == [["first"]]
+    assert queued == ([["first"]], 6)
+    # The backlog forms the next batch, capped at max_batch, FIFO.
+    assert runner.batches == [["first"], [0, 1, 2, 3], [4, 5]]
+    assert results == ["ok:first"] + [f"ok:{i}" for i in range(6)]
+
+
+def test_sequential_submissions_dispatch_singletons():
     async def scenario():
         runner = CountingRunner()
-        batcher = MicroBatcher(runner, max_batch=8, max_wait_ms=0,
-                               max_queue=8)
+        batcher = MicroBatcher(runner, max_batch=8, max_queue=8)
         batcher.start()
         for i in range(3):
             await batcher.submit(i)      # sequential → no coalescing
@@ -97,7 +129,7 @@ def test_queue_overflow_raises_and_counts():
     async def scenario():
         gate = asyncio.Event()
         batcher = MicroBatcher(CountingRunner(gate=gate), max_batch=2,
-                               max_wait_ms=0, max_queue=3)
+                               max_queue=3)
         batcher.start()
         accepted = [batcher.submit(i) for i in range(3)]
         with pytest.raises(QueueFullError) as excinfo:
@@ -118,7 +150,7 @@ def test_submit_many_is_all_or_nothing():
     async def scenario():
         gate = asyncio.Event()
         batcher = MicroBatcher(CountingRunner(gate=gate), max_batch=4,
-                               max_wait_ms=0, max_queue=4)
+                               max_queue=4)
         batcher.start()
         first = batcher.submit_many(["a", "b", "c"])
         with pytest.raises(QueueFullError):
@@ -144,8 +176,7 @@ def test_runner_exception_fails_only_that_batch():
                 raise RuntimeError("model exploded")
             return [f"ok:{i}" for i in items]
 
-        batcher = MicroBatcher(runner, max_batch=8, max_wait_ms=0,
-                               max_queue=8)
+        batcher = MicroBatcher(runner, max_batch=8, max_queue=8)
         batcher.start()
         with pytest.raises(RuntimeError, match="model exploded"):
             await batcher.submit("boom")
@@ -163,8 +194,7 @@ def test_length_mismatch_is_an_error():
         async def runner(items):
             return ["just-one"]
 
-        batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=20,
-                               max_queue=8)
+        batcher = MicroBatcher(runner, max_batch=4, max_queue=8)
         batcher.start()
         futures = [batcher.submit(i) for i in range(3)]
         with pytest.raises(RuntimeError, match="returned 1 results"):
@@ -177,8 +207,7 @@ def test_length_mismatch_is_an_error():
 def test_stop_drains_pending_by_default():
     async def scenario():
         runner = CountingRunner(delay=0.01)
-        batcher = MicroBatcher(runner, max_batch=2, max_wait_ms=5,
-                               max_queue=16)
+        batcher = MicroBatcher(runner, max_batch=2, max_queue=16)
         batcher.start()
         futures = [batcher.submit(i) for i in range(6)]
         await batcher.stop()             # drain=True
@@ -192,10 +221,10 @@ def test_stop_without_drain_fails_pending():
     async def scenario():
         gate = asyncio.Event()
         batcher = MicroBatcher(CountingRunner(gate=gate), max_batch=1,
-                               max_wait_ms=0, max_queue=16)
+                               max_queue=16)
         batcher.start()
         in_flight = batcher.submit("in-flight")
-        await asyncio.sleep(0.01)        # let the scheduler dispatch it
+        await _yield()                   # let the scheduler dispatch it
         late = batcher.submit("late")    # still queued behind the gate
         stop_task = asyncio.create_task(batcher.stop(drain=False))
         await asyncio.sleep(0)           # stop() fails the queued item now
@@ -217,26 +246,32 @@ def test_invalid_knobs_rejected():
     with pytest.raises(ValueError):
         MicroBatcher(noop, max_batch=0)
     with pytest.raises(ValueError):
-        MicroBatcher(noop, max_wait_ms=-1)
-    with pytest.raises(ValueError):
         MicroBatcher(noop, max_queue=0)
 
 
 def test_undrained_stop_never_dispatches_an_empty_batch():
-    """stop(drain=False) clears the queue while the scheduler is mid
-    window; the scheduler must skip, not hand the runner zero items."""
+    """stop(drain=False) clears the queue while a batch is in flight;
+    when the runner frees up, the scheduler must exit, not hand the
+    runner zero items."""
     async def scenario():
-        runner = CountingRunner()
-        batcher = MicroBatcher(runner, max_batch=8, max_wait_ms=30,
-                               max_queue=16)
+        gate = asyncio.Event()
+        runner = CountingRunner(gate=gate)
+        batcher = MicroBatcher(runner, max_batch=8, max_queue=16)
         batcher.start()
-        future = batcher.submit("only")        # scheduler enters window
-        await asyncio.sleep(0.005)
-        await batcher.stop(drain=False)        # empties pending mid-window
-        with pytest.raises(RuntimeError, match="stopped before dispatch"):
-            await future
-        return runner, batcher.metrics
+        in_flight = batcher.submit("in-flight")
+        await _yield()                         # dispatched, gated
+        queued = batcher.submit_many(["a", "b"])
+        stop_task = asyncio.create_task(batcher.stop(drain=False))
+        await _yield()                         # pending emptied mid-flight
+        gate.set()
+        await stop_task
+        for future in queued:
+            with pytest.raises(RuntimeError, match="stopped before dispatch"):
+                await future
+        return runner, batcher.metrics, await in_flight
 
-    runner, metrics = asyncio.run(scenario())
-    assert all(batch for batch in runner.batches)   # no empty dispatch
-    assert metrics.batches == len(runner.batches)
+    runner, metrics, result = asyncio.run(scenario())
+    assert result == "ok:in-flight"
+    assert runner.batches == [["in-flight"]]        # no empty dispatch
+    assert metrics.batches == 1
+    assert metrics.failed == 2 and metrics.completed == 1

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
 @pytest.fixture()
 def server(artifact_v1):
-    config = ServeConfig(port=0, max_batch=8, max_wait_ms=20, max_queue=64)
+    config = ServeConfig(port=0, max_batch=8, max_queue=64)
     with BackgroundServer(artifact_v1, config) as handle:
         yield handle
 
@@ -156,7 +156,7 @@ def test_request_path_label_cardinality_is_bounded(server):
 def worker_server(artifact_v1, fan_out_small):
     engine = ExecutionEngine(EngineConfig(workers=2))
     registry = ModelRegistry(artifact_v1, engine=engine)
-    config = ServeConfig(port=0, max_batch=16, max_wait_ms=5, max_queue=64)
+    config = ServeConfig(port=0, max_batch=16, max_queue=64)
     try:
         with BackgroundServer(registry=registry, config=config) as handle:
             yield handle

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
 
 
 class SlowPipeline:
-    """Wrap a real pipeline with a per-batch delay (backpressure tests)."""
+    """Wrap a real pipeline with a per-batch delay (backpressure tests,
+    and arrivals that must overlap an in-flight batch)."""
 
     def __init__(self, inner, delay: float):
         self._inner = inner
@@ -68,8 +69,19 @@ class SlowPipeline:
 
 @pytest.fixture()
 def server(artifact_v1):
-    config = ServeConfig(port=0, max_batch=8, max_wait_ms=30, max_queue=64)
+    config = ServeConfig(port=0, max_batch=8, max_queue=64)
     with BackgroundServer(artifact_v1, config) as handle:
+        yield handle
+
+
+@pytest.fixture()
+def slow_server(artifact_v1):
+    """A server whose every batch holds the runner for 50 ms, so that
+    concurrent arrivals queue behind it and coalesce."""
+    config = ServeConfig(port=0, max_batch=8, max_queue=64)
+    registry = ModelRegistry(
+        artifact_v1, loader=lambda p: SlowPipeline(load_pipeline(p), 0.05))
+    with BackgroundServer(config=config, registry=registry) as handle:
         yield handle
 
 
@@ -148,25 +160,27 @@ def _batched(client, jobs, port, concurrency):
             after["batched_samples"] - before["batched_samples"])
 
 
-def test_concurrent_requests_coalesce_into_batches(server, corpus):
-    """The tentpole claim: N concurrent singles → fewer predict calls,
-    while sequential dispatch has nothing to coalesce."""
-    client = _client(server)
+def test_concurrent_requests_coalesce_into_batches(slow_server, corpus):
+    """N concurrent singles → fewer predict calls (arrivals during a
+    batch form the next one), while sequential dispatch has nothing to
+    coalesce."""
+    client = _client(slow_server)
     jobs = [(s.name, s.source) for s in corpus.samples[:24]]
-    batches, samples = _batched(client, jobs, server.port, concurrency=8)
+    batches, samples = _batched(client, jobs, slow_server.port,
+                                concurrency=8)
     assert samples == 24
     assert batches < 24, "every request got its own predict_batch call"
     assert samples / batches > 1
     assert client.metrics()["batcher"]["max_batch_observed"] <= 8
 
-    batches, samples = _batched(client, jobs[:6], server.port,
+    batches, samples = _batched(client, jobs[:6], slow_server.port,
                                 concurrency=1)
     assert batches == samples == 6, "one batch per sequential request"
     client.close()
 
 
 def test_queue_overflow_returns_429_with_retry_after(artifact_v1):
-    config = ServeConfig(port=0, max_batch=1, max_wait_ms=0, max_queue=2)
+    config = ServeConfig(port=0, max_batch=1, max_queue=2)
     registry = ModelRegistry(
         artifact_v1, loader=lambda p: SlowPipeline(load_pipeline(p), 0.25))
     with BackgroundServer(config=config, registry=registry) as handle:
@@ -219,7 +233,7 @@ def test_queue_overflow_returns_429_with_retry_after(artifact_v1):
 
 def test_hot_reload_with_zero_failed_inflight_requests(artifact_v1,
                                                        artifact_v2):
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=5, max_queue=256)
+    config = ServeConfig(port=0, max_batch=4, max_queue=256)
     with BackgroundServer(artifact_v1, config) as handle:
         stop = threading.Event()
         outcomes = []
@@ -278,7 +292,7 @@ def test_reload_bad_path_keeps_serving(server):
 def test_mtime_polling_hot_reloads(tmp_path, artifact_v1, artifact_v2):
     served = str(tmp_path / "served.rpd")
     shutil.copytree(artifact_v1, served)
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=5,
+    config = ServeConfig(port=0, max_batch=4,
                          poll_interval_s=0.05)
     with BackgroundServer(served, config) as handle:
         client = _client(handle)
@@ -311,7 +325,7 @@ def test_background_server_rejects_missing_artifact(tmp_path):
 def test_bulk_larger_than_queue_is_a_400_not_a_429(artifact_v1):
     """A request that could never be admitted must not advertise
     'retry later' — it gets a permanent 400 with a split hint."""
-    config = ServeConfig(port=0, max_batch=2, max_wait_ms=5, max_queue=4)
+    config = ServeConfig(port=0, max_batch=2, max_queue=4)
     with BackgroundServer(artifact_v1, config) as handle:
         client = _client(handle)
         status, payload = client.request("POST", "/v1/check", {
@@ -368,7 +382,7 @@ def test_input_stage_crash_is_triaged_to_400(artifact_v1):
     registry = ModelRegistry(
         artifact_v1,
         loader=lambda p: FrontendCrashPipeline(load_pipeline(p), 0))
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=5)
+    config = ServeConfig(port=0, max_batch=4)
     with BackgroundServer(config=config, registry=registry) as handle:
         client = _client(handle)
         status, payload = client.check(deep, "crasher.c")
@@ -397,14 +411,14 @@ def test_uncompilable_source_gets_400_not_500(server):
     client.close()
 
 
-def test_bad_sample_is_isolated_from_its_batch_mates(server):
+def test_bad_sample_is_isolated_from_its_batch_mates(slow_server):
     """One client's garbage source must not fail requests coalesced
     into the same micro-batch (cross-request fault isolation)."""
     outcomes = []
     lock = threading.Lock()
 
     def fire(source, name):
-        client = _client(server)
+        client = _client(slow_server)
         try:
             status, payload = client.check(source, name)
             with lock:
@@ -486,7 +500,7 @@ def test_model_and_metrics_answer_during_slow_reload(artifact_v1,
         return load_pipeline(path)
 
     registry = ModelRegistry(artifact_v1, loader=loader)
-    config = ServeConfig(port=0, max_batch=2, max_wait_ms=5)
+    config = ServeConfig(port=0, max_batch=2)
     with BackgroundServer(config=config, registry=registry) as handle:
         client = _client(handle)
         outcome = {}
@@ -528,7 +542,7 @@ def test_server_fault_is_a_500_not_a_400(artifact_v1):
 
     registry = ModelRegistry(
         artifact_v1, loader=lambda p: ExplodingPipeline(load_pipeline(p), 0))
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=5)
+    config = ServeConfig(port=0, max_batch=4)
     with BackgroundServer(config=config, registry=registry) as handle:
         client = _client(handle)
         status, payload = client.check(CHECK_SRC)

@@ -462,10 +462,18 @@ def test_serve_config_comes_from_flags_not_environment(monkeypatch):
     monkeypatch.setattr(repro.serve, "serve",
                         lambda model, config: seen.append(config))
     monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "3")
-    assert main(["serve", "model.rpd", "--max-wait-ms", "5"]) == 0
+    assert main(["serve", "model.rpd", "--max-queue", "5"]) == 0
     (config,) = seen
     assert config.max_batch == 16
-    assert config.max_wait_ms == 5.0
+    assert config.max_queue == 5
+
+
+def test_serve_has_no_batch_window_flag(capsys):
+    # Dispatch is work-conserving: there is no window to configure.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "model.rpd", "--max-wait-ms", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --max-wait-ms" in capsys.readouterr().err
 
 
 def test_fleet_config_comes_from_flags_not_environment(monkeypatch):
