@@ -256,7 +256,7 @@ def main(argv=None) -> int:
                         metavar="FAMILY",
                         help="fail unless this metric family is declared "
                              "(repeatable; e.g. --require "
-                             "repro_fleet_cas_hits_total)")
+                             "repro_fleet_rerouted_total)")
     args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.path == "-":
         text = sys.stdin.read()

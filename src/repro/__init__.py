@@ -32,7 +32,7 @@ Subpackages
     numpy autograd + GATv2 GNN; decision tree, GA, metrics, CV.
 ``engine``
     parallel corpus execution engine: worker-pool fan-out plus the
-    content-addressed compile/feature store (memory, disk, fleet CAS).
+    content-addressed compile/feature store (memory, then disk).
 ``pipeline``
     stage protocols, registries, DetectionPipeline, artifact format.
 ``models`` / ``core``

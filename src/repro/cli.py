@@ -28,8 +28,8 @@ repair         rule-based automated repair of a file, a fuzz corpus or
 cache          inspect / clear the persistent engine cache
 artifact       inspect a saved pipeline artifact (manifest only, no unpickle)
 serve          run the async micro-batching HTTP detection service
-fleet          run N serve replicas behind one digest-routing front door
-               with a fleet-shared compile cache (network CAS)
+fleet          run N serve replicas behind one digest-routing front door,
+               all caching in one shared directory
 obs            scrape telemetry (``obs dump``) from a running server
 trace          fetch one trace by id and print its span tree
 =============  ==============================================================
@@ -777,15 +777,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """``fleet``: N replica subprocesses, one front door, one shared CAS."""
+    """``fleet``: N replica subprocesses, one front door, one shared cache."""
     from repro.fleet import FleetConfig, serve_fleet
     from repro.pipeline import ArtifactError
 
     try:
         config = FleetConfig(**_given(
             host=args.host, port=args.port, replicas=args.replicas,
-            cas_max_bytes=args.cas_max_bytes, workers=args.workers,
-            cache_dir=args.cache_dir,
+            workers=args.workers, cache_dir=args.cache_dir,
             request_timeout_s=args.request_timeout))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1163,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fleet",
                        help="run N serve replicas behind a digest-routing "
-                            "front door with a shared network CAS")
+                            "front door over one shared cache directory")
     p.add_argument("model", help="pipeline artifact every replica serves")
     p.add_argument("--host", default=None,
                    help="front-door bind address (default: 127.0.0.1)")
@@ -1172,9 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=None, metavar="N",
                    help="serve subprocesses behind the front door "
                         "(default: 2)")
-    p.add_argument("--cas-max-bytes", type=int, default=None,
-                   metavar="B",
-                   help="shared CAS byte budget (default: 256 MiB)")
     p.add_argument("--request-timeout", type=float, default=None,
                    metavar="S",
                    help="per-replica forward timeout (default: 300)")
@@ -1182,8 +1178,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine workers per replica (default: "
                         "each replica's $REPRO_WORKERS policy)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
-                   help="base cache dir; replica i gets "
-                        "PATH/replica<i> (default: a temp dir)")
+                   help="cache dir every replica shares (default: a "
+                        "temp dir removed when the fleet stops)")
     p.set_defaults(func=cmd_fleet)
 
     def _add_obs_client_flags(sp: argparse.ArgumentParser) -> None:

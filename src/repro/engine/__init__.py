@@ -6,7 +6,7 @@ worker pool (deterministic, order-preserving chunks; ``workers=0`` = the
 serial fallback) and backs each stage with one
 :class:`~repro.engine.cache.ContentStore` keyed on content digests of
 (source, stage, stage config, code version) — a bounded memory tier,
-then disk when a cache directory is set, then the fleet CAS — so re-runs
+then disk when a cache directory is set — so re-runs
 of ``fit``, ``predict_batch``, eval scenarios, and benchmarks never
 recompile or re-featurize anything whose inputs haven't changed.
 

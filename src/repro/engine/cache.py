@@ -12,10 +12,9 @@ Two cache shapes live here:
     tier per stage, then — when the store has a root directory — a
     persistent on-disk tier.  Disk writes are atomic (tmp file +
     ``os.replace``) so concurrent workers and concurrent engine
-    processes can share one tree without locks; a corrupted or truncated
-    entry is deleted and treated as a miss, never an error.  The fleet's
-    :class:`~repro.fleet.cas.TieredStore` adds the network CAS as a
-    third tier behind both.
+    processes can share one tree without locks (fleet replicas all
+    cache in one); a corrupted or truncated entry is deleted and treated
+    as a miss, never an error.
 
 Neither class imports anything above :mod:`repro`'s leaf layers, so the
 frontend and the engine can both depend on this module.

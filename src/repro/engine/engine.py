@@ -21,12 +21,12 @@ both facts:
   while keeping at least four chunks per worker for load balance.
 * **Never redo work** — every engine owns one content-addressed
   :class:`~repro.engine.cache.ContentStore`: a bounded memory tier,
-  then the on-disk tier when ``cache_dir`` is set, then the fleet CAS
-  when ``cas_addr`` is.  A re-run of ``fit``, ``predict_batch``, an eval
-  scenario, or a benchmark — in-process or, with a disk tier, in a new
-  process — skips compilation and featurization entirely; cache keys
-  mix in the stage config and the code version, so changing any input
-  recomputes.  A caller that wants a cold cache uses a fresh engine.
+  then the on-disk tier when ``cache_dir`` is set.  A re-run of
+  ``fit``, ``predict_batch``, an eval scenario, or a benchmark —
+  in-process or, with a disk tier, in a new process — skips compilation
+  and featurization entirely; cache keys mix in the stage config and
+  the code version, so changing any input recomputes.  A caller that
+  wants a cold cache uses a fresh engine.
 
 Parallel and serial runs are bit-identical by construction: per-sample
 results are computed independently and reassembled in input order, and
@@ -151,20 +151,6 @@ def _cacheable(stage: Any) -> bool:
     return getattr(stage, "config", None) is not None
 
 
-def _build_store(cache_dir: Optional[str], cas_addr: Optional[str],
-                 version: Optional[str] = None) -> ContentStore:
-    """The engine's stage store: memory only without ``cache_dir``,
-    memory → disk with one, and memory → disk → fleet CAS when a CAS
-    address is configured too, so one replica's cold compile becomes
-    every replica's warm hit.  The fleet layer is imported lazily: the
-    engine must not depend on it unless a fleet is actually in play."""
-    if cache_dir and cas_addr:
-        from repro.fleet.cas import TieredStore
-
-        return TieredStore(cache_dir, cas_addr, version)
-    return ContentStore(cache_dir, version)
-
-
 def _split_batch(features: Any, n: int) -> List[Any]:
     """Per-sample rows of a batch featurizer output (matrix or list)."""
     if isinstance(features, np.ndarray):
@@ -231,7 +217,6 @@ class _WorkerState(NamedTuple):
     featurizer: Optional[Any]
     cache_dir: Optional[str]
     version: Optional[str]
-    cas_addr: Optional[str]
 
 
 #: The installed stage state, set by the pool initializer in each worker.
@@ -264,9 +249,9 @@ def _stage_chunk(token: str, chunk: Sequence[Tuple[str, str]]) -> List[Any]:
         raise RuntimeError(
             f"engine worker has no installed state for stage token {token!r}"
             " (pool restarted under a different stage?)")
-    # A worker's store lives for one chunk: it exists to write the lower
-    # tiers, and the parent's memory tier keeps what the chunk returns.
-    store = (_build_store(state.cache_dir, state.cas_addr, state.version)
+    # A worker's store lives for one chunk: it exists to write the disk
+    # tier, and the parent's memory tier keeps what the chunk returns.
+    store = (ContentStore(state.cache_dir, state.version)
              if state.cache_dir else None)
     return _process_chunk(store, state.frontend, state.featurizer, chunk)
 
@@ -283,18 +268,12 @@ class EngineConfig:
     ``workers=0`` runs serially in-process; ``workers=N`` fans work out
     to N worker processes (started with ``fork`` on Linux, the platform
     default elsewhere).  ``cache_dir=None`` keeps the engine's store in
-    memory only.
-
-    ``cas_addr`` (``host:port``) attaches the persistent store to a
-    fleet-shared network CAS (see :mod:`repro.fleet.cas`): local misses
-    consult the fleet tier before recomputing, and local stores are
-    published so sibling replicas never redo the work.  Requires
-    ``cache_dir``; ignored without one.
+    memory only; processes given the same ``cache_dir`` share its disk
+    tier (fleet replicas do).
     """
 
     workers: int = 0
     cache_dir: Optional[str] = None
-    cas_addr: Optional[str] = None
 
     def __post_init__(self):
         if self.workers < 0:
@@ -306,8 +285,7 @@ class ExecutionEngine:
 
     def __init__(self, config: Optional[EngineConfig] = None, **overrides):
         self.config = config or EngineConfig(**overrides)
-        self.store: ContentStore = _build_store(
-            self.config.cache_dir, self.config.cas_addr)
+        self.store = ContentStore(self.config.cache_dir)
         #: Parent-side work counters (worker-side compiles land in the
         #: shared store but are not mirrored here).  ``tasks`` /
         #: ``payload_bytes`` count the parallel transport: submitted
@@ -388,9 +366,6 @@ class ExecutionEngine:
                                  if self.config.workers > 0 else None),
             },
             "store": self.store.stats_dict(),
-            # Two-tier fleet CAS counters (None on plain local stores).
-            "cas": (self.store.cas_stats()
-                    if hasattr(self.store, "cas_stats") else None),
         }
 
     # -- lifecycle ----------------------------------------------------------
@@ -564,8 +539,7 @@ class ExecutionEngine:
             self._warmup(featurizer)
             token = self._stage_token(frontend, featurizer)
             state = _WorkerState(token, frontend, featurizer,
-                                 self.config.cache_dir, self.store.version,
-                                 self.config.cas_addr)
+                                 self.config.cache_dir, self.store.version)
             task = partial(_stage_chunk, token)
             done = self._fan_out([(task, chunk) for chunk in chunks], state)
             if done is not None:
@@ -667,7 +641,6 @@ class ExecutionEngine:
         return digest_parts([
             *_stage_ids(frontend, featurizer),
             self.config.cache_dir or "", self.store.version,
-            self.config.cas_addr or "",
         ])
 
     def _ensure_pool(self,
@@ -754,16 +727,13 @@ def default_engine() -> ExecutionEngine:
     """The process-wide engine every pipeline uses unless given its own.
 
     First use builds it from the ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``
-    / ``REPRO_CAS_ADDR`` environment variables (serial, memory tier
-    only when unset); ``REPRO_CAS_ADDR`` is how fleet replica subprocesses attach
-    their engines to the shared network CAS.
+    environment variables (serial, memory tier only when unset).
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = ExecutionEngine(EngineConfig(
             workers=_env_workers(),
-            cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-            cas_addr=os.environ.get("REPRO_CAS_ADDR") or None))
+            cache_dir=os.environ.get("REPRO_CACHE_DIR") or None))
     return _DEFAULT_ENGINE
 
 
@@ -775,8 +745,7 @@ def configure(workers: Optional[int] = None,
     _DEFAULT_ENGINE = ExecutionEngine(EngineConfig(
         workers=current.workers if workers is None else workers,
         cache_dir=current.cache_dir if cache_dir is None else (cache_dir
-                                                               or None),
-        cas_addr=current.cas_addr))
+                                                               or None)))
     return _DEFAULT_ENGINE
 
 

@@ -1,16 +1,15 @@
 """The fleet front door: consistent-hash routing over serve replicas.
 
-One asyncio process that owns three things:
+One asyncio process that owns two things:
 
 * the **router** — ``POST /v1/check`` / ``/v1/analyze`` are routed onto
   a replica by rendezvous-hashing the request's *content digest* (the
   sha256 of its source texts), so repeats of the same sources land on
-  the same replica and its warm local cache;
-* the **shared CAS** (:class:`~repro.fleet.cas.CASServer`) on the same
-  event loop, which is what makes even a *re-routed* digest warm: the
-  first replica's compile was published to the fleet tier;
+  the same replica and its warm memory tier;
 * the **supervisor** (:class:`~repro.fleet.supervisor.ReplicaSupervisor`)
-  holding the ``repro serve`` subprocesses.
+  holding the ``repro serve`` subprocesses, which all cache in one
+  shared directory — what makes even a *re-routed* digest warm: the
+  first replica's compile is a disk hit for its successor.
 
 Failure semantics: a dead replica is skipped at routing time (its
 rendezvous successor takes the digest — ``rerouted`` counter); a
@@ -28,9 +27,9 @@ Endpoints mirror the single-process service (``docs/fleet.md``):
 ``POST /v1/analyze``        routed by content digest
 ``POST /v1/repair``         routed by content digest
 ``GET /healthz``            fleet liveness (alive/total replicas)
-``GET /metrics``            JSON (or Prometheus text) incl. routing + CAS
+``GET /metrics``            JSON (or Prometheus text) incl. routing
 ``GET /v1/model``           forwarded to the first live replica
-``GET /v1/fleet``           topology: replicas, routing counters, CAS stats
+``GET /v1/fleet``           topology: replicas, cache dir, routing counters
 ``POST /v1/reload``         broadcast to every live replica
 ``GET /v1/trace/<id>``      front-door trace *merged* with replica spans
 ``GET /v1/traces``          front-door trace ring summaries
@@ -57,7 +56,6 @@ from repro.obs import enable_all
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, new_id
-from repro.fleet.cas import CASServer
 from repro.fleet.config import FleetConfig
 from repro.fleet.supervisor import (
     STARTUP_TIMEOUT_S,
@@ -175,7 +173,7 @@ class _ReplicaShed(Exception):
 
 
 class FleetFrontDoor(HTTPService):
-    """Router + shared CAS + supervisor on one event loop."""
+    """Router + supervisor on one event loop."""
 
     ROUTES = _ROUTES
     REQUEST_SECONDS = _FLEET_REQ_SECONDS
@@ -186,8 +184,6 @@ class FleetFrontDoor(HTTPService):
         super().__init__()
         self.model_path = model_path
         self.config = config or FleetConfig()
-        self.cas = CASServer(host=self.config.host,
-                             max_bytes=self.config.cas_max_bytes)
         self.supervisor: Optional[ReplicaSupervisor] = None
         self.counters: Dict[str, int] = {
             "routed": 0, "rerouted": 0, "shed": 0, "forward_errors": 0,
@@ -204,16 +200,15 @@ class FleetFrontDoor(HTTPService):
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         enable_all(ring_size=TRACE_RING)
-        await self.cas.start()
-        self.supervisor = ReplicaSupervisor(self.model_path, self.config,
-                                            self.cas.addr)
+        self.supervisor = ReplicaSupervisor(self.model_path, self.config)
         loop = asyncio.get_running_loop()
-        # Readiness polling blocks; keep the loop (and the CAS it hosts)
-        # serving while replicas warm up.
+        # Readiness polling blocks; keep the loop free while replicas
+        # warm up.
         await loop.run_in_executor(None, self.supervisor.start)
         await self._listen()
         self._supervise_task = asyncio.ensure_future(self._supervise())
-        EVENTS.emit("fleet.start", port=self.port, cas=self.cas.addr,
+        EVENTS.emit("fleet.start", port=self.port,
+                    cache_dir=self.supervisor.cache_dir,
                     replicas=[r.port for r in self.supervisor.replicas])
 
     async def stop(self) -> None:
@@ -231,7 +226,6 @@ class FleetFrontDoor(HTTPService):
         if self.supervisor is not None:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.supervisor.stop)
-        await self.cas.stop()
         TRACER.disable()
         METRICS.enabled = False
 
@@ -475,7 +469,7 @@ class FleetFrontDoor(HTTPService):
                                   "no live replicas in the fleet",
                                   replicas_alive=0, replicas_total=total)
         return 200, {"status": "ok", "replicas_alive": len(alive),
-                     "replicas_total": total, "cas": self.cas.addr}, {}
+                     "replicas_total": total}, {}
 
     def _handle_metrics(self, headers: Dict[str, str],
                         query: str) -> Response:
@@ -496,7 +490,6 @@ class FleetFrontDoor(HTTPService):
             "replicas": [r.as_dict() for r in
                          (self.supervisor.replicas if self.supervisor
                           else [])],
-            "cas": self.cas.stats(),
             "telemetry": METRICS.as_dict(),
             "tracing": TRACER.stats(),
         }
@@ -510,7 +503,8 @@ class FleetFrontDoor(HTTPService):
     def _handle_fleet(self) -> Tuple[int, Any, Dict[str, str]]:
         return 200, {
             "model_path": self.model_path,
-            "cas": {"addr": self.cas.addr, **self.cas.stats()},
+            "cache_dir": (self.supervisor.cache_dir if self.supervisor
+                          else None),
             "replicas": [r.as_dict() for r in
                          (self.supervisor.replicas if self.supervisor
                           else [])],
@@ -619,7 +613,8 @@ def serve_fleet(model_path: str,
 
     def banner() -> str:
         return (f"fleet front door on http://{config.host}:{door.port} "
-                f"({config.replicas} replicas, CAS {door.cas.addr})")
+                f"({config.replicas} replicas, cache "
+                f"{door.supervisor.cache_dir})")
 
     ServiceRunner(door, name="repro-fleet",
                   timeout=STARTUP_TIMEOUT_S + 60).run(banner)

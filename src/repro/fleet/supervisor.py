@@ -1,18 +1,17 @@
 """Replica lifecycle: spawn, readiness, liveness, kill.
 
 Each replica is one ``repro serve`` subprocess — the *unchanged* single
--process service — wired into the fleet purely through environment:
+-process service — wired into the fleet purely through its flags:
 
-* ``REPRO_CAS_ADDR``   → its engine builds a
-  :class:`~repro.fleet.cas.TieredStore` instead of a plain local store;
-* ``REPRO_CACHE_DIR``  → a replica-*private* subtree
-  (``<base>/replica<i>``), so any cross-replica cache warmth observable
-  in tests can only have traveled through the network CAS;
-* ``REPRO_WORKERS``    → per-replica engine pool size.
+* ``--cache-dir``  → the fleet's one shared cache directory, so a stage
+  result computed by any replica (or any of its pool workers) is a disk
+  hit for every other: the store's atomic writes let processes share
+  one tree without locks;
+* ``--workers``    → per-replica engine pool size, when configured.
 
 Liveness is ``Popen.poll()``-based: a killed replica reads as dead on
 the very next routing decision, no health-check loop required.  Stdout
-and stderr land in per-replica log files next to the cache subtree.
+and stderr land in per-replica log files in the cache directory.
 
 Crash recovery: the front door's supervision loop polls
 :meth:`ReplicaSupervisor.maybe_restart`, which respawns replicas that
@@ -69,7 +68,6 @@ class Replica:
     host: str
     port: int
     proc: subprocess.Popen
-    cache_dir: str
     log_path: str
     log_file: Optional[IO[bytes]] = field(default=None, repr=False)
 
@@ -83,22 +81,21 @@ class Replica:
 
     def as_dict(self) -> Dict[str, Any]:
         return {"index": self.index, "port": self.port,
-                "pid": self.proc.pid, "alive": self.alive,
-                "cache_dir": self.cache_dir}
+                "pid": self.proc.pid, "alive": self.alive}
 
 
 class ReplicaSupervisor:
     """Spawns and owns the fleet's ``repro serve`` subprocesses."""
 
-    def __init__(self, model_path: str, config: FleetConfig,
-                 cas_addr: str):
+    def __init__(self, model_path: str, config: FleetConfig):
         self.model_path = model_path
         self.config = config
-        self.cas_addr = cas_addr
         self.replicas: List[Replica] = []
         self.restarts = 0
-        self._base_dir: Optional[str] = config.cache_dir
-        self._owns_base_dir = config.cache_dir is None
+        #: The directory every replica caches in; a temporary one the
+        #: supervisor owns (made in :meth:`start`) when not configured.
+        self.cache_dir: Optional[str] = config.cache_dir
+        self._owns_cache_dir = config.cache_dir is None
         self._no_restart: set = set()          # decommissioned indices
         # index → (consecutive restart attempts, earliest next attempt)
         self._backoff: Dict[int, tuple] = {}
@@ -108,9 +105,9 @@ class ReplicaSupervisor:
         """Spawn every replica and block until all answer ``/healthz``
         (or raise after :data:`STARTUP_TIMEOUT_S`, tearing down
         spawned processes)."""
-        if self._base_dir is None:
-            self._base_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-        os.makedirs(self._base_dir, exist_ok=True)
+        if self.cache_dir is None:
+            self.cache_dir = tempfile.mkdtemp(prefix="repro-fleet-")
+        os.makedirs(self.cache_dir, exist_ok=True)
         try:
             for index in range(self.config.replicas):
                 self.replicas.append(self._spawn(index))
@@ -123,25 +120,21 @@ class ReplicaSupervisor:
         return self.replicas
 
     def _spawn(self, index: int) -> Replica:
-        cache_dir = os.path.join(self._base_dir, f"replica{index}")
-        os.makedirs(cache_dir, exist_ok=True)
         port = free_port(self.config.host)
         env = dict(os.environ)
         env["PYTHONPATH"] = _repo_pythonpath()
-        env["REPRO_CAS_ADDR"] = self.cas_addr
-        env["REPRO_CACHE_DIR"] = cache_dir
+        argv = [sys.executable, "-m", "repro", "serve", self.model_path,
+                "--host", self.config.host, "--port", str(port),
+                "--cache-dir", self.cache_dir]
         if self.config.workers is not None:
-            env["REPRO_WORKERS"] = str(self.config.workers)
-        log_path = os.path.join(self._base_dir, f"replica{index}.log")
+            argv += ["--workers", str(self.config.workers)]
+        log_path = os.path.join(self.cache_dir, f"replica{index}.log")
         log_file = open(log_path, "ab")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", self.model_path,
-             "--host", self.config.host, "--port", str(port)],
-            env=env, stdout=log_file, stderr=subprocess.STDOUT,
+            argv, env=env, stdout=log_file, stderr=subprocess.STDOUT,
             stdin=subprocess.DEVNULL)
         return Replica(index=index, host=self.config.host, port=port,
-                       proc=proc, cache_dir=cache_dir, log_path=log_path,
-                       log_file=log_file)
+                       proc=proc, log_path=log_path, log_file=log_file)
 
     def _await_ready(self, replica: Replica, deadline: float) -> None:
         import http.client
@@ -189,8 +182,8 @@ class ReplicaSupervisor:
         """Respawn one dead replica in place and block until ready.
 
         The replacement listens on a *fresh* OS-assigned port (the old
-        one may sit in TIME_WAIT or have been reclaimed), reuses the
-        replica's private cache subtree, and appends to its log file.
+        one may sit in TIME_WAIT or have been reclaimed), shares the
+        fleet's cache directory, and appends to its log file.
         """
         old = self.replicas[index]
         if old.log_file is not None:
@@ -256,7 +249,7 @@ class ReplicaSupervisor:
                 except OSError:
                     pass
                 replica.log_file = None
-        if self._owns_base_dir and self._base_dir \
-                and os.path.isdir(self._base_dir):
-            shutil.rmtree(self._base_dir, ignore_errors=True)
-            self._base_dir = None
+        if self._owns_cache_dir and self.cache_dir \
+                and os.path.isdir(self.cache_dir):
+            shutil.rmtree(self.cache_dir, ignore_errors=True)
+            self.cache_dir = None

@@ -12,8 +12,8 @@ Public API:
 * :func:`save_envelope` / :func:`load_envelope` — validated file I/O;
   ``load_envelope`` is the one file loader and reads envelopes only.
 * :class:`KindSpec` / :func:`register_kind` — the extensible kind
-  registry (built-ins in :mod:`repro.schema.kinds`; the fleet CAS
-  registers its own stats kind).
+  registry (built-ins in :mod:`repro.schema.kinds`; the repair report
+  registers its own kind).
 """
 
 from repro.schema.envelope import (

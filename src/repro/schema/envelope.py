@@ -1,9 +1,8 @@
 """The unified artifact envelope.
 
-Every persisted artifact the project ships — pipeline-manifest, eval
-matrix, fuzz report, perf profile, and anything a fleet node wants to
-hand a peer — used to carry its own ad-hoc framing.  This module makes
-the framing one shape::
+Every persisted artifact the project ships — pipeline manifest, eval
+matrix, fuzz report, repair report — used to carry its own ad-hoc
+framing.  This module makes the framing one shape::
 
     {
         "kind":           "repro-eval-matrix",      # registered kind name
@@ -22,8 +21,8 @@ writer can check what it is about to save; :func:`load_envelope`, the
 one file loader, accepts envelopes only.
 
 Kinds self-register via :func:`register_kind`; the built-ins live in
-:mod:`repro.schema.kinds` and the fleet CAS registers its stats kind in
-:mod:`repro.fleet.cas`.
+:mod:`repro.schema.kinds` and the repair report registers its kind in
+:mod:`repro.repair.report`.
 """
 
 from __future__ import annotations
@@ -148,12 +147,7 @@ def _flatten(envelope: Mapping[str, Any], spec: KindSpec) -> Dict[str, Any]:
     flat = dict(envelope["payload"])
     flat[spec.kind_key] = spec.name
     flat["schema_version"] = envelope["schema_version"]
-    # Only kinds whose flat shape carries repro_version get it merged
-    # back — the fleet CAS's stats document, for one, never did, and
-    # flat → envelope → flat must round-trip exactly.
-    properties = (spec.flat_schema or {}).get("properties", {})
-    if "repro_version" in properties:
-        flat.setdefault("repro_version", envelope["repro_version"])
+    flat.setdefault("repro_version", envelope["repro_version"])
     return flat
 
 

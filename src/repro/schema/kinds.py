@@ -4,8 +4,8 @@ One :class:`~repro.schema.envelope.KindSpec` per persisted artifact the
 project ships: the evaluation matrix (``EVAL_matrix.json``), the fuzz
 campaign report (``FUZZ_report.json``) and the pipeline-artifact
 manifest (``manifest.json``).  Importing this module registers them
-all.  The repair report (:mod:`repro.repair.report`) and the fleet
-CAS's stats document (:mod:`repro.fleet.cas`) register their own kinds.
+all.  The repair report (:mod:`repro.repair.report`) registers its
+own kind.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Stdlib JSON-Schema-subset validator shared by every artifact kind.
 
 Grew up guarding ``EVAL_matrix.json``; now that pipeline manifests,
-fuzz reports, perf profiles, and the fleet CAS all validate through one
-envelope (:mod:`repro.schema.envelope`), the validator lives here.  It implements
+fuzz reports and repair reports all validate through one envelope
+(:mod:`repro.schema.envelope`), the validator lives here.  It implements
 exactly the JSON-Schema subset the artifacts need (types, required
 keys, nested properties, items, enums, nullable unions) — no external
 dependency, stable error paths.

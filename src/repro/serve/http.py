@@ -1,5 +1,4 @@
-"""The service core shared by ``repro serve``, the fleet front door and
-the fleet CAS.
+"""The service core shared by ``repro serve`` and the fleet front door.
 
 Three things live here and nowhere else:
 
@@ -20,7 +19,7 @@ Three things live here and nowhere else:
 * **:class:`ServiceRunner`**, which hosts any service with
   ``async start()`` / ``async stop()`` on an event loop: blocking until
   interrupted (the CLI), or on a background thread (tests and
-  benchmarks).  The CAS keeps its own binary protocol but runs on this.
+  benchmarks).
 """
 
 from __future__ import annotations

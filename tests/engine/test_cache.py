@@ -1,5 +1,6 @@
 """Unit tests for the engine's caching primitives (LRU + tiered store)."""
 
+import multiprocessing
 import os
 import pickle
 import sys
@@ -150,6 +151,55 @@ def test_store_values_survive_process_roundtrip(tmp_path):
     second = ContentStore(str(tmp_path), version="t1")
     found, value = second.get("compile", key)
     assert found and pickle.loads(value) == b"payload"
+
+
+def _shared_value(key):
+    return (key * 64).encode()       # 4 KiB, a function of the key alone
+
+
+def _put_then_read_back(root, keys, offset, barrier):
+    """One writer process: put every key (starting at ``offset``, so
+    writers collide on different keys at once), then read each back
+    through a fresh store while the other writers are still going."""
+    store = ContentStore(root, version="t1")
+    barrier.wait(timeout=60)
+    for key in keys[offset:] + keys[:offset]:
+        store.put("compile", key, _shared_value(key))
+    reader = ContentStore(root, version="t1")
+    intact = all(reader.get("compile", key) == (True, _shared_value(key))
+                 for key in keys)
+    os._exit(0 if intact and reader.stats["compile"].errors == 0 else 1)
+
+
+def test_processes_share_one_tree_concurrently(tmp_path):
+    """Fleet replicas and their pool workers all cache in one tree:
+    several processes putting the same keys at once must leave every
+    entry intact and no temp files behind."""
+    root = str(tmp_path)
+    keys = [ContentStore(root, version="t1").key("compile", [str(i)])
+            for i in range(300)]
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else None)
+    writers = 3
+    barrier = context.Barrier(writers)
+    procs = [context.Process(target=_put_then_read_back,
+                             args=(root, keys, i * len(keys) // writers,
+                                   barrier))
+             for i in range(writers)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in procs] == [0] * writers
+    store = ContentStore(root, version="t1")
+    for key in keys:
+        assert store.get("compile", key) == (True, _shared_value(key))
+    assert store.stats["compile"].errors == 0
+    assert store.summary()["compile"]["entries"] == len(keys)
+    leftovers = [f for _root, _dirs, files in os.walk(root)
+                 for f in files if f.endswith(".tmp")]
+    assert leftovers == []
 
 
 # ---------------------------------------------------------------------------

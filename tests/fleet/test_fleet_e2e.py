@@ -8,8 +8,8 @@ alive, which is itself part of what that test asserts.
 The two acceptance points from the fleet design:
 
 * **shared warmth** — a digest compiled cold on one replica is served
-  warm by another, observable as fleet CAS hits (> 0) rather than a
-  recompile, because each replica's local cache directory is private;
+  warm by another from the cache directory every replica shares,
+  observable as zero new store misses on the replica that inherits it;
 * **failure transparency** — killing a replica mid-campaign produces
   zero 5xx responses and byte-identical verdicts, with rerouting
   visible in the front door's counters.
@@ -29,12 +29,8 @@ _REPLICAS = 2
 
 @pytest.fixture(scope="module")
 def fleet(artifact):
-    # The tiny CAS budget is deliberate: campaign blobs overflow it, so
-    # the kill test's warmth assertions only hold if eviction *spills*
-    # to the disk tier instead of dropping hot entries.
     config = FleetConfig(port=0, replicas=_REPLICAS,
-                         request_timeout_s=600.0,
-                         cas_max_bytes=4 * 1024)
+                         request_timeout_s=600.0)
     with BackgroundFleet(artifact, config) as background:
         yield background
 
@@ -58,17 +54,17 @@ def test_health_reports_topology(client, fleet):
     assert doc["status"] == "ok"
     assert doc["replicas_alive"] == _REPLICAS
     assert doc["replicas_total"] == _REPLICAS
-    assert doc["cas"] == fleet.door.cas.addr
 
 
-def test_fleet_topology_endpoint(client):
+def test_fleet_topology_endpoint(client, fleet):
     doc = _fleet_doc(client)
     assert len(doc["replicas"]) == _REPLICAS
     ports = {r["port"] for r in doc["replicas"]}
     assert len(ports) == _REPLICAS            # distinct sockets
-    dirs = {r["cache_dir"] for r in doc["replicas"]}
-    assert len(dirs) == _REPLICAS             # private local caches
-    assert doc["cas"]["kind"] == "repro-cas-stats"
+    # One cache directory, shared by every replica.
+    assert doc["cache_dir"] == fleet.door.supervisor.cache_dir
+    assert os.path.isdir(doc["cache_dir"])
+    assert all("cache_dir" not in r for r in doc["replicas"])
 
 
 def test_model_is_forwarded_from_a_replica(client):
@@ -126,7 +122,6 @@ def test_prometheus_metrics_include_fleet_families(client):
     assert status == 200
     assert "repro_fleet_requests_total" in text
     assert "repro_fleet_replicas_alive" in text
-    assert "repro_fleet_cas_hits_total" in text
     assert "repro_fleet_connections_reused_total" in text
     assert "repro_fleet_restarts_total" in text
     assert "repro_repair_requests_total" in text
@@ -184,7 +179,7 @@ int main(int argc, char** argv) {
 
 def test_crashed_replica_is_auto_restarted(client, fleet, cold_corpus):
     """An *unexpected* replica death heals: the supervision loop
-    respawns it (fresh port, same cache subtree) and the topology
+    respawns it (fresh port, same shared cache) and the topology
     recovers to full strength."""
     doc = _fleet_doc(client)
     old_port = doc["replicas"][1]["port"]
@@ -212,24 +207,37 @@ def test_crashed_replica_is_auto_restarted(client, fleet, cold_corpus):
     assert isinstance(payload["results"][0]["is_correct"], bool)
 
 
+def _store_counters(host, port):
+    """``{stage: (misses, memory-tier misses)}`` for the compile and
+    features stages, from one replica's own ``GET /metrics``."""
+    replica = ServeClient(host, port, timeout=60.0)
+    try:
+        status, doc = replica.request("GET", "/metrics")
+    finally:
+        replica.close()
+    assert status == 200
+    store = doc["engine"]["store"]
+    return {stage: (store[stage]["misses"],
+                    store[stage]["memory"]["misses"])
+            for stage in ("compile", "features")}
+
+
 def test_campaign_survives_replica_kill_with_cas_warmth(
         client, fleet, cold_corpus):
     """The tentpole acceptance test: kill a replica mid-campaign.
 
     Pass 1 (both replicas): every digest compiles cold on its rendezvous
-    owner and is published to the fleet CAS.  Pass 2 (one replica
-    killed): the survivor inherits the dead replica's digests; they are
-    *warm* for the fleet even though the survivor never compiled them —
-    zero 5xx, byte-identical verdicts, and fleet CAS hits prove the
-    warmth crossed the network tier, not a shared directory.
+    owner, which writes it to the shared cache directory.  Pass 2 (one
+    replica killed): the survivor inherits the dead replica's digests.
+    It never computed them, yet its own compile and features store
+    misses do not grow — they are disk hits in the shared tree.  Zero
+    5xx and byte-identical verdicts throughout.
     """
     jobs = cold_corpus(6, "campaign")
     host = fleet.config.host
 
     first = run_load(host, fleet.port, jobs, concurrency=2, timeout=600.0)
     assert first["failed"] == 0, first["failures"]
-    doc = _fleet_doc(client)
-    assert doc["cas"]["counters"]["puts"] > 0     # cold results published
     baseline = {}
     for name, source in jobs:
         status, payload = client.request(
@@ -237,14 +245,10 @@ def test_campaign_survives_replica_kill_with_cas_warmth(
         assert status == 200
         baseline[name] = json.dumps(payload, sort_keys=True)
 
-    hits_before = doc["cas"]["counters"]["hits"]
-    misses_before = doc["cas"]["counters"]["misses"]
+    doc = _fleet_doc(client)
     restarts_before = doc["routing"]["restarts"]
-    # The tiny fixture budget forced evictions during the cold pass —
-    # all spilled to disk, none dropped.
-    assert doc["cas"]["counters"]["evictions"] > 0
-    assert doc["cas"]["counters"]["spills"] == \
-        doc["cas"]["counters"]["evictions"]
+    survivor = doc["replicas"][1]
+    before = _store_counters(host, survivor["port"])
     fleet.kill_replica(0)
 
     second = run_load(host, fleet.port, jobs, concurrency=2, timeout=600.0)
@@ -261,10 +265,13 @@ def test_campaign_survives_replica_kill_with_cas_warmth(
 
     doc = _fleet_doc(client)
     assert doc["routing"]["rerouted"] > 0          # failover happened
-    assert doc["cas"]["counters"]["hits"] > hits_before
-    # No re-compiles under budget pressure: every digest the survivor
-    # inherited was answered from memory or the disk spill tier.
-    assert doc["cas"]["counters"]["misses"] == misses_before
+    after = _store_counters(host, survivor["port"])
+    for stage in ("compile", "features"):
+        # No recompute: every digest the survivor inherited was found.
+        assert after[stage][0] == before[stage][0], stage
+    # ...and not in its memory tier, which had never seen them: the
+    # shared disk tree answered.
+    assert after["features"][1] > before["features"][1]
     dead = [r for r in doc["replicas"] if not r["alive"]]
     assert [r["index"] for r in dead] == [0]
     # kill() decommissions: dead stays dead, restarts don't resurrect it.

@@ -17,8 +17,8 @@ class _Proc:
 
 def _replicas(n):
     return [Replica(index=i, host="127.0.0.1", port=9000 + i,
-                    proc=_Proc(), cache_dir=f"/tmp/r{i}",
-                    log_path=f"/tmp/r{i}.log") for i in range(n)]
+                    proc=_Proc(), log_path=f"/tmp/r{i}.log")
+            for i in range(n)]
 
 
 def test_digest_depends_on_content_not_names():

@@ -66,21 +66,6 @@ def _fuzz_doc():
     }
 
 
-def _cas_stats_doc():
-    # Registered by repro.fleet.cas; its flat shape has no repro_version,
-    # so it checks that _flatten does not add one.
-    import repro.fleet.cas  # noqa: F401
-
-    return {
-        "kind": "repro-cas-stats",
-        "schema_version": 1,
-        "entries": 2,
-        "bytes": 64,
-        "max_bytes": 1024,
-        "counters": {"hits": 1, "misses": 0},
-    }
-
-
 def _manifest_doc():
     stage = {"name": "mini-c", "config": {}}
     return {
@@ -99,7 +84,6 @@ def _manifest_doc():
 ALL_KINDS = [
     ("repro-eval-matrix", _matrix_doc),
     ("repro-fuzz-report", _fuzz_doc),
-    ("repro-cas-stats", _cas_stats_doc),
     ("repro.detection-pipeline", _manifest_doc),
 ]
 
@@ -177,8 +161,8 @@ def test_committed_ci_artifacts_load_as_envelopes(relpath):
 
 
 def test_digest_tamper_detected():
-    envelope = make_envelope(_cas_stats_doc())
-    envelope["payload"]["entries"] = 999
+    envelope = make_envelope(_fuzz_doc())
+    envelope["payload"]["oracles"] = ["simulator", "static"]
     with pytest.raises(SchemaError, match="digest mismatch"):
         validate_envelope(envelope)
 
@@ -211,7 +195,7 @@ def test_kind_semantic_checks_still_fire_through_envelope():
 
 
 def test_custom_kind_registration():
-    """Third parties (the fleet CAS, for one) can register kinds."""
+    """Modules outside the schema package can register kinds."""
     spec = register_kind(KindSpec(
         name="repro-test-kind", schema_version=1,
         flat_schema={"type": "object", "required": ["kind", "value"],
