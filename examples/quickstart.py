@@ -16,11 +16,17 @@ then classifies:
 Finally the fitted pipeline round-trips through the versioned artifact
 format (JSON manifest + per-stage blobs).
 
-All compile/featurize work runs on the corpus execution engine: set
-``REPRO_WORKERS=4`` to fan it out over worker processes and
-``REPRO_CACHE_DIR=~/.cache/repro`` to make re-runs of this script skip
-compilation and featurization entirely (the CLI equivalents are
-``python -m repro train --workers 4 --cache-dir ~/.cache/repro ...``).
+All compile/featurize work runs on the process default execution
+engine, which is serial with an in-memory cache.  To fan it out over
+worker processes and make re-runs skip compilation and featurization
+entirely, install another one first::
+
+    from repro.engine import EngineConfig, ExecutionEngine, set_default_engine
+    set_default_engine(ExecutionEngine(EngineConfig(
+        workers=4, cache_dir="~/.cache/repro")))
+
+(the CLI equivalent is ``python -m repro train --workers 4 --cache-dir
+~/.cache/repro ...``).
 
 To serve the saved artifact over HTTP — concurrent requests coalesced
 into micro-batched ``predict_batch`` calls, hot-reloadable on retrain —
@@ -69,7 +75,7 @@ def main() -> None:
     engine = default_engine()
     print(f"execution engine: workers={engine.workers} "
           f"cache_dir={engine.cache_dir or '(disabled)'}  "
-          "(set REPRO_WORKERS / REPRO_CACHE_DIR)")
+          "(see set_default_engine in this file's docstring)")
 
     print("\nLoading the MBI-style dataset (generated, deterministic)...")
     training = load_mbi(subsample=600)

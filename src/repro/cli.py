@@ -34,11 +34,12 @@ obs            scrape telemetry (``obs dump``) from a running server
 trace          fetch one trace by id and print its span tree
 =============  ==============================================================
 
-The corpus subcommands (``train``, ``check``, ``experiment``) accept
-``--workers N`` (parallel compile/featurize over N processes) and
-``--cache-dir PATH`` (persistent content-addressed cache — warm re-runs
-skip compilation and featurization entirely); both also default from the
-``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` environment variables.
+The corpus subcommands (``train``, ``check``, ``experiment``, ``eval
+matrix``, ``fuzz``, ``repair``) and ``serve`` accept ``--workers N``
+(parallel compile/featurize over N processes) and ``--cache-dir PATH``
+(persistent content-addressed cache — warm re-runs skip compilation and
+featurization entirely).  Flags are the only settings: no subcommand
+reads an environment variable.
 
 Every subcommand is a plain function taking parsed args and returning an
 exit code, so the test suite drives ``main([...])`` in-process.
@@ -54,20 +55,6 @@ from typing import List, Optional, Sequence
 def _read_source(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _apply_engine_flags(args: argparse.Namespace) -> None:
-    """Install the process default engine from --workers / --cache-dir."""
-    if getattr(args, "workers", None) is not None \
-            or getattr(args, "cache_dir", None) is not None:
-        from repro.engine import configure
-
-        configure(workers=args.workers, cache_dir=args.cache_dir)
-
-
-def _resolve_cache_dir(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "cache_dir", None) \
-        or os.environ.get("REPRO_CACHE_DIR") or None
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +235,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     from repro.eval.scenarios import stage_specs
     from repro.pipeline import METHOD_STAGES, DetectionPipeline
 
-    _apply_engine_flags(args)
     config = getattr(ReproConfig, args.profile)()
     dataset = config.dataset(args.dataset)
     # Built-in stages take the profile's settings from the same lowering
@@ -283,7 +269,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from repro.pipeline import ArtifactError, DetectionPipeline
 
-    _apply_engine_flags(args)
     try:
         pipeline = DetectionPipeline.load(args.model)
     except ArtifactError as exc:
@@ -363,9 +348,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.eval.config import ReproConfig
     from repro.eval.experiments import EXPERIMENTS
 
-    # --workers/--cache-dir land on the process default engine, which
-    # ReproConfig.engine() inherits for every driver.
-    _apply_engine_flags(args)
     experiment = EXPERIMENTS[args.name]
     print(experiment.render(experiment.run(getattr(ReproConfig, args.profile)())))
     return 0
@@ -386,7 +368,6 @@ def cmd_eval_matrix(args: argparse.Namespace) -> int:
     from repro.eval.matrix import MatrixSpec, run_matrix, save_matrix_artifact
     from repro.eval.reporting import render_generalization, render_matrix
 
-    _apply_engine_flags(args)
     config = getattr(ReproConfig, args.profile)()
     spec = MatrixSpec.for_profile(args.profile)
     overrides = {}
@@ -478,8 +459,8 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
     from repro.fuzz import FuzzConfig, run_campaign, save_fuzz_report
     from repro.fuzz.harness import campaign_failed
     from repro.fuzz.report import render_fuzz_report
+    from repro.obs import EVENTS
 
-    _apply_engine_flags(args)
     try:
         config = FuzzConfig(
             seed=args.seed, budget=args.budget, nprocs=args.nprocs,
@@ -501,7 +482,13 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
             print(f"error: {args.model} holds an unfitted pipeline",
                   file=sys.stderr)
             return 2
-    doc = run_campaign(config, pipeline=pipeline)
+    if args.obs_log:
+        EVENTS.configure(path=args.obs_log)
+    try:
+        doc = run_campaign(config, pipeline=pipeline)
+    finally:
+        if args.obs_log:
+            EVENTS.close()
     save_fuzz_report(doc, args.output)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -518,7 +505,6 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     mismatch."""
     from repro.fuzz import CorpusStore, FuzzConfig, replay_corpus
 
-    _apply_engine_flags(args)
     if not os.path.isdir(args.corpus_dir):
         # A replay gate that silently passes on a typo'd path verifies
         # nothing — a missing corpus is an error, not a clean run.
@@ -579,7 +565,6 @@ def cmd_repair(args: argparse.Namespace) -> int:
         save_repair_report,
     )
 
-    _apply_engine_flags(args)
     try:
         config = RepairConfig(nprocs=args.nprocs,
                               max_attempts=args.max_attempts)
@@ -649,10 +634,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.engine import ContentStore
 
-    cache_dir = _resolve_cache_dir(args)
+    cache_dir = args.cache_dir
     if not cache_dir:
-        print("error: no cache directory (pass --cache-dir or set "
-              "REPRO_CACHE_DIR)", file=sys.stderr)
+        print("error: no cache directory (pass --cache-dir)",
+              file=sys.stderr)
         return 1
     store = ContentStore(cache_dir)
     if args.action == "clear":
@@ -673,37 +658,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             total_bytes += info["bytes"]
         print(f"  {'total':<12} {total_entries:>8} entries  "
               f"{total_bytes / 1024:>10.1f} KiB")
-    _print_engine_stats()
     return 0
-
-
-def _print_engine_stats() -> None:
-    """This-process execution-engine counters (the fan-out observability
-    half of ``cache stats``; zeros in a freshly started CLI process)."""
-    from repro.engine import default_engine
-
-    engine = default_engine()
-    stats = engine.stats_dict()
-    print("engine (this process)")
-    print(f"  workers={stats['workers']} "
-          f"pool_active={stats['pool_active']}")
-    # Zero counters are noise (and a fresh CLI process is all zeros) —
-    # only activity is worth a line.
-    counters = {k: v for k, v in stats.get("counters", {}).items() if v}
-    if counters:
-        print("  " + "  ".join(f"{k}={v}" for k, v in sorted(counters.items())))
-    perf = stats.get("perf", {})
-    if perf:
-        print(f"  payload_bytes_per_task={perf['payload_bytes_per_task']:.0f} "
-              f"pool_utilization={perf['pool_utilization']:.2f} "
-              f"worker_busy_sec={perf['worker_busy_sec']:.3f} "
-              f"parallel_wall_sec={perf['parallel_wall_sec']:.3f} "
-              f"ewma_sample_sec={perf['ewma_sample_sec']:.5f}")
-        if "effective_cores" in perf:
-            pool = stats.get("pool", {})
-            print(f"  effective_cores={perf['effective_cores']} "
-                  f"pool_starts={pool.get('starts', 0)} "
-                  f"start_method={pool.get('start_method') or '-'}")
 
 
 def cmd_artifact(args: argparse.Namespace) -> int:
@@ -759,7 +714,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port, max_batch=args.max_batch,
             max_queue=args.max_queue,
             poll_interval_s=args.poll_interval,
-            workers=args.workers, cache_dir=args.cache_dir,
             trace=False if args.no_trace else None,
             trace_ring=args.trace_ring, obs_log=args.obs_log))
     except ValueError as exc:
@@ -898,13 +852,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_OBS_LOG_HELP = ("JSON-lines event log sink: a path, or '-' for stderr "
+                 "(default: off)")
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    """--workers / --cache-dir: :func:`main` installs the process default
+    engine from them for the one subcommand run."""
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="parallel compile/featurize worker processes "
-                        "(0 = serial; default: $REPRO_WORKERS or 0)")
+                        "(0 = serial; default: 0)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="persistent content-addressed cache directory "
-                        "(default: $REPRO_CACHE_DIR or disabled)")
+                        "(default: none, memory only)")
+    p.set_defaults(engine_flags=True)
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.eval.experiments import EXPERIMENTS
@@ -1077,6 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("-o", "--output", default="FUZZ_report.json")
     pf.add_argument("--json", action="store_true",
                     help="print the full report instead of the summary")
+    pf.add_argument("--obs-log", default=None, metavar="PATH",
+                    help=_OBS_LOG_HELP)
     _add_engine_flags(pf)
     pf.set_defaults(func=cmd_fuzz_run)
 
@@ -1119,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect / clear the persistent engine cache")
     p.add_argument("action", choices=("stats", "clear"))
     p.add_argument("--cache-dir", default=None, metavar="PATH",
-                   help="cache directory (default: $REPRO_CACHE_DIR)")
+                   help="cache directory (required)")
     p.add_argument("--stage", default=None, choices=("compile", "features"),
                    help="restrict 'clear' to one stage")
     p.set_defaults(func=cmd_cache)
@@ -1155,8 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="completed traces kept for GET /v1/trace/<id> "
                         "(default: 256)")
     p.add_argument("--obs-log", default=None, metavar="PATH",
-                   help="JSON-lines event log sink: a path, or '-' "
-                        "for stderr (default: $REPRO_OBS_LOG or off)")
+                   help=_OBS_LOG_HELP)
     _add_engine_flags(p)
     p.set_defaults(func=cmd_serve)
 
@@ -1175,8 +1137,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="S",
                    help="per-replica forward timeout (default: 300)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="engine workers per replica (default: "
-                        "each replica's $REPRO_WORKERS policy)")
+                   help="engine workers per replica (default: 0, "
+                        "serial)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="cache dir every replica shares (default: a "
                         "temp dir removed when the fleet stops)")
@@ -1217,24 +1179,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", None) is None \
-            and getattr(args, "cache_dir", None) is None:
+    if not getattr(args, "engine_flags", False) \
+            or (args.workers is None and args.cache_dir is None):
         return args.func(args)
-    # --workers/--cache-dir reconfigure the process default engine; the
-    # test suite drives main([...]) in-process, so restore it afterwards
-    # rather than leaking one subcommand's engine into the next — and
-    # close the temporary engine's worker pool deterministically (an
+    # --workers/--cache-dir install the process default engine; the test
+    # suite drives main([...]) in-process, so restore the previous one
+    # afterwards rather than leaking one subcommand's engine into the
+    # next — and close this one's worker pool deterministically (an
     # abandoned pool dies noisily in the interpreter's atexit phase).
-    from repro.engine import default_engine, set_default_engine
+    from repro.engine import (
+        EngineConfig,
+        ExecutionEngine,
+        default_engine,
+        set_default_engine,
+    )
 
     previous = default_engine()
+    engine = ExecutionEngine(EngineConfig(workers=args.workers or 0,
+                                          cache_dir=args.cache_dir))
+    set_default_engine(engine)
     try:
         return args.func(args)
     finally:
-        current = default_engine()
         set_default_engine(previous)
-        if current is not previous:
-            current.close()
+        engine.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,9 +12,10 @@ recompile or re-featurize anything whose inputs haven't changed.
 
 The process-wide :func:`default_engine` is what
 :class:`~repro.pipeline.DetectionPipeline` and the eval drivers use
-unless handed an engine explicitly; :func:`configure` (or the
-``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` environment variables, or the
-CLI's ``--workers`` / ``--cache-dir`` flags) changes it for the process.
+unless handed an engine explicitly.  It starts serial with a memory
+tier only; :func:`set_default_engine` replaces it for the process (the
+CLI's ``--workers`` / ``--cache-dir`` flags do), with an
+:class:`ExecutionEngine` built from an :class:`EngineConfig`.
 """
 
 from repro.engine.cache import (
@@ -32,7 +33,6 @@ from repro.engine.cache import (
 from repro.engine.engine import (
     EngineConfig,
     ExecutionEngine,
-    configure,
     default_engine,
     set_default_engine,
     stage_identity,
@@ -40,7 +40,7 @@ from repro.engine.engine import (
 
 __all__ = [
     "ExecutionEngine", "EngineConfig",
-    "default_engine", "configure", "set_default_engine",
+    "default_engine", "set_default_engine",
     "ContentStore", "CacheStats", "LRUCache",
     "COMPILE_STAGE", "FEATURE_STAGE", "MEMORY_ENTRIES",
     "DEFAULT_MEMORY_ENTRIES",

@@ -35,12 +35,13 @@ the featurizers themselves guarantee batch-composition independence.
 
 Under a trace, workers record their spans (stage frames included) and
 ship them home with each task — the one thing a worker returns beside
-its values — so request traces, ``/metrics`` stage latency and ``repro
-profile`` all see fanned-out time, for stage chunks and ``map`` tasks
-alike; ``stats_dict()`` exposes the transport counters (payload bytes
-per task, pool utilization).
+its values — so request traces and ``/metrics`` stage latency see
+fanned-out time, for stage chunks and ``map`` tasks alike;
+``stats_dict()`` exposes the transport counters (payload bytes per
+task, pool utilization).
 
->>> engine = ExecutionEngine(workers=4, cache_dir="~/.cache/repro")
+>>> engine = ExecutionEngine(EngineConfig(workers=4,
+...                                       cache_dir="~/.cache/repro"))
 >>> X = engine.featurize_sources(frontend, featurizer, named_sources)
 """
 
@@ -283,8 +284,8 @@ class EngineConfig:
 class ExecutionEngine:
     """Chunked, cached executor for the frontend/featurizer stages."""
 
-    def __init__(self, config: Optional[EngineConfig] = None, **overrides):
-        self.config = config or EngineConfig(**overrides)
+    def __init__(self, config: Optional[EngineConfig] = None):
+        self.config = config or EngineConfig()
         self.store = ContentStore(self.config.cache_dir)
         #: Parent-side work counters (worker-side compiles land in the
         #: shared store but are not mirrored here).  ``tasks`` /
@@ -710,42 +711,13 @@ class ExecutionEngine:
 _DEFAULT_ENGINE: Optional[ExecutionEngine] = None
 
 
-def _env_workers(default: int = 0) -> int:
-    """``REPRO_WORKERS``, tolerating malformed values rather than making
-    every CLI/library call die deep inside the first corpus operation."""
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    try:
-        workers = int(raw) if raw else default
-    except ValueError:
-        warnings.warn(f"ignoring malformed REPRO_WORKERS={raw!r}",
-                      RuntimeWarning, stacklevel=3)
-        return default
-    return workers if workers >= 0 else default
-
-
 def default_engine() -> ExecutionEngine:
-    """The process-wide engine every pipeline uses unless given its own.
-
-    First use builds it from the ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``
-    environment variables (serial, memory tier only when unset).
-    """
+    """The process-wide engine every pipeline uses unless given its own:
+    serial, memory tier only, until :func:`set_default_engine` replaces
+    it (the CLI does for ``--workers`` / ``--cache-dir``)."""
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = ExecutionEngine(EngineConfig(
-            workers=_env_workers(),
-            cache_dir=os.environ.get("REPRO_CACHE_DIR") or None))
-    return _DEFAULT_ENGINE
-
-
-def configure(workers: Optional[int] = None,
-              cache_dir: Optional[str] = None) -> ExecutionEngine:
-    """Replace the default engine; ``None`` keeps the current setting."""
-    global _DEFAULT_ENGINE
-    current = default_engine().config
-    _DEFAULT_ENGINE = ExecutionEngine(EngineConfig(
-        workers=current.workers if workers is None else workers,
-        cache_dir=current.cache_dir if cache_dir is None else (cache_dir
-                                                               or None)))
+        _DEFAULT_ENGINE = ExecutionEngine()
     return _DEFAULT_ENGINE
 
 

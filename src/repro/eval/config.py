@@ -31,37 +31,6 @@ class ReproConfig:
     gnn_opt: str = "O0"
     normalization: str = "vector"
     nprocs: int = 3                       # simulator width for dynamic tools
-    # Execution-engine knobs: 0 workers = serial, None cache_dir = follow
-    # the process default (REPRO_CACHE_DIR / repro.engine.configure()).
-    workers: Optional[int] = None
-    cache_dir: Optional[str] = None
-
-    def engine(self):
-        """The execution engine experiment drivers run corpus work on.
-
-        A knob left ``None`` inherits the process default (CLI flags /
-        ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``), so e.g. setting only
-        ``cache_dir`` here still honours the env-configured worker count.
-        With neither overridden this *is* the default engine.
-        """
-        from repro.engine import ExecutionEngine, default_engine
-
-        base = default_engine()
-        workers = base.config.workers if self.workers is None else self.workers
-        cache_dir = (base.config.cache_dir if self.cache_dir is None
-                     else self.cache_dir)
-        if (workers, cache_dir) == (base.config.workers,
-                                    base.config.cache_dir):
-            return base
-        # Memoized per resolved knobs (and outside dataclass fields so
-        # config equality / replace() stay value-based): mutating
-        # workers/cache_dir after a call rebuilds rather than returning
-        # a stale engine.
-        if getattr(self, "_engine_key", None) != (workers, cache_dir):
-            object.__setattr__(self, "_engine", ExecutionEngine(
-                workers=workers, cache_dir=cache_dir))
-            object.__setattr__(self, "_engine_key", (workers, cache_dir))
-        return self._engine
 
     @staticmethod
     def paper() -> "ReproConfig":

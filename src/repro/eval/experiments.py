@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.labels import CORR_LABELS, CORRECT, MBI_LABELS
+from repro.engine import default_engine
 from repro.eval.config import ReproConfig
 from repro.eval.reporting import render_series, render_table
 from repro.eval.scenarios import (
@@ -393,8 +394,8 @@ def seed_sensitivity(config: ReproConfig, alt_seed: int = 1337) -> List[dict]:
     suites = {"MBI": config.mbi(), "CORR": config.corrbench()}
 
     def both_seeds(ds) -> Tuple[Any, Any, np.ndarray]:
-        return (featurize(feat_name, feat_cfg, ds, config),
-                featurize(feat_name, reseeded, ds, config), binary_labels(ds))
+        return (featurize(feat_name, feat_cfg, ds),
+                featurize(feat_name, reseeded, ds), binary_labels(ds))
 
     def original_then_reseeded(Xa_tr, Xb_tr, y_tr, Xa_te, Xb_te):
         model_a, pred_a = fit_predict(clf_name, clf_cfg, Xa_tr, y_tr, Xa_te)
@@ -470,7 +471,7 @@ def ir2vec_encoding_ablation(config: ReproConfig) -> List[dict]:
     rows: List[dict] = []
     for suite in ("MBI", "CORR"):
         ds = config.dataset(suite)
-        X_full = featurize(feat_name, feat_cfg, ds, config)
+        X_full = featurize(feat_name, feat_cfg, ds)
         y = binary_labels(ds)
         for encoding, sl in slices.items():
             y_true, y_pred = cv_predict(ds, config, X_full[:, sl], y,
@@ -490,7 +491,7 @@ def gnn_design_ablation(config: ReproConfig, suite: str = "CORR") -> List[dict]:
     """
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("gnn", config)
     ds = config.dataset(suite)
-    graphs = featurize(feat_name, feat_cfg, ds, config)
+    graphs = featurize(feat_name, feat_cfg, ds)
     y = binary_labels(ds)
 
     variants = (
@@ -549,9 +550,9 @@ def mutation_detection(config: ReproConfig, suite: str = "MBI",
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
     mutant_ds = Dataset(f"{ds.name}-mutants", [m.sample for m in mutants])
     _, pred = fit_predict(clf_name, clf_cfg,
-                          featurize(feat_name, feat_cfg, ds, config),
+                          featurize(feat_name, feat_cfg, ds),
                           binary_labels(ds),
-                          featurize(feat_name, feat_cfg, mutant_ds, config))
+                          featurize(feat_name, feat_cfg, mutant_ds))
 
     rows: List[dict] = []
     by_op: Dict[str, List[int]] = {}
@@ -630,7 +631,7 @@ def table6_hypre(config: ReproConfig) -> List[dict]:
     columns: List[str] = []
     vectors: List[np.ndarray] = []
     for opt in ("O0", "O2", "Os"):
-        vectors.extend(config.engine().featurize_sources(
+        vectors.extend(default_engine().featurize_sources(
             make_frontend("mini-c", opt_level=opt), featurizer,
             [(ok.name, ok.source), (ko.name, ko.source)]))
         columns += [f"{opt}-ok", f"{opt}-ko"]
@@ -638,7 +639,7 @@ def table6_hypre(config: ReproConfig) -> List[dict]:
     rows: List[dict] = []
     for train_name in ("MBI", "MPI-CorrBench"):
         ds = config.mbi() if train_name == "MBI" else config.corrbench()
-        X = featurize(feat_name, feat_cfg, ds, config)
+        X = featurize(feat_name, feat_cfg, ds)
         for features_mode in ("all", "GA"):
             _, pred = fit_predict(
                 clf_name, replace(clf_cfg, use_ga=features_mode == "GA"),

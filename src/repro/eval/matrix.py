@@ -43,6 +43,7 @@ import numpy as np
 from repro import __version__
 from repro.datasets.loader import Dataset, stratified_split_indices
 from repro.datasets.mutation import Mutant, MutationEngine, leak_safe_indices
+from repro.engine import default_engine
 from repro.eval.config import ReproConfig
 from repro.eval.scenarios import fit_predict, stage_specs
 from repro.ml.metrics import binary_summary, per_class_binary_report
@@ -244,14 +245,14 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
                profile: str = "custom") -> Dict[str, Any]:
     """Execute every cell of ``spec``; return the versioned artifact doc.
 
-    Feature extraction runs once per (dataset, backend) on the config's
-    execution engine — parallel fan-out and the persistent store come
-    from ``config.workers`` / ``config.cache_dir`` — and cells slice the
-    shared batches, so adding grid axes costs classifier fits, not
-    recompiles.  Cell jobs themselves fan out via ``engine.map``.
+    Feature extraction runs once per (dataset, backend) on the process
+    default engine (:func:`~repro.engine.set_default_engine` picks its
+    workers and cache directory), and cells slice the shared batches,
+    so adding grid axes costs classifier fits, not recompiles.  Cell
+    jobs themselves fan out via ``engine.map``.
     """
     config = config or ReproConfig.smoke()
-    engine = config.engine()
+    engine = default_engine()
 
     dataset_names = sorted(set(spec.train_datasets) | set(spec.test_datasets))
     datasets: Dict[str, Dataset] = {name: config.dataset(name)

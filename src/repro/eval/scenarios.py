@@ -15,10 +15,11 @@ Every protocol is built from the same three pieces:
 * :func:`folds` — the one stratified k-fold split.
 * :func:`fit_predict` — build a classifier from its spec, fit, predict.
 
-Features come from :func:`featurize`, which runs on the config's
-execution engine (``ReproConfig.workers`` / ``cache_dir``), so sweeps fan
-out across processes and the engine's store (memory, then disk) skips
-the compile/featurize work for anything seen before.
+Features come from :func:`featurize`, which runs on the process default
+execution engine (:func:`~repro.engine.set_default_engine`; the CLI's
+``--workers`` / ``--cache-dir``), so sweeps fan out across processes and
+the engine's store (memory, then disk) skips the compile/featurize work
+for anything seen before.
 """
 
 from __future__ import annotations
@@ -65,12 +66,11 @@ def stage_specs(method: str, config: ReproConfig, *, use_ga: bool = True,
         batch_size=config.gnn_batch_size, seed=config.seed)
 
 
-def featurize(feat_name: str, feat_cfg: Any, dataset: Dataset,
-              config: ReproConfig):
-    """Features of ``dataset`` under one featurizer spec, on the config's
-    engine."""
+def featurize(feat_name: str, feat_cfg: Any, dataset: Dataset):
+    """Features of ``dataset`` under one featurizer spec, on the process
+    default engine."""
     return featurize_dataset(FEATURIZERS.create(feat_name, feat_cfg),
-                             dataset, engine=config.engine())
+                             dataset)
 
 
 def folds(dataset: Dataset, config: ReproConfig
@@ -122,7 +122,7 @@ def run_intra_cv(method: str, dataset: Dataset, config: ReproConfig, *,
         opt_level=opt_level)
     y = labels if labels is not None else binary_labels(dataset)
     y_true, y_pred = cv_predict(
-        dataset, config, featurize(feat_name, feat_cfg, dataset, config), y,
+        dataset, config, featurize(feat_name, feat_cfg, dataset), y,
         clf_name, clf_cfg)
     counts = confusion_from_predictions(y_true, y_pred)
     return compute_metrics(counts), y_true, y_pred
@@ -135,9 +135,9 @@ def run_cross(method: str, train_ds: Dataset, val_ds: Dataset,
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs(
         method, config, use_ga=use_ga, normalization=normalization)
     _, y_pred = fit_predict(
-        clf_name, clf_cfg, featurize(feat_name, feat_cfg, train_ds, config),
+        clf_name, clf_cfg, featurize(feat_name, feat_cfg, train_ds),
         binary_labels(train_ds),
-        featurize(feat_name, feat_cfg, val_ds, config))
+        featurize(feat_name, feat_cfg, val_ds))
     return compute_metrics(
         confusion_from_predictions(binary_labels(val_ds), y_pred))
 
@@ -174,7 +174,7 @@ def _ablation_accuracy(dataset: Dataset, excluded: Sequence[str],
         raise ValueError(f"no sample of {dataset.name} carries the ablated "
                          f"label(s) {', '.join(map(repr, absent))}")
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
-    X = featurize(feat_name, feat_cfg, dataset, config)
+    X = featurize(feat_name, feat_cfg, dataset)
     binary = binary_labels(dataset)
     held_out = np.isin(labels, list(excluded))
 

@@ -300,9 +300,6 @@ def run_campaign(config: FuzzConfig,
     engine = engine or default_engine()
     store = CorpusStore(config.corpus_dir) if config.corpus_dir else None
 
-    # Long campaigns are where a progress log earns its keep: honor
-    # $REPRO_OBS_LOG even outside the server (explicit sinks still win).
-    EVENTS.configure_from_env()
     if METRICS.enabled:
         _OBS_CAMPAIGNS.inc()
     if EVENTS.enabled:
@@ -416,15 +413,13 @@ def run_campaign(config: FuzzConfig,
 
     # 4. Detection statistics over expected-incorrect generated programs.
     detection: Dict[str, Dict[str, int]] = {
-        name: {"detected": 0, "missed": 0, "skipped": 0}
+        name: {"detected": 0, "missed": 0}
         for name in ORACLE_NAMES}
     for program, record in zip(programs, records):
         if program.expected != "incorrect" or record["status"] != "agree":
             continue
         for oracle, verdict in record["oracles"].items():
-            if verdict == "unavailable":
-                detection[oracle]["skipped"] += 1
-            elif verdict in ("incorrect", "timeout", "runtime_error"):
+            if verdict in ("incorrect", "timeout", "runtime_error"):
                 detection[oracle]["detected"] += 1
             else:
                 detection[oracle]["missed"] += 1

@@ -3,9 +3,7 @@
 One compile and one simulator run feed every dynamic oracle: the
 ITAC / MUST analogues expose ``verdict_of(report)`` so the harness never
 pays for the schedule twice, and the static analogues run module-level
-(``check_module``).  Adapters configured with an external tool binary
-that is missing report a typed ``unavailable`` verdict (see
-:mod:`repro.verify.base`) and are skipped cleanly.
+(``check_module``).
 
 Oracle trust: a *trusted* oracle must never flag a correct-by-
 construction program — doing so is a :data:`disagreement` finding.
@@ -50,8 +48,7 @@ class OracleVerdict:
 
     oracle: str
     verdict: str                        # 'correct' | 'incorrect' |
-    #                                     'timeout' | 'runtime_error' |
-    #                                     'unavailable'
+    #                                     'timeout' | 'runtime_error'
     kinds: Tuple[str, ...] = ()
     detail: str = ""
 
@@ -82,12 +79,8 @@ class OracleBench:
         self.checker = MPICheckerTool()
         self.static = StaticAnalyzerTool(nprocs=nprocs)
 
-    def _tool_verdict(self, name: str, tool, call) -> OracleVerdict:
-        unavailable = tool.unavailable_verdict()
-        if unavailable is not None:
-            return OracleVerdict(name, "unavailable",
-                                 detail=unavailable.detail)
-        verdict = call()
+    @staticmethod
+    def _tool_verdict(name: str, verdict) -> OracleVerdict:
         return OracleVerdict(name, verdict.verdict,
                              tuple(verdict.detected_kinds),
                              verdict.detail[:200])
@@ -105,17 +98,14 @@ class OracleBench:
         with TRACER.stage("oracles"):
             return [
                 simulator_verdict(report),
-                self._tool_verdict("itac", self.itac,
-                                   lambda: self.itac.verdict_of(report)),
-                self._tool_verdict("must", self.must,
-                                   lambda: self.must.verdict_of(report)),
-                self._tool_verdict("parcoach", self.parcoach,
-                                   lambda: self.parcoach.check_module(module)),
-                self._tool_verdict("mpi-checker", self.checker,
-                                   lambda: self.checker.check_module(module)),
-                self._tool_verdict("static", self.static,
-                                   lambda: self.static.check_module(
-                                       module, static_findings)),
+                self._tool_verdict("itac", self.itac.verdict_of(report)),
+                self._tool_verdict("must", self.must.verdict_of(report)),
+                self._tool_verdict("parcoach",
+                                   self.parcoach.check_module(module)),
+                self._tool_verdict("mpi-checker",
+                                   self.checker.check_module(module)),
+                self._tool_verdict("static", self.static.check_module(
+                    module, static_findings)),
             ]
 
 

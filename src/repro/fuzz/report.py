@@ -60,16 +60,14 @@ def render_fuzz_report(doc: Dict[str, Any]) -> str:
     ]
     detection = doc.get("detection") or {}
     checked = {name: row for name, row in sorted(detection.items())
-               if row["detected"] + row["missed"] + row["skipped"] > 0}
+               if row["detected"] + row["missed"] > 0}
     if checked:
         lines.append("  detection of injected bugs:")
         for name, row in checked.items():
             total = row["detected"] + row["missed"]
             rate = f"{row['detected'] / total:.2f}" if total else "n/a"
             lines.append(f"    {name:<12} {row['detected']:>4}/{total:<4} "
-                         f"detected ({rate})"
-                         + (f", {row['skipped']} skipped"
-                            if row["skipped"] else ""))
+                         f"detected ({rate})")
     if doc.get("model"):
         m = doc["model"]
         lines.append(f"  model oracle    {m['agreements']}/{m['checked']} "

@@ -42,5 +42,3 @@ def enable_all(ring_size=None, log_path=None):
     METRICS.enabled = True
     if log_path:
         EVENTS.configure(path=log_path)
-    else:
-        EVENTS.configure_from_env()

@@ -1,10 +1,10 @@
 """Structured JSON-lines event log with severity and trace context.
 
 One :data:`EVENTS` log per process, disabled by default (a single
-attribute check per ``emit`` site).  Enable it explicitly
-(:meth:`EventLog.configure`) or via ``REPRO_OBS_LOG`` — a file path, or
-``-``/``stderr`` for standard error (:meth:`configure_from_env`; the
-serve layer and the fuzz campaign both call it at startup).
+attribute check per ``emit`` site).  :meth:`EventLog.configure` opens
+it on a file path, or ``-``/``stderr`` for standard error; the
+``--obs-log`` flag of ``repro serve`` and ``repro fuzz run`` is the CLI
+face.
 
 Every record is one JSON object per line::
 
@@ -25,7 +25,6 @@ record when the window rolls, so a log reader can tell "quiet" from
 from __future__ import annotations
 
 import json
-import os
 import sys
 import threading
 import time
@@ -75,17 +74,6 @@ class EventLog:
         self._window_counts = {}
         self._suppressed = {}
         self.enabled = True
-
-    def configure_from_env(self) -> bool:
-        """Enable from ``REPRO_OBS_LOG`` if set; returns whether it was.
-        Already-enabled logs are left alone (explicit wins over env)."""
-        if self.enabled:
-            return True
-        target = os.environ.get("REPRO_OBS_LOG", "").strip()
-        if not target:
-            return False
-        self.configure(path=target)
-        return True
 
     def close(self) -> None:
         self.enabled = False

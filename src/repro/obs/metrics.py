@@ -32,8 +32,8 @@ from bisect import bisect_left
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: Default latency buckets (seconds): micro-batch windows live around
-#: 10 ms, cold compiles around 100 ms – 1 s, so the range covers both.
+#: Default latency buckets (seconds): warm checks live around 1–10 ms,
+#: cold compiles around 100 ms – 1 s, so the range covers both.
 DEFAULT_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                    0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 

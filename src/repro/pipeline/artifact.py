@@ -8,8 +8,10 @@ opaque blob per stateful stage::
         featurizer.bin      # e.g. the IR2vec seed table (npz, no pickle)
         classifier.bin      # e.g. the fitted decision tree / GNN weights
 
-Each stage entry names its blob and records the blob's ``sha256``;
-loading and inspection reject a blob that no longer matches it.
+The manifest is stored in the unified envelope form only.  Each stage
+entry that names a blob must record the blob's ``sha256``; loading and
+inspection reject a manifest without one and a blob that no longer
+matches it.
 
 The manifest records everything needed to rebuild the pipeline from the
 stage registries — no code objects are pickled wholesale, so artifacts
@@ -110,8 +112,8 @@ def save_pipeline(pipeline: DetectionPipeline, path: str) -> None:
             state=blob_name, sha256=hashlib.sha256(state).hexdigest())
 
     # The manifest is persisted in the unified envelope form (kind +
-    # schema/repro versions + content digest over the payload); loaders
-    # unwrap it — and still accept pre-envelope flat manifests.
+    # schema/repro versions + content digest over the payload), the only
+    # form loaders accept.
     envelope = make_envelope(manifest)
     payload = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if str(path).endswith(".zip"):
@@ -134,18 +136,20 @@ def save_pipeline(pipeline: DetectionPipeline, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_manifest(payload: str, where: str) -> Dict[str, Any]:
+    """The flat manifest of an envelope-form ``manifest.json``: framing,
+    content digest, schema and blob digests are all checked here, once."""
     try:
         doc = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{where} is not valid JSON: {exc}") from None
-    if is_envelope(doc):
-        # Envelope form: framing + digest are checked here, and the
-        # flat manifest is handed to the rest of the loader unchanged.
-        try:
-            return validate_kind(FORMAT_NAME, doc)
-        except SchemaError as exc:
-            raise ArtifactError(f"{where}: {exc}") from None
-    return doc
+    if not is_envelope(doc):
+        raise ArtifactError(
+            f"{where} is not an envelope-form pipeline manifest; save the "
+            "pipeline again (DetectionPipeline.save) to write one")
+    try:
+        return validate_kind(FORMAT_NAME, doc)
+    except SchemaError as exc:
+        raise ArtifactError(f"{where}: {exc}") from None
 
 
 def _open_container(path: str) -> Tuple[Dict[str, Any],
@@ -199,8 +203,7 @@ def _open_container(path: str) -> Tuple[Dict[str, Any],
 def _read_state(entry: Dict[str, Any], read_blob: Callable[[str], bytes],
                 role: str) -> Optional[Tuple[bytes, str]]:
     """A stage's state blob and its sha256, checked against the digest
-    the manifest records (manifests written before blob digests carry
-    none and load unchecked); ``None`` for a stateless stage."""
+    the manifest records; ``None`` for a stateless stage."""
     blob_name = entry.get("state")
     if not blob_name:
         return None
@@ -211,29 +214,14 @@ def _read_state(entry: Dict[str, Any], read_blob: Callable[[str], bytes],
             f"artifact is missing blob {blob_name!r} referenced "
             f"by its {role} stage") from None
     digest = hashlib.sha256(blob).hexdigest()
-    recorded = entry.get("sha256")
-    if recorded is not None and recorded != digest:
+    recorded = entry["sha256"]
+    if recorded != digest:
         raise ArtifactError(
             f"blob {blob_name!r} of the {role} stage does not match the "
             f"sha256 its manifest records ({digest[:12]}… != "
-            f"{str(recorded)[:12]}…): the artifact was altered or is "
+            f"{recorded[:12]}…): the artifact was altered or is "
             "incomplete")
     return blob, digest
-
-
-def validate_manifest(manifest: Dict[str, Any]) -> None:
-    """Validate a manifest (flat or envelope form) through the unified
-    schema registry, mapping violations to :class:`ArtifactError`."""
-    if not isinstance(manifest, dict):
-        raise ArtifactError("manifest must be a JSON object")
-    if not is_envelope(manifest) and manifest.get("format") != FORMAT_NAME:
-        raise ArtifactError(
-            f"unrecognized artifact format {manifest.get('format')!r} "
-            f"(expected {FORMAT_NAME!r})")
-    try:
-        validate_kind(FORMAT_NAME, manifest)
-    except SchemaError as exc:
-        raise ArtifactError(str(exc)) from None
 
 
 def inspect_artifact(path: str) -> Dict[str, Any]:
@@ -251,7 +239,6 @@ def inspect_artifact(path: str) -> Dict[str, Any]:
     whenever the manifest or any blob does.
     """
     manifest, read_blob = _open_container(path)
-    validate_manifest(manifest)
 
     stages: Dict[str, Any] = {}
     blob_digests: Dict[str, str] = {}
@@ -286,7 +273,6 @@ def inspect_artifact(path: str) -> Dict[str, Any]:
 def load_pipeline(path: str) -> DetectionPipeline:
     """Rebuild a :class:`DetectionPipeline` from a saved artifact."""
     manifest, read_blob = _open_container(path)
-    validate_manifest(manifest)
 
     stages: Dict[str, Any] = {}
     for role, registry in _STAGE_REGISTRIES.items():

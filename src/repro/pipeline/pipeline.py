@@ -123,7 +123,7 @@ class DetectionPipeline:
         self.method = method or (f"{self.featurizer.name}"
                                  f"+{self.classifier.name}")
         # None → resolve the process-wide default engine at call time, so
-        # repro.engine.configure() affects already-built pipelines too.
+        # set_default_engine() affects already-built pipelines too.
         self._engine = engine
         self.fitted = False
 

@@ -85,7 +85,7 @@ def run_gate(name: str, source: str, nprocs: int = 3,
                 deterministic = deterministic_compile(name, source, printed)
             except Exception:                  # a flaky compile is a veto
                 deterministic = False
-    # An unavailable or never-reached static oracle leaves no findings.
+    # A static oracle the program never reached leaves no findings.
     analyzed = record["oracles"].get("static") in ("correct", "incorrect")
     return GateVerdict(clean=agreed and deterministic,
                        status=record["status"], kind=record["kind"],

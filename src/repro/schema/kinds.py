@@ -201,7 +201,7 @@ FUZZ_SCHEMA = {
             "type": "object",
             "additionalProperties": {
                 "type": "object",
-                "required": ["detected", "missed", "skipped"],
+                "required": ["detected", "missed"],
                 "additionalProperties": {"type": "integer"},
             },
         },
@@ -318,6 +318,10 @@ def _check_manifest(doc: Mapping[str, Any]) -> None:
             raise SchemaError(f"$.stages.{role}",
                               f"manifest stage {role!r} is missing or "
                               "has no 'name'")
+        if entry.get("state") and not isinstance(entry.get("sha256"), str):
+            raise SchemaError(f"$.stages.{role}.sha256",
+                              f"manifest stage {role!r} names state blob "
+                              f"{entry['state']!r} but records no sha256")
     if doc.get("label_mode") not in ("binary", "type"):
         raise SchemaError("$.label_mode",
                           f"bad label_mode {doc.get('label_mode')!r}")

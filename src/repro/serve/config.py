@@ -8,9 +8,9 @@ defaults below.
 
 Engine sharing: ``workers`` / ``cache_dir`` configure the single
 :class:`~repro.engine.ExecutionEngine` every loaded model runs on
-(``None`` keeps the process default engine's setting, which comes from
-``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``), so hot reloads keep the warm
-worker pool and the persistent content-addressed cache.
+(``None`` keeps the process default engine's setting, which ``repro
+serve --workers`` / ``--cache-dir`` install), so hot reloads keep the
+warm worker pool and the persistent content-addressed cache.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ class ServeConfig:
     max_queue: int = 256             # queued samples before 429 backpressure
     poll_interval_s: float = 0.0     # artifact mtime polling; 0 disables
     max_body_bytes: int = 8 * 1024 * 1024
-    workers: Optional[int] = None    # engine workers (None → $REPRO_WORKERS)
-    cache_dir: Optional[str] = None  # engine cache (None → $REPRO_CACHE_DIR)
+    workers: Optional[int] = None    # engine workers (None → default engine)
+    cache_dir: Optional[str] = None  # engine cache (None → default engine)
     trace: bool = True               # trace spans + metrics + /v1/trace ring
     trace_ring: int = 256            # completed traces kept in memory
-    obs_log: Optional[str] = None    # event-log sink (None → $REPRO_OBS_LOG)
+    obs_log: Optional[str] = None    # event-log sink (None → no log)
 
     def __post_init__(self):
         if self.port < 0 or self.port > 65535:

@@ -21,7 +21,7 @@ here follows its original's *mechanism*:
   a machine-checkable witness.
 """
 
-from repro.verify.base import ToolUnavailable, ToolVerdict, VerificationTool
+from repro.verify.base import ToolVerdict, VerificationTool
 from repro.verify.itac import ITACTool
 from repro.verify.must import MUSTTool
 from repro.verify.parcoach import ParcoachTool
@@ -29,7 +29,7 @@ from repro.verify.mpi_checker import MPICheckerTool
 from repro.verify.static.analyzer import StaticAnalyzerTool
 
 __all__ = [
-    "VerificationTool", "ToolVerdict", "ToolUnavailable",
+    "VerificationTool", "ToolVerdict",
     "ITACTool", "MUSTTool", "ParcoachTool", "MPICheckerTool",
     "StaticAnalyzerTool",
 ]

@@ -1,25 +1,18 @@
 """Common interface for the baseline verification tools.
 
-Verdict contract: ``check_sample`` never raises for *environmental*
-reasons.  An adapter that has been pointed at a real tool executable
-(``binary=`` or the ``REPRO_<TOOL>_BIN`` environment variable) returns a
-typed :class:`ToolUnavailable` verdict when that executable is missing —
-it used to be tempting to raise a bare ``RuntimeError`` here, but then
-every caller (the Table III evaluation loop, the differential fuzz
-harness, the CLI) needed its own try/except to skip the tool cleanly.
-Callers can branch on ``verdict == "unavailable"`` or on the type.
+Verdict contract: ``check_sample`` never raises on a sample the frontend
+rejects; it returns a ``"compile_error"`` verdict instead, so the
+Table III evaluation loop, the differential fuzz harness and the CLI
+need no try/except of their own.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.datasets.loader import Sample
+from repro.frontend import CompileError, compile_c
 from repro.ml.metrics import ConfusionCounts
 
 
@@ -28,113 +21,31 @@ class ToolVerdict:
     """Outcome of running a tool on one code."""
 
     verdict: str                 # 'correct' | 'incorrect' | 'timeout' |
-    #                              'runtime_error' | 'compile_error' |
-    #                              'unavailable'
+    #                              'runtime_error' | 'compile_error'
     detected_kinds: List[str] = field(default_factory=list)
     detail: str = ""
-
-
-@dataclass
-class ToolUnavailable(ToolVerdict):
-    """The tool could not run at all (missing executable, broken install).
-
-    A typed verdict rather than an exception so suite evaluations and the
-    differential fuzz harness skip the tool instead of unwinding."""
-
-    verdict: str = "unavailable"
 
 
 class VerificationTool:
     name = "tool"
 
-    #: Optional path to a real tool executable to delegate to instead of
-    #: the simulated analogue.  ``None`` (the default) always uses the
-    #: analogue; adapters also honor ``REPRO_<TOOL>_BIN``.
-    binary: Optional[str] = None
-
-    #: Seconds before an external delegation run is declared a timeout.
-    external_timeout_s: float = 60.0
-
-    # -- external-binary delegation ----------------------------------------
-    def _env_key(self) -> str:
-        slug = "".join(ch if ch.isalnum() else "_" for ch in self.name)
-        return f"REPRO_{slug.upper()}_BIN"
-
-    def external_binary(self) -> Optional[str]:
-        """The configured real-tool executable, if any."""
-        return self.binary or os.environ.get(self._env_key()) or None
-
-    def resolve_external(self) -> Optional[str]:
-        """Absolute path of the configured executable, or ``None`` when
-        no binary was configured *or* the configured one is missing
-        (callers distinguish via :meth:`unavailable_verdict`)."""
-        binary = self.external_binary()
-        if not binary:
-            return None
-        if os.path.sep in binary:
-            return binary if os.access(binary, os.X_OK) else None
-        return shutil.which(binary)
-
-    def unavailable_verdict(self) -> Optional[ToolUnavailable]:
-        """A :class:`ToolUnavailable` when a real binary was requested
-        but cannot be executed; ``None`` when the tool can run."""
-        binary = self.external_binary()
-        if binary and self.resolve_external() is None:
-            return ToolUnavailable(
-                detail=f"{self.name} binary {binary!r} not found "
-                       f"(configure {self._env_key()} or pass binary=)")
-        return None
-
-    def run_external(self, sample: Sample) -> ToolVerdict:
-        """Delegate one sample to the real tool executable.
-
-        Exit-code protocol: 0 → correct, anything else → incorrect;
-        a wall-clock overrun → timeout; failing to launch at all →
-        :class:`ToolUnavailable` (never an exception).
-        """
-        path = self.resolve_external()
-        if path is None:
-            verdict = self.unavailable_verdict()
-            assert verdict is not None
-            return verdict
-        with tempfile.NamedTemporaryFile("w", suffix=".c",
-                                         delete=False) as fh:
-            fh.write(sample.source)
-            tmp = fh.name
+    def check_sample(self, sample: Sample) -> ToolVerdict:
+        """Compile ``sample`` at O0 and return :meth:`check_module`'s
+        verdict; a frontend rejection is a ``"compile_error"``."""
         try:
-            proc = subprocess.run(
-                [path, tmp], capture_output=True, text=True,
-                timeout=self.external_timeout_s)
-        except subprocess.TimeoutExpired:
-            return ToolVerdict("timeout", detail="external tool timed out")
-        except OSError as exc:
-            return ToolUnavailable(
-                detail=f"{self.name} binary {path!r} failed to run: {exc}")
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        output = (proc.stdout + proc.stderr).strip()
-        if proc.returncode == 0:
-            return ToolVerdict("correct", detail=output[-500:])
-        return ToolVerdict("incorrect", ["external_report"], output[-500:])
+            module = compile_c(sample.source, sample.name, "O0", verify=False)
+        except CompileError as exc:
+            return ToolVerdict("compile_error", detail=str(exc))
+        return self.check_module(module)
 
-    # -- analogue interface -------------------------------------------------
-    def check_sample(self, sample: Sample) -> ToolVerdict:  # pragma: no cover
+    def check_module(self, module) -> ToolVerdict:  # pragma: no cover
         raise NotImplementedError
 
     def evaluate(self, samples: Sequence[Sample]) -> ConfusionCounts:
-        """Confusion counts over a suite (Table III protocol).
-
-        Samples the tool was unavailable for are skipped — they carry no
-        information about its detection quality.
-        """
+        """Confusion counts over a suite (Table III protocol)."""
         counts = ConfusionCounts()
         for sample in samples:
             verdict = self.check_sample(sample)
-            if verdict.verdict == "unavailable":
-                continue
             if verdict.verdict == "compile_error":
                 counts.ce += 1
             elif verdict.verdict == "timeout":

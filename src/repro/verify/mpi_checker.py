@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.datasets.loader import Sample
-from repro.frontend import CompileError, compile_c
 from repro.ir.instructions import CallInst, CastInst, GEPInst, Instruction
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, ConstantString
@@ -56,9 +54,6 @@ def _buffer_element_type(value) -> Optional[tuple]:
 
 class MPICheckerTool(VerificationTool):
     name = "MPI-Checker"
-
-    def __init__(self, binary: str = None):
-        self.binary = binary
 
     def analyze_module(self, module) -> List[str]:
         warnings: List[str] = []
@@ -125,17 +120,6 @@ class MPICheckerTool(VerificationTool):
             else:
                 for slot in state:
                     state[slot] = "done"
-
-    def check_sample(self, sample: Sample) -> ToolVerdict:
-        if self.external_binary():
-            # run_external degrades to a typed ToolUnavailable verdict
-            # when the configured executable is missing.
-            return self.run_external(sample)
-        try:
-            module = compile_c(sample.source, sample.name, "O0", verify=False)
-        except CompileError as exc:
-            return ToolVerdict("compile_error", detail=str(exc))
-        return self.check_module(module)
 
     def check_module(self, module) -> ToolVerdict:
         """Analogue verdict for an already-compiled module."""

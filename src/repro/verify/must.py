@@ -10,8 +10,6 @@ timeout heuristic, unlike ITAC).
 
 from __future__ import annotations
 
-from repro.datasets.loader import Sample
-from repro.frontend import CompileError, compile_c
 from repro.mpi.simulator import MPISimulator, RunOutcome
 from repro.verify.base import ToolVerdict, VerificationTool
 
@@ -27,22 +25,9 @@ _MISSED = {"message_race", "local_concurrency", "global_concurrency"}
 class MUSTTool(VerificationTool):
     name = "MUST"
 
-    def __init__(self, nprocs: int = 3, max_steps: int = 300_000,
-                 binary: str = None):
+    def __init__(self, nprocs: int = 3, max_steps: int = 300_000):
         self.nprocs = nprocs
         self.max_steps = max_steps
-        self.binary = binary
-
-    def check_sample(self, sample: Sample) -> ToolVerdict:
-        if self.external_binary():
-            # run_external degrades to a typed ToolUnavailable verdict
-            # when the configured executable is missing.
-            return self.run_external(sample)
-        try:
-            module = compile_c(sample.source, sample.name, "O0", verify=False)
-        except CompileError as exc:
-            return ToolVerdict("compile_error", detail=str(exc))
-        return self.check_module(module)
 
     def check_module(self, module) -> ToolVerdict:
         """Analogue verdict for an already-compiled module."""

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.datasets.loader import Sample
-from repro.frontend import CompileError, compile_c
 from repro.ir.instructions import (
     CallInst,
     CondBranchInst,
@@ -104,12 +102,11 @@ def _arm_comm_sequence(block: BasicBlock, stop: Set[int], depth: int = 64) -> Li
 class ParcoachTool(VerificationTool):
     name = "PARCOACH"
 
-    def __init__(self, conservative: bool = True, binary: str = None):
+    def __init__(self, conservative: bool = True):
         #: conservative=True enables the nonblocking/RMA/wildcard warnings
         #: of the PARCOACH extensions (the paper evaluates v2.3.1, which
         #: includes them).
         self.conservative = conservative
-        self.binary = binary
 
     # -- static analysis over a module ------------------------------------
     def analyze_module(self, module: Module) -> List[str]:
@@ -160,17 +157,6 @@ class ParcoachTool(VerificationTool):
         return len(block.predecessors()) >= 2
 
     # -- tool interface -----------------------------------------------------
-    def check_sample(self, sample: Sample) -> ToolVerdict:
-        if self.external_binary():
-            # run_external degrades to a typed ToolUnavailable verdict
-            # when the configured executable is missing.
-            return self.run_external(sample)
-        try:
-            module = compile_c(sample.source, sample.name, "O0", verify=False)
-        except CompileError as exc:
-            return ToolVerdict("compile_error", detail=str(exc))
-        return self.check_module(module)
-
     def check_module(self, module: Module) -> ToolVerdict:
         """Analogue verdict for an already-compiled module."""
         warnings = self.analyze_module(module)

@@ -94,10 +94,8 @@ class StaticAnalyzerTool(VerificationTool):
 
     name = "static"
 
-    def __init__(self, nprocs: int = DEFAULT_NPROCS,
-                 binary: Optional[str] = None):
+    def __init__(self, nprocs: int = DEFAULT_NPROCS):
         self.nprocs = nprocs
-        self.binary = binary
 
     @staticmethod
     def _verdict(verdict: str,
@@ -110,8 +108,6 @@ class StaticAnalyzerTool(VerificationTool):
         return ToolVerdict(verdict, kinds, detail)
 
     def check_sample(self, sample: Sample) -> ToolVerdict:
-        if self.external_binary():
-            return self.run_external(sample)
         verdict, findings = analyze_source(sample.source, sample.name,
                                            self.nprocs)
         return self._verdict(verdict, findings)

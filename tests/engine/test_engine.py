@@ -353,43 +353,84 @@ def test_detector_builds_private_engine(tmp_path):
     from repro.engine import default_engine
     from repro.pipeline import DetectionPipeline
 
-    engine = ExecutionEngine(workers=3, cache_dir=str(tmp_path))
+    engine = ExecutionEngine(EngineConfig(workers=3, cache_dir=str(tmp_path)))
     pipe = DetectionPipeline.from_method("ir2vec", engine=engine)
     assert pipe.engine is engine and engine is not default_engine()
     assert pipe.engine.workers == 3
     assert pipe.engine.cache_dir == str(tmp_path)
 
 
+def test_engine_takes_a_config_object_only():
+    with pytest.raises(TypeError):
+        ExecutionEngine(workers=2)
+
+
+def test_default_engine_ignores_environment(tmp_path):
+    """The default engine is serial and memory-only, whatever the
+    environment says: there are no engine environment variables."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, REPRO_WORKERS="3",
+               REPRO_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json; from repro.engine import default_engine; "
+             "c = default_engine().config; "
+             "print(json.dumps([c.workers, c.cache_dir]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [0, None]
+    assert not (tmp_path / "cache").exists()
+
+
 def test_repro_config_engine_resolution(tmp_path):
+    """A profile carries no engine knobs: the experiment drivers run on
+    the process default engine."""
+    import dataclasses
+
     from repro.engine import default_engine
     from repro.eval.config import ReproConfig
+    from repro.eval.scenarios import featurize
 
     config = ReproConfig.smoke()
-    assert config.engine() is default_engine()
-    config.workers = 2
-    config.cache_dir = str(tmp_path)
-    engine = config.engine()
-    assert engine.workers == 2 and engine.cache_dir == str(tmp_path)
-    assert config.engine() is engine        # memoized while knobs unchanged
-    config.workers = 1                      # mutating a knob rebuilds
-    assert config.engine().workers == 1
+    names = {f.name for f in dataclasses.fields(config)}
+    assert not names & {"workers", "cache_dir"}
+    assert not hasattr(config, "engine")
+    engine = default_engine()
+    before = engine.counters["featurized"]
+    # Sources no other test featurizes, so the default engine's memory
+    # tier cannot already hold them.
+    dataset = Dataset("tiny", [
+        Sample(f"resolve{i}.c", _TEMPLATE.format(n=90 + i, tag=900 + i),
+               "Correct", "T") for i in range(3)])
+    featurize("programl", None, dataset)
+    assert engine.counters["featurized"] == before + 3
 
 
 def test_repro_config_engine_inherits_default_knobs(tmp_path):
-    # Setting only cache_dir must not silently drop an env/CLI-configured
-    # worker count: unset knobs inherit from the process default engine.
+    # set_default_engine() is how a library caller picks the workers and
+    # cache directory every experiment driver then runs on.
     from repro.engine import set_default_engine
-    from repro.eval.config import ReproConfig
+    from repro.eval.scenarios import featurize
 
-    set_default_engine(ExecutionEngine(EngineConfig(workers=3)))
+    engine = ExecutionEngine(EngineConfig(workers=3,
+                                          cache_dir=str(tmp_path)))
+    set_default_engine(engine)
     try:
-        config = ReproConfig.smoke()
-        config.cache_dir = str(tmp_path)
-        engine = config.engine()
-        assert engine.workers == 3
-        assert engine.cache_dir == str(tmp_path)
+        dataset = Dataset("tiny", [Sample(name, source, "Correct", "T")
+                                   for name, source in _named_sources(3)])
+        featurize("programl", None, dataset)
+        assert engine.counters["featurized"] == 3
+        assert engine.store.summary()["features"]["entries"] == 3
     finally:
         set_default_engine(None)
+        engine.close()
 
 
 def test_cli_cache_stats_and_clear(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.engine import EngineConfig, ExecutionEngine, set_default_engine
 from repro.eval import (
     CompareThresholds,
     MatrixSpec,
@@ -114,16 +115,17 @@ def test_matrix_covers_every_cell_with_per_class_metrics(tiny_doc):
 
 
 def test_matrix_cells_fan_out_and_match_serial(tiny_doc):
-    """A ``workers=2`` engine submits the cell jobs to its pool — a grid
-    far below the stage path's small-batch guard still fans out — and
-    the parallel cell docs equal the serial run's."""
-    config = _tiny_config(workers=2)
-    engine = config.engine()
+    """A ``workers=2`` default engine submits the cell jobs to its pool —
+    a grid far below the stage path's small-batch guard still fans out —
+    and the parallel cell docs equal the serial run's."""
+    engine = ExecutionEngine(EngineConfig(workers=2))
+    set_default_engine(engine)
     try:
-        doc = run_matrix(_tiny_spec(), config, profile="tiny")
+        doc = run_matrix(_tiny_spec(), _tiny_config(), profile="tiny")
         assert engine.counters["tasks"] >= len(doc["cells"])
         assert engine.counters["parallel_chunks"] == 0   # features serial
     finally:
+        set_default_engine(None)
         engine.close()
     assert doc["cells"] == tiny_doc["cells"]
 
@@ -232,11 +234,17 @@ def test_matrix_warm_rerun_does_zero_recompiles(tmp_path):
                       test_datasets=("corrbench",),
                       methods=("ir2vec",), mutation_levels=(0, 1))
     cache_dir = str(tmp_path / "cache")
-    cold_cfg = _tiny_config(corr_subsample=20, cache_dir=cache_dir)
-    cold = run_matrix(spec, cold_cfg, profile="tiny")
-    warm_cfg = _tiny_config(corr_subsample=20, cache_dir=cache_dir)
-    warm = run_matrix(spec, warm_cfg, profile="tiny")
-    stats = warm_cfg.engine().stats
+    config = _tiny_config(corr_subsample=20)
+    runs = []
+    try:
+        for _ in ("cold", "warm"):
+            engine = ExecutionEngine(EngineConfig(cache_dir=cache_dir))
+            set_default_engine(engine)
+            runs.append(run_matrix(spec, config, profile="tiny"))
+    finally:
+        set_default_engine(None)
+    cold, warm = runs
+    stats = engine.stats
     assert stats, "persistent store saw no traffic"
     for stage, counters in stats.items():
         assert counters.misses == 0, (stage, counters)

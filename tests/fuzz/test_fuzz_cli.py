@@ -129,3 +129,28 @@ def test_fuzz_corpus_survives_cli_roundtrip(tmp_path):
     for case in cases:
         assert case.status == "rejected"
         assert case.origin.startswith("known-bug:")
+
+
+def test_fuzz_run_obs_log_writes_campaign_events(tmp_path):
+    from repro.obs import EVENTS
+
+    log = tmp_path / "events.jsonl"
+    assert main(["fuzz", "run", "--seed", "3", "--budget", "2",
+                 "--no-known-bugs", "--obs-log", str(log),
+                 "-o", str(tmp_path / "r.json")]) == 0
+    events = [json.loads(line)["event"]
+              for line in log.read_text().splitlines()]
+    assert events[0] == "fuzz.campaign_start"
+    assert events[-1] == "fuzz.campaign_end"
+    assert not EVENTS.enabled                  # the run closed its sink
+
+
+def test_campaign_ignores_obs_log_environment(tmp_path, monkeypatch):
+    from repro.fuzz import FuzzConfig, run_campaign
+    from repro.obs import EVENTS
+
+    log = tmp_path / "events.jsonl"
+    monkeypatch.setenv("REPRO_OBS_LOG", str(log))
+    run_campaign(FuzzConfig(seed=3, budget=2, include_known_bugs=False))
+    assert not log.exists()
+    assert not EVENTS.enabled

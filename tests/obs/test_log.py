@@ -119,24 +119,3 @@ def test_configure_path_appends_jsonl(tmp_path):
     log.close()
     lines = path.read_text().splitlines()
     assert [json.loads(l)["event"] for l in lines] == ["first", "second"]
-
-
-def test_configure_from_env(monkeypatch, tmp_path):
-    path = tmp_path / "env.jsonl"
-    log = EventLog()
-    monkeypatch.setenv("REPRO_OBS_LOG", str(path))
-    assert log.configure_from_env() is True
-    log.emit("from.env")
-    log.close()
-    assert json.loads(path.read_text())["event"] == "from.env"
-
-    explicit = EventLog()
-    stream = io.StringIO()
-    explicit.configure(stream=stream)      # explicit sink wins over env
-    assert explicit.configure_from_env() is True
-    explicit.emit("explicit")
-    assert "explicit" in stream.getvalue()
-    explicit.close()
-
-    monkeypatch.delenv("REPRO_OBS_LOG")
-    assert EventLog().configure_from_env() is False

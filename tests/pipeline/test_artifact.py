@@ -19,7 +19,7 @@ from repro.pipeline import (
     load_pipeline,
     save_pipeline,
 )
-from repro.pipeline.artifact import FORMAT_NAME, MANIFEST_NAME, validate_manifest
+from repro.pipeline.artifact import FORMAT_NAME, MANIFEST_NAME
 from repro.schema import payload_digest, validate_envelope
 
 SMOKE_GA = GAConfig(population_size=20, generations=2)
@@ -70,8 +70,7 @@ def test_manifest_contents(fitted, tmp_path):
     # content digest over the payload; validation returns it flat.
     assert envelope["kind"] == FORMAT_NAME
     assert envelope["digest"] == payload_digest(envelope["payload"])
-    manifest = validate_envelope(envelope)
-    validate_manifest(manifest)                  # self-consistent
+    manifest = validate_envelope(envelope)       # self-consistent
     assert manifest["format"] == FORMAT_NAME
     assert manifest["schema_version"] == SCHEMA_VERSION
     assert manifest["fitted"] is True
@@ -124,22 +123,49 @@ def test_tampered_featurizer_blob_rejected(ir2vec_artifact, tmp_path):
         inspect_artifact(path)
 
 
-def test_manifest_without_blob_digests_still_loads(ir2vec_artifact,
-                                                   dataset, tmp_path):
+def test_manifest_without_blob_digests_is_rejected(ir2vec_artifact,
+                                                   tmp_path):
+    """Every state blob is pinned: a manifest that drops a stage's
+    sha256 (even with a recomputed envelope digest) would let a changed
+    blob through, so it is refused."""
     path = str(tmp_path / "model.rpd")
     shutil.copytree(ir2vec_artifact, path)
     manifest_path = os.path.join(path, MANIFEST_NAME)
     with open(manifest_path) as fh:
         envelope = json.load(fh)
-    for entry in envelope["payload"]["stages"].values():
-        entry.pop("sha256", None)
+    envelope["payload"]["stages"]["featurizer"].pop("sha256")
     envelope["digest"] = payload_digest(envelope["payload"])
     with open(manifest_path, "w") as fh:
         json.dump(envelope, fh)
-    loaded = load_pipeline(path)
-    reference = load_pipeline(ir2vec_artifact)
-    assert np.array_equal(loaded.predict_dataset(dataset),
-                          reference.predict_dataset(dataset))
+    with pytest.raises(ArtifactError, match="records no sha256"):
+        load_pipeline(path)
+    with pytest.raises(ArtifactError, match="records no sha256"):
+        inspect_artifact(path)
+
+
+def test_flat_manifest_rejected(ir2vec_artifact, tmp_path):
+    """Only the envelope form loads: a flat manifest, here with every
+    blob digest stripped and the featurizer blob altered, is refused
+    before any blob is read."""
+    path = str(tmp_path / "model.rpd")
+    shutil.copytree(ir2vec_artifact, path)
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        flat = validate_envelope(json.load(fh))
+    for entry in flat["stages"].values():
+        entry.pop("sha256", None)
+    with open(manifest_path, "w") as fh:
+        json.dump(flat, fh)
+    blob_path = os.path.join(path, "featurizer.bin")
+    with open(blob_path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[len(blob) // 2] ^= 0x01
+    with open(blob_path, "wb") as fh:
+        fh.write(bytes(blob))
+    with pytest.raises(ArtifactError, match="not an envelope-form"):
+        load_pipeline(path)
+    with pytest.raises(ArtifactError, match="not an envelope-form"):
+        inspect_artifact(path)
 
 
 def test_missing_artifact_errors():

@@ -245,7 +245,6 @@ def test_each_mutation_operator_detected_with_witness(operator):
 def test_tool_protocol_sample_and_module():
     tool = StaticAnalyzerTool()
     assert tool.name == "static"
-    assert tool.unavailable_verdict() is None
     bug = Sample(name="bug.c", source=_prog(
         "    if (rank == 0) { MPI_Barrier(MPI_COMM_WORLD); }\n"),
         label="?", suite="CLI")
