@@ -4,12 +4,14 @@
 Trains on one suite and validates on the other, in both directions and
 with GA feature selection on/off — reproducing the Section V-C finding
 that feature selection is what makes cross-suite transfer work (the
-paper measures up to +47% accuracy from the GA in Cross).
+paper measures up to +47% accuracy from the GA in Cross).  The runs are
+the cross cells of one evaluation-matrix grid.
 
 Run:  python examples/cross_benchmark_generalization.py
 """
 
-from repro.eval import ReproConfig, run_cross
+from repro.eval import MatrixSpec, ReproConfig, cell_report, run_matrix
+from repro.eval.matrix import NO_GA_METHOD
 from repro.eval.reporting import render_table
 
 
@@ -20,16 +22,22 @@ def main() -> None:
     print(f"MBI: {len(mbi)} codes; MPI-CorrBench: {len(corr)} codes "
           "(stratified fast-profile subsamples)\n")
 
+    spec = MatrixSpec(train_datasets=("mbi", "corrbench"),
+                      test_datasets=("mbi", "corrbench"),
+                      methods=(NO_GA_METHOD, "ir2vec"), mutation_levels=(0,))
+    names = {"mbi": "MBI", "corrbench": "CORR"}
     rows = []
-    for use_ga in (False, True):
-        for train, val, tname, vname in ((mbi, corr, "MBI", "CORR"),
-                                         (corr, mbi, "CORR", "MBI")):
-            report = run_cross("ir2vec", train, val, config, use_ga=use_ga)
-            rows.append(["ON" if use_ga else "OFF", tname, vname,
-                         report.counts.tp, report.counts.tn,
-                         report.counts.fp, report.counts.fn,
-                         report.recall, report.precision, report.f1,
-                         report.accuracy])
+    for cell in run_matrix(spec, config)["cells"]:
+        if cell["scenario"] != "cross":
+            continue
+        report = cell_report(cell)
+        rows.append(["ON" if cell["method"] == "ir2vec" else "OFF",
+                     names[cell["train_dataset"]],
+                     names[cell["test_dataset"]],
+                     report.counts.tp, report.counts.tn,
+                     report.counts.fp, report.counts.fn,
+                     report.recall, report.precision, report.f1,
+                     report.accuracy])
 
     print(render_table(
         ["GA", "Train", "Validate", "TP", "TN", "FP", "FN",

@@ -986,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--test", default=None, metavar="DS,DS",
                     help="override test datasets (mbi,corrbench,mix,hypre)")
     pm.add_argument("--methods", default=None, metavar="M,M",
-                    help="override embedding backends (ir2vec,gnn)")
+                    help="override backends (ir2vec,ir2vec-noga,gnn,static)")
     pm.add_argument("--mutation-levels", default=None, metavar="L,L",
                     help="override mutation-augmentation levels (e.g. 0,1,2)")
     pm.add_argument("--json", action="store_true",

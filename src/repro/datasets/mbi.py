@@ -9,7 +9,7 @@ detail Section V-A calls out).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.datasets.labels import CORRECT
 from repro.datasets.loader import Sample

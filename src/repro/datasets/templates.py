@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 # (C element type, MPI datatype) pairs the generators draw from.
 DTYPES: List[Tuple[str, str]] = [

@@ -10,7 +10,7 @@ drop of a GA tuned on the original).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 

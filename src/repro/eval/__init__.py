@@ -2,16 +2,14 @@
 
 from repro.eval.config import ReproConfig
 from repro.eval.scenarios import (
-    run_cross,
-    run_intra_cv,
     run_pair_ablation,
-    run_per_label_with_support,
     run_single_ablation,
     stage_specs,
 )
 from repro.eval.matrix import (
     CellSpec,
     MatrixSpec,
+    cell_report,
     load_matrix_artifact,
     run_matrix,
     save_matrix_artifact,
@@ -24,12 +22,10 @@ from repro.eval.compare import (
 from repro.schema import SchemaError
 
 __all__ = [
-    "ReproConfig",
-    "run_intra_cv", "run_cross",
-    "run_per_label_with_support", "stage_specs",
+    "ReproConfig", "stage_specs",
     "run_single_ablation", "run_pair_ablation",
     # evaluation matrix
-    "MatrixSpec", "CellSpec", "run_matrix",
+    "MatrixSpec", "CellSpec", "run_matrix", "cell_report",
     "save_matrix_artifact", "load_matrix_artifact",
     "CompareThresholds", "CompareResult", "compare_artifacts",
     "SchemaError",

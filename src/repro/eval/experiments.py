@@ -6,9 +6,11 @@ text).  The CLI prints ``render(run(config))``; the pytest-benchmark
 harness under ``benchmarks/`` runs the same drivers and emits through the
 same renderers.  docs/experiments.md maps each name to the paper.
 
-Every learned driver runs on the protocol pieces of
-:mod:`repro.eval.scenarios`: :func:`stage_specs` lowers the config,
-:func:`folds` splits, :func:`fit_predict` trains and predicts.
+Tables II, III and V and Fig. 7's learned bars are evaluation-matrix
+grids whose cell docs the drivers turn into rows.  The other learned
+drivers hand their fits, as :class:`~repro.eval.scenarios.FitJob` items,
+to :func:`~repro.eval.scenarios.fit_all` or
+:func:`~repro.eval.scenarios.cross_validate`.
 """
 
 from __future__ import annotations
@@ -21,23 +23,29 @@ import numpy as np
 from repro.datasets.labels import CORR_LABELS, CORRECT, MBI_LABELS
 from repro.engine import default_engine
 from repro.eval.config import ReproConfig
+from repro.eval.matrix import NO_GA_METHOD, MatrixSpec, cell_report, run_matrix
 from repro.eval.reporting import render_series, render_table
 from repro.eval.scenarios import (
+    FitJob,
     accuracy,
     binary_labels,
-    cv_predict,
+    cross_validate,
     featurize,
-    fit_predict,
+    fit_all,
     folds,
-    run_cross,
-    run_intra_cv,
     run_pair_ablation,
-    run_per_label_with_support,
     run_single_ablation,
     stage_specs,
 )
 from repro.frontend import preprocess_and_count_loc
-from repro.ml.metrics import ConfusionCounts, MetricReport, compute_metrics
+from repro.ml.metrics import (
+    ConfusionCounts,
+    MetricReport,
+    compute_metrics,
+    confusion_from_predictions,
+    per_label_accuracy,
+    per_label_support,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,51 +113,53 @@ def render_fig3(counts: Dict[str, Tuple[int, int]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Table II: model results over the three datasets
+# Tables II, III, V and Fig. 7: evaluation-matrix grids
 # ---------------------------------------------------------------------------
 
-_TABLE2_PAPER = {
-    ("IR2vec", "Intra", "MBI", "MBI"): 0.917,
-    ("IR2vec", "Intra", "CORR", "CORR"): 0.923,
-    ("IR2vec", "Cross", "MBI", "CORR"): 0.860,
-    ("IR2vec", "Cross", "CORR", "MBI"): 0.713,
-    ("IR2vec", "Mix", "Mix", "Mix"): 0.882,
-    ("GNN", "Intra", "MBI", "MBI"): 0.914,
-    ("GNN", "Intra", "CORR", "CORR"): 0.803,
-    ("GNN", "Cross", "MBI", "CORR"): 0.858,
-    ("GNN", "Cross", "CORR", "MBI"): 0.605,
-    ("GNN", "Mix", "Mix", "Mix"): 0.911,
-}
+_MODEL = {"ir2vec": "IR2vec", "gnn": "GNN"}
+_SUITE = {"mbi": "MBI", "corrbench": "CORR", "mix": "Mix"}
+
+#: The four (scenario, train, test) rows Tables II and V and the seeds
+#: study share, in the paper's order.
+_PAPER_ROWS = (("Intra", "mbi", "mbi"), ("Intra", "corrbench", "corrbench"),
+               ("Cross", "mbi", "corrbench"), ("Cross", "corrbench", "mbi"))
 
 
-def table2_model_results(config: ReproConfig,
-                         methods: Sequence[str] = ("ir2vec", "gnn"),
-                         ) -> List[dict]:
+def _cv_grid(datasets: Tuple[str, ...],
+             methods: Tuple[str, ...]) -> MatrixSpec:
+    """Every (train, test) pair of ``datasets``; identity cells by k folds."""
+    return MatrixSpec(train_datasets=datasets, test_datasets=datasets,
+                      methods=methods, mutation_levels=(0,), identity="cv")
+
+
+def _reports(spec: MatrixSpec, config: ReproConfig
+             ) -> Dict[Tuple[str, str, str], MetricReport]:
+    """Run a grid; each cell's metrics keyed by (method, train, test)."""
+    return {(c["method"], c["train_dataset"], c["test_dataset"]):
+            cell_report(c) for c in run_matrix(spec, config)["cells"]}
+
+
+#: Table II: both backends over MBI, CorrBench and their union.  The
+#: overlap rule drops the cross cells into and out of Mix, which leaves
+#: the paper's Intra, Cross and Mix rows.
+TABLE2 = _cv_grid(("mbi", "corrbench", "mix"), ("ir2vec", "gnn"))
+_TABLE2_ROWS = _PAPER_ROWS + (("Mix", "mix", "mix"),)
+
+#: The accuracies the paper reports, per method in _TABLE2_ROWS order.
+_TABLE2_PAPER = {"ir2vec": (0.917, 0.923, 0.860, 0.713, 0.882),
+                 "gnn": (0.914, 0.803, 0.858, 0.605, 0.911)}
+
+
+def table2_model_results(config: ReproConfig) -> List[dict]:
     """Reproduce Table II: every (model, scenario) row with full metrics."""
-    mbi = config.mbi()
-    corr = config.corrbench()
-    mix = mbi.merged_with(corr, name="Mix")
-    rows: List[dict] = []
-
-    def add(method: str, scenario: str, train: str, val: str,
-            report: MetricReport) -> None:
-        name = "IR2vec" if method == "ir2vec" else "GNN"
-        rows.append({
-            "model": name, "scenario": scenario, "train": train, "val": val,
-            **report.as_dict(),
-            "paper_accuracy": _TABLE2_PAPER.get((name, scenario, train, val)),
-        })
-
-    for method in methods:
-        report, _, _ = run_intra_cv(method, mbi, config)
-        add(method, "Intra", "MBI", "MBI", report)
-        report, _, _ = run_intra_cv(method, corr, config)
-        add(method, "Intra", "CORR", "CORR", report)
-        add(method, "Cross", "MBI", "CORR", run_cross(method, mbi, corr, config))
-        add(method, "Cross", "CORR", "MBI", run_cross(method, corr, mbi, config))
-        report, _, _ = run_intra_cv(method, mix, config)
-        add(method, "Mix", "Mix", "Mix", report)
-    return rows
+    reports = _reports(TABLE2, config)
+    return [{"model": _MODEL[method], "scenario": scenario,
+             "train": _SUITE[train], "val": _SUITE[test],
+             **reports[(method, train, test)].as_dict(),
+             "paper_accuracy": paper}
+            for method in TABLE2.methods
+            for (scenario, train, test), paper
+            in zip(_TABLE2_ROWS, _TABLE2_PAPER[method])]
 
 
 def render_table2(rows: List[dict]) -> str:
@@ -162,10 +172,6 @@ def render_table2(rows: List[dict]) -> str:
     return render_table(headers, data, "Table II — model results")
 
 
-# ---------------------------------------------------------------------------
-# Table III / Fig. 7: tools vs models
-# ---------------------------------------------------------------------------
-
 #: ITAC / PARCOACH numbers the paper reports on MBI (Table III).
 TABLE3_PAPER = {
     "ITAC": dict(CE=0, TO=157, RE=1, TP=859, TN=738, FP=4, FN=102,
@@ -174,9 +180,11 @@ TABLE3_PAPER = {
                      Recall=0.694, Precision=0.533, F1=0.603, Specificity=0.088),
 }
 
+#: Table III's model rows: both backends' Intra cells on MBI.
+TABLE3_MODELS = _cv_grid(("mbi",), ("ir2vec", "gnn"))
 
-def table3_tool_comparison(config: ReproConfig,
-                           include_models: bool = True) -> List[dict]:
+
+def table3_tool_comparison(config: ReproConfig) -> List[dict]:
     """Reproduce Table III: detailed evaluation against MBI."""
     from repro.verify import ITACTool, ParcoachTool
 
@@ -187,11 +195,11 @@ def table3_tool_comparison(config: ReproConfig,
         report = compute_metrics(counts)
         rows.append({"tool": tool.name, **report.as_dict(),
                      "paper": TABLE3_PAPER.get(tool.name)})
-    if include_models:
-        report, _, _ = run_intra_cv("ir2vec", mbi, config)
-        rows.append({"tool": "IR2vec Intra", **report.as_dict(), "paper": None})
-        report, _, _ = run_intra_cv("gnn", mbi, config)
-        rows.append({"tool": "GNN Intra", **report.as_dict(), "paper": None})
+    reports = _reports(TABLE3_MODELS, config)
+    for method in TABLE3_MODELS.methods:
+        rows.append({"tool": f"{_MODEL[method]} Intra",
+                     **reports[(method, "mbi", "mbi")].as_dict(),
+                     "paper": None})
     # The ideal tool row.
     correct, incorrect = mbi.correct_incorrect_counts()
     ideal = compute_metrics(ConfusionCounts(tp=incorrect, tn=correct))
@@ -213,27 +221,31 @@ def _bar_metrics(report: MetricReport) -> Dict[str, float]:
             "F1": report.f1, "Accuracy": report.accuracy}
 
 
+#: Fig. 7's learned bars: both backends' Intra and Cross cells.
+FIG7 = _cv_grid(("mbi", "corrbench"), ("ir2vec", "gnn"))
+
+
 def fig7_tool_metric_bars(config: ReproConfig) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Fig. 7: Recall/Precision/F1/Accuracy per tool on both suites."""
     from repro.verify import ITACTool, MPICheckerTool, MUSTTool, ParcoachTool
 
+    reports = _reports(FIG7, config)
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for suite_name, ds in (("MPI-CorrBench", config.corrbench()),
-                           ("MBI", config.mbi())):
+    for suite_name, name, other in (("MPI-CorrBench", "corrbench", "mbi"),
+                                    ("MBI", "mbi", "corrbench")):
+        ds = config.dataset(name)
         suite: Dict[str, Dict[str, float]] = {}
         tools = [ITACTool(nprocs=config.nprocs), ParcoachTool()]
-        if suite_name == "MPI-CorrBench":
+        if name == "corrbench":
             tools += [MUSTTool(nprocs=config.nprocs), MPICheckerTool()]
         for tool in tools:
             suite[tool.name] = _bar_metrics(
                 compute_metrics(tool.evaluate(ds.samples)))
-        for method in ("ir2vec", "gnn"):
-            name = "IR2vec" if method == "ir2vec" else "GNN"
-            report, _, _ = run_intra_cv(method, ds, config)
-            suite[f"{name} Intra"] = _bar_metrics(report)
-            other = config.mbi() if suite_name == "MPI-CorrBench" else config.corrbench()
-            suite[f"{name} Cross"] = _bar_metrics(
-                run_cross(method, other, ds, config))
+        for method in FIG7.methods:
+            suite[f"{_MODEL[method]} Intra"] = _bar_metrics(
+                reports[(method, name, name)])
+            suite[f"{_MODEL[method]} Cross"] = _bar_metrics(
+                reports[(method, other, name)])
         suite["Ideal tool"] = {"Recall": 1.0, "Precision": 1.0, "F1": 1.0,
                                "Accuracy": 1.0}
         out[suite_name] = suite
@@ -248,58 +260,18 @@ def render_fig7(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
         for suite, tools in results.items())
 
 
-# ---------------------------------------------------------------------------
-# Table IV: compilation & normalization options
-# ---------------------------------------------------------------------------
+#: Table V: the IR2vec backend without and with the GA.
+TABLE5 = _cv_grid(("mbi", "corrbench"), (NO_GA_METHOD, "ir2vec"))
 
-def table4_options(config: ReproConfig,
-                   opts: Sequence[str] = ("O0", "O2", "Os"),
-                   norms: Sequence[str] = ("none", "vector", "index"),
-                   ) -> List[dict]:
-    """Reproduce Table IV: IR2vec Intra × compiler option × normalization."""
-    rows: List[dict] = []
-    for dataset_name in ("MBI", "CORR"):
-        ds = config.mbi() if dataset_name == "MBI" else config.corrbench()
-        for norm in norms:
-            for opt in opts:
-                report, _, _ = run_intra_cv(
-                    "ir2vec", ds, config, normalization=norm, opt_level=opt)
-                rows.append({
-                    "dataset": dataset_name, "normalization": norm, "opt": f"-{opt}",
-                    **report.as_dict(),
-                })
-    return rows
-
-
-def render_table4(rows: List[dict]) -> str:
-    data = [[r["dataset"], r["normalization"], r["opt"], r["Recall"],
-             r["Precision"], r["F1"], r["Accuracy"]] for r in rows]
-    return render_table(["dataset", "norm", "opt", "Recall", "Precision",
-                         "F1", "Accuracy"], data, "Table IV")
-
-
-# ---------------------------------------------------------------------------
-# Table V: GA on/off
-# ---------------------------------------------------------------------------
 
 def table5_ga_effect(config: ReproConfig) -> List[dict]:
     """Reproduce Table V: IR2vec Intra and Cross with and without GA."""
-    suites = {"MBI": config.mbi(), "CORR": config.corrbench()}
-    rows: List[dict] = []
-    for use_ga in (False, True):
-        for scenario, train, val in (("Intra", "MBI", "MBI"),
-                                     ("Intra", "CORR", "CORR"),
-                                     ("Cross", "MBI", "CORR"),
-                                     ("Cross", "CORR", "MBI")):
-            if scenario == "Intra":
-                report, _, _ = run_intra_cv("ir2vec", suites[train], config,
-                                            use_ga=use_ga)
-            else:
-                report = run_cross("ir2vec", suites[train], suites[val],
-                                   config, use_ga=use_ga)
-            rows.append({"GA": "ON" if use_ga else "OFF", "scenario": scenario,
-                         "train": train, "val": val, **report.as_dict()})
-    return rows
+    reports = _reports(TABLE5, config)
+    return [{"GA": "ON" if method == "ir2vec" else "OFF",
+             "scenario": scenario, "train": _SUITE[train],
+             "val": _SUITE[test], **reports[(method, train, test)].as_dict()}
+            for method in TABLE5.methods
+            for scenario, train, test in _PAPER_ROWS]
 
 
 def render_table5(rows: List[dict]) -> str:
@@ -310,14 +282,61 @@ def render_table5(rows: List[dict]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Table IV: compilation & normalization options
+# ---------------------------------------------------------------------------
+
+def _report(y_true: Sequence[str], y_pred: Sequence[str]) -> MetricReport:
+    return compute_metrics(confusion_from_predictions(y_true, y_pred))
+
+
+def table4_options(config: ReproConfig) -> List[dict]:
+    """Reproduce Table IV: IR2vec Intra × compiler option × normalization."""
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
+    suites = {"MBI": config.mbi(), "CORR": config.corrbench()}
+    opts, norms = ("O0", "O2", "Os"), ("none", "vector", "index")
+    features = {(name, opt): featurize(feat_name,
+                                       replace(feat_cfg, opt_level=opt), ds)
+                for name, ds in suites.items() for opt in opts}
+    grid = [(name, norm, opt) for name in suites
+            for norm in norms for opt in opts]
+    pooled = cross_validate(config, [
+        (suites[name], features[(name, opt)], binary_labels(suites[name]),
+         clf_name, replace(clf_cfg, normalization=norm))
+        for name, norm, opt in grid])
+    return [{"dataset": name, "normalization": norm, "opt": f"-{opt}",
+             **_report(y_true, y_pred).as_dict()}
+            for (name, norm, opt), (y_true, y_pred) in zip(grid, pooled)]
+
+
+def render_table4(rows: List[dict]) -> str:
+    data = [[r["dataset"], r["normalization"], r["opt"], r["Recall"],
+             r["Precision"], r["F1"], r["Accuracy"]] for r in rows]
+    return render_table(["dataset", "norm", "opt", "Recall", "Precision",
+                         "F1", "Accuracy"], data, "Table IV")
+
+
+# ---------------------------------------------------------------------------
 # Fig. 6: per-label prediction accuracy (multi-class, MBI)
 # ---------------------------------------------------------------------------
 
 def fig6_per_label_with_support(
         config: ReproConfig) -> Tuple[Dict[str, float], Dict[str, int]]:
     """IR2vec per-label accuracy on MBI (multi-class labels), plus the
-    validation support per label."""
-    return run_per_label_with_support(config.mbi(), config)
+    validation support per label, both keyed by the plain-``str`` label.
+
+    Support matters when shape-checking the series: a subsampled profile
+    can leave a rare label (Resource Leak has 14 instances even at paper
+    scale) with one or two validation samples, where accuracy is noise.
+    """
+    mbi = config.mbi()
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
+    type_labels = np.array([s.label for s in mbi.samples])
+    ((y_true, y_pred),) = cross_validate(config, [
+        (mbi, featurize(feat_name, feat_cfg, mbi), type_labels,
+         clf_name, clf_cfg)])
+    all_labels = sorted({s.label for s in mbi.samples})
+    return (per_label_accuracy(all_labels, y_true, y_pred),
+            per_label_support(all_labels, y_true))
 
 
 def render_fig6(result: Tuple[Dict[str, float], Dict[str, int]]) -> str:
@@ -388,53 +407,53 @@ def seed_sensitivity(config: ReproConfig, alt_seed: int = 1337) -> List[dict]:
     accuracies.  The paper found Intra nearly seed-invariant but Cross
     (MBI→CorrBench in particular) brittle, because the GA coordinates are
     meaningful only in the embedding basis they were selected in.
+
+    Round one fits every partition of the four scenarios on the
+    original vectors; round two refits each partition on the reseeded
+    vectors with the coordinates its round-one model selected.
     """
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
-    reseeded = replace(feat_cfg, seed=alt_seed)
-    suites = {"MBI": config.mbi(), "CORR": config.corrbench()}
+    suites = {name: config.dataset(name) for name in ("mbi", "corrbench")}
+    labels = {name: binary_labels(ds) for name, ds in suites.items()}
+    vectors = {(name, cfg.seed): featurize(feat_name, cfg, ds)
+               for name, ds in suites.items()
+               for cfg in (feat_cfg, replace(feat_cfg, seed=alt_seed))}
 
-    def both_seeds(ds) -> Tuple[Any, Any, np.ndarray]:
-        return (featurize(feat_name, feat_cfg, ds),
-                featurize(feat_name, reseeded, ds), binary_labels(ds))
+    # (train suite, train idx, test suite, test idx) per partition.
+    partitions = [
+        [(train, tr, train, va) for tr, va in folds(suites[train], config)]
+        if scenario == "Intra" else
+        [(train, np.arange(len(suites[train])),
+          test, np.arange(len(suites[test])))]
+        for scenario, train, test in _PAPER_ROWS]
+    flat = [part for parts in partitions for part in parts]
 
-    def original_then_reseeded(Xa_tr, Xb_tr, y_tr, Xa_te, Xb_te):
-        model_a, pred_a = fit_predict(clf_name, clf_cfg, Xa_tr, y_tr, Xa_te)
-        fixed = replace(clf_cfg, use_ga=False,
-                        fixed_features=tuple(model_a.selected))
-        _, pred_b = fit_predict(clf_name, fixed, Xb_tr, y_tr, Xb_te)
-        return pred_a, pred_b
+    def fit_round(seed: int, clf_cfgs: Sequence[Any]):
+        return fit_all([
+            FitJob(clf_name, cfg, vectors[(train, seed)][tr],
+                   labels[train][tr], vectors[(test, seed)][va])
+            for (train, tr, test, va), cfg in zip(flat, clf_cfgs)])
 
-    def intra(ds) -> Tuple[float, float]:
-        X_a, X_b, y = both_seeds(ds)
-        y_true, pred_a, pred_b = [], [], []
-        for tr, va in folds(ds, config):
-            a, b = original_then_reseeded(X_a[tr], X_b[tr], y[tr],
-                                          X_a[va], X_b[va])
-            y_true.extend(y[va])
-            pred_a.extend(a)
-            pred_b.extend(b)
-        return accuracy(y_true, pred_a), accuracy(y_true, pred_b)
-
-    def cross(train_ds, val_ds) -> Tuple[float, float]:
-        Xtr_a, Xtr_b, y_tr = both_seeds(train_ds)
-        Xva_a, Xva_b, y_va = both_seeds(val_ds)
-        pred_a, pred_b = original_then_reseeded(Xtr_a, Xtr_b, y_tr,
-                                                Xva_a, Xva_b)
-        return accuracy(y_va, pred_a), accuracy(y_va, pred_b)
+    original = fit_round(feat_cfg.seed, [clf_cfg] * len(flat))
+    reseeded = fit_round(alt_seed, [
+        replace(clf_cfg, use_ga=False, fixed_features=tuple(selected))
+        for _, selected in original])
 
     rows: List[dict] = []
-    for scenario, train, val in (("Intra", "MBI", "MBI"),
-                                 ("Intra", "CORR", "CORR"),
-                                 ("Cross", "MBI", "CORR"),
-                                 ("Cross", "CORR", "MBI")):
+    done = 0
+    for (scenario, train, test), parts in zip(_PAPER_ROWS, partitions):
+        span = slice(done, done + len(parts))
+        done += len(parts)
+        y_true = np.concatenate([labels[test][va] for *_, va in parts])
         acc_orig, acc_reseeded = (
-            intra(suites[train]) if scenario == "Intra"
-            else cross(suites[train], suites[val]))
+            accuracy(y_true, np.concatenate([p for p, _ in fits[span]]))
+            for fits in (original, reseeded))
+        key = (scenario, _SUITE[train], _SUITE[test])
         rows.append({
-            "scenario": scenario, "train": train, "val": val,
+            "scenario": scenario, "train": key[1], "val": key[2],
             "acc_original": acc_orig, "acc_reseeded": acc_reseeded,
             "delta": acc_reseeded - acc_orig,
-            "paper_delta": SEED_STUDY_PAPER[(scenario, train, val)],
+            "paper_delta": SEED_STUDY_PAPER[key],
         })
     return rows
 
@@ -468,18 +487,18 @@ def ir2vec_encoding_ablation(config: ReproConfig) -> List[dict]:
         "concat (paper)": slice(0, 2 * dim),
     }
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
-    rows: List[dict] = []
+    runs, grid = [], []
     for suite in ("MBI", "CORR"):
         ds = config.dataset(suite)
         X_full = featurize(feat_name, feat_cfg, ds)
-        y = binary_labels(ds)
         for encoding, sl in slices.items():
-            y_true, y_pred = cv_predict(ds, config, X_full[:, sl], y,
-                                        clf_name, clf_cfg)
-            rows.append({"suite": suite, "encoding": encoding,
-                         "dim": sl.stop - sl.start,
-                         "accuracy": accuracy(y_true, y_pred)})
-    return rows
+            runs.append((ds, X_full[:, sl], binary_labels(ds),
+                         clf_name, clf_cfg))
+            grid.append((suite, encoding, sl))
+    return [{"suite": suite, "encoding": encoding,
+             "dim": sl.stop - sl.start, "accuracy": accuracy(y_true, y_pred)}
+            for (suite, encoding, sl), (y_true, y_pred)
+            in zip(grid, cross_validate(config, runs))]
 
 
 def gnn_design_ablation(config: ReproConfig, suite: str = "CORR") -> List[dict]:
@@ -500,14 +519,13 @@ def gnn_design_ablation(config: ReproConfig, suite: str = "CORR") -> List[dict]:
         ("no attention", {"attention": False}),
         ("homogeneous edges", {"hetero": False}),
     )
-    rows: List[dict] = []
-    for name, overrides in variants:
-        y_true, y_pred = cv_predict(ds, config, graphs, y, clf_name,
-                                    replace(clf_cfg, **overrides))
-        rows.append({"variant": name, "suite": suite,
-                     "accuracy": accuracy(y_true, y_pred),
-                     **{k: str(v) for k, v in overrides.items()}})
-    return rows
+    pooled = cross_validate(config, [
+        (ds, graphs, y, clf_name, replace(clf_cfg, **overrides))
+        for _, overrides in variants])
+    return [{"variant": name, "suite": suite,
+             "accuracy": accuracy(y_true, y_pred),
+             **{k: str(v) for k, v in overrides.items()}}
+            for (name, overrides), (y_true, y_pred) in zip(variants, pooled)]
 
 
 def render_encoding_ablation(rows: List[dict]) -> str:
@@ -549,10 +567,9 @@ def mutation_detection(config: ReproConfig, suite: str = "MBI",
 
     feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
     mutant_ds = Dataset(f"{ds.name}-mutants", [m.sample for m in mutants])
-    _, pred = fit_predict(clf_name, clf_cfg,
-                          featurize(feat_name, feat_cfg, ds),
-                          binary_labels(ds),
-                          featurize(feat_name, feat_cfg, mutant_ds))
+    ((pred, _),) = fit_all([FitJob(
+        clf_name, clf_cfg, featurize(feat_name, feat_cfg, ds),
+        binary_labels(ds), featurize(feat_name, feat_cfg, mutant_ds))])
 
     rows: List[dict] = []
     by_op: Dict[str, List[int]] = {}
@@ -580,18 +597,26 @@ def mutation_augmented_cross(config: ReproConfig,
     """
     from repro.datasets.mutation import MutationEngine
 
+    feat_name, feat_cfg, clf_name, clf_cfg = stage_specs("ir2vec", config)
     mbi = config.mbi()
     corr = config.corrbench()
     engine = MutationEngine(seed=config.seed)
+    directions = [(train_ds, engine.augment(train_ds, per_sample=per_sample),
+                   val_ds, train_name, val_name)
+                  for train_ds, val_ds, train_name, val_name in (
+                      (mbi, corr, "MBI", "CORR"), (corr, mbi, "CORR", "MBI"))]
+    fits = iter(fit_all([
+        FitJob(clf_name, clf_cfg, featurize(feat_name, feat_cfg, train),
+               binary_labels(train), featurize(feat_name, feat_cfg, val_ds))
+        for base, augmented, val_ds, _, _ in directions
+        for train in (base, augmented)]))
     rows: List[dict] = []
-    for train_ds, val_ds, train_name, val_name in (
-            (mbi, corr, "MBI", "CORR"), (corr, mbi, "CORR", "MBI")):
-        base = run_cross("ir2vec", train_ds, val_ds, config)
-        augmented_ds = engine.augment(train_ds, per_sample=per_sample)
-        augmented = run_cross("ir2vec", augmented_ds, val_ds, config)
+    for base_ds, augmented_ds, val_ds, train_name, val_name in directions:
+        base, augmented = (_report(binary_labels(val_ds), next(fits)[0])
+                           for _ in range(2))
         rows.append({
             "train": train_name, "val": val_name,
-            "n_train_base": len(train_ds), "n_train_aug": len(augmented_ds),
+            "n_train_base": len(base_ds), "n_train_aug": len(augmented_ds),
             "acc_base": base.accuracy, "acc_augmented": augmented.accuracy,
             "recall_base": base.recall, "recall_augmented": augmented.recall,
         })
@@ -636,20 +661,24 @@ def table6_hypre(config: ReproConfig) -> List[dict]:
             [(ok.name, ok.source), (ko.name, ko.source)]))
         columns += [f"{opt}-ok", f"{opt}-ko"]
 
+    grid = [(train_name, features_mode)
+            for train_name in ("MBI", "MPI-CorrBench")
+            for features_mode in ("all", "GA")]
+    suites = {"MBI": config.mbi(), "MPI-CorrBench": config.corrbench()}
+    fits = fit_all([
+        FitJob(clf_name, replace(clf_cfg, use_ga=features_mode == "GA"),
+               featurize(feat_name, feat_cfg, suites[train_name]),
+               binary_labels(suites[train_name]), np.stack(vectors))
+        for train_name, features_mode in grid])
+
     rows: List[dict] = []
-    for train_name in ("MBI", "MPI-CorrBench"):
-        ds = config.mbi() if train_name == "MBI" else config.corrbench()
-        X = featurize(feat_name, feat_cfg, ds)
-        for features_mode in ("all", "GA"):
-            _, pred = fit_predict(
-                clf_name, replace(clf_cfg, use_ga=features_mode == "GA"),
-                X, binary_labels(ds), np.stack(vectors))
-            row = {"train": train_name, "features": features_mode}
-            for col, label in zip(columns, pred):
-                verdict = "ok" if label == CORRECT else "ko"
-                row[col] = verdict
-                row[f"{col}_hit"] = verdict == col[-2:]
-            rows.append(row)
+    for (train_name, features_mode), (pred, _) in zip(grid, fits):
+        row = {"train": train_name, "features": features_mode}
+        for col, label in zip(columns, pred):
+            verdict = "ok" if label == CORRECT else "ko"
+            row[col] = verdict
+            row[f"{col}_hit"] = verdict == col[-2:]
+        rows.append(row)
     return rows
 
 

@@ -1,60 +1,69 @@
-"""Declarative evaluation-matrix harness.
+"""Declarative evaluation matrix: the one evaluation orchestrator.
 
 The paper's core evidence is a grid: embedding backend × train suite ×
 test suite, scored per MPI error class, with cross-dataset cells (train
 on MBI, test on CorrBench / the Hypre pair) measuring generalization.
-This module makes that grid a first-class, machine-comparable artifact:
 
 * :class:`MatrixSpec` declares the axes — train dataset × test dataset ×
-  embedding backend (method) × mutation-augmentation level — and expands
-  them into :class:`CellSpec` cells.
-* :func:`run_matrix` executes every cell on the execution engine:
-  featurization fans out over the engine's worker pool and persistent
-  content-addressed store (a warm rerun recompiles nothing), features
-  are extracted once per (dataset, backend) and sliced per cell, and the
-  independent (fit, predict, score) cell jobs fan out through
-  :meth:`~repro.engine.ExecutionEngine.map`.
+  method × mutation-augmentation level — and expands them into
+  :class:`CellSpec` cells.
+* :func:`run_matrix` extracts features once per (dataset, backend) on
+  the execution engine.  Each cell expands into fit partitions; every
+  partition of every cell is one :class:`~repro.eval.scenarios.FitJob`
+  of a single :func:`~repro.eval.scenarios.fit_all` (one
+  ``engine.map``), and each cell pools its partitions' predictions in
+  partition order and scores them once.
 * Every cell reports overall *and* per-error-class precision/recall/F1
-  through the null-safe metric core (:mod:`repro.ml.metrics`) — a class
-  with no test samples scores ``null``, never a fake zero — plus
+  through the null-safe metric core (:mod:`repro.ml.metrics`), plus
   provenance: dataset content digests, the pipeline config hash, and
-  the seed.
-* The result serializes to a schema-checked ``EVAL_matrix.json``
-  (kind ``repro-eval-matrix`` in :mod:`repro.schema.kinds`); :mod:`repro.eval.compare` turns any two
-  such artifacts into a pass/fail regression verdict.
+  the seed.  The result is a schema-checked ``EVAL_matrix.json`` (kind
+  ``repro-eval-matrix``) that :mod:`repro.eval.compare` gates on.
 
-Identity cells (train == test) use a deterministic stratified split
-rather than cross-validation so that the trained model, the held-out
-digest, and the per-class scores are all reproducible from the artifact
-alone.  Cross cells train on the full train suite and score the full
-test suite, mirroring the paper's Cross scenario.  Mutation level ``L``
-augments the *training* side with ``L`` injected-bug mutants per correct
-training sample (never the test side — the ground truth stays pristine).
+Identity cells (train == test) hold out by partition: one deterministic
+stratified split under ``identity="split"`` (reproducible from the
+artifact alone), or the profile's k folds under ``identity="cv"`` (the
+paper's Intra/Mix protocol).  Cross cells train on the full train suite
+and score the full test suite; a cross cell whose train suite shares a
+sample with its test suite (Mix holds every MBI and CorrBench sample)
+is never emitted.  Mutation level ``L`` adds ``L`` injected-bug mutants
+per correct sample to the *training* side only.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import __version__
-from repro.datasets.loader import Dataset, stratified_split_indices
+from repro.datasets.loader import Dataset, Sample, stratified_split_indices
 from repro.datasets.mutation import Mutant, MutationEngine, leak_safe_indices
 from repro.engine import default_engine
 from repro.eval.config import ReproConfig
-from repro.eval.scenarios import fit_predict, stage_specs
-from repro.ml.metrics import binary_summary, per_class_binary_report
+from repro.eval.scenarios import FitJob, fit_all, folds, stage_specs
+from repro.ml.metrics import (
+    ConfusionCounts,
+    MetricReport,
+    binary_summary,
+    compute_metrics,
+    per_class_binary_report,
+)
 from repro.models.features import featurize_dataset
-from repro.pipeline import FEATURIZERS, take
+from repro.pipeline import FEATURIZERS, source_digest, take
 
 #: Bumped whenever the artifact layout changes incompatibly.
 MATRIX_SCHEMA_VERSION = 1
 
 #: Datasets that only ever appear on the test axis (too small to train on).
 TEST_ONLY_DATASETS = ("hypre",)
+
+#: How identity cells hold out: one stratified split, or the k folds.
+IDENTITY_PROTOCOLS = ("split", "cv")
+
+#: The IR2vec backend on all 512 coordinates, without the GA (Table V).
+NO_GA_METHOD = "ir2vec-noga"
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +78,18 @@ class CellSpec:
     test_dataset: str
     method: str
     mutation_level: int
+    identity: str = "split"
 
     @property
     def scenario(self) -> str:
-        return "split" if self.train_dataset == self.test_dataset else "cross"
+        return (self.identity if self.train_dataset == self.test_dataset
+                else "cross")
 
     @property
     def cell_id(self) -> str:
         return (f"train={self.train_dataset}|test={self.test_dataset}"
-                f"|method={self.method}|mut={self.mutation_level}")
+                f"|method={self.method}|mut={self.mutation_level}"
+                + ("|protocol=cv" if self.scenario == "cv" else ""))
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,7 @@ class MatrixSpec:
     mutation_levels: Tuple[int, ...] = (0, 1)
     test_frac: float = 0.35
     split_seed: int = 0
+    identity: str = "split"
 
     def __post_init__(self):
         if not self.train_datasets or not self.test_datasets:
@@ -101,16 +114,28 @@ class MatrixSpec:
             if name in TEST_ONLY_DATASETS:
                 raise ValueError(f"{name!r} is test-only (too small to "
                                  "train on)")
+        if self.identity not in IDENTITY_PROTOCOLS:
+            raise ValueError(f"identity must be one of {IDENTITY_PROTOCOLS}, "
+                             f"got {self.identity!r}")
 
-    def cells(self) -> List[CellSpec]:
+    def cells(self, datasets: Optional[Mapping[str, Dataset]] = None
+              ) -> List[CellSpec]:
         """Expand the grid in a stable, documented order.
 
-        The ``static`` backend is training-free, so the train and
-        mutation axes would only replicate identical columns: it gets
-        one cell per test dataset (at the first mutation level, with
-        ``train == test`` where legal so it scores the same held-out
-        split as the learned identity cells).
+        Given the loaded ``datasets``, a cross cell whose train suite
+        shares a sample (name and source) with its test suite is left
+        out: it would score samples it trained on.  The training-free
+        ``static`` backend gets one cell per test dataset, at the first
+        mutation level, with ``train == test`` where legal so it scores
+        the same held-out partitions as the learned identity cells.
         """
+        keys = {name: {(s.name, source_digest(s.source)) for s in ds}
+                for name, ds in (datasets or {}).items()}
+
+        def leaks(train: str, test: str) -> bool:
+            return (train != test and train in keys and test in keys
+                    and not keys[train].isdisjoint(keys[test]))
+
         out: List[CellSpec] = []
         for method in self.methods:
             if method == "static":
@@ -119,12 +144,14 @@ class MatrixSpec:
                 for test in self.test_datasets:
                     train = (test if test in self.train_datasets
                              else self.train_datasets[0])
-                    out.append(CellSpec(train, test, method, level))
+                    out.append(CellSpec(train, test, method, level,
+                                        self.identity))
                 continue
-            out.extend(CellSpec(train, test, method, level)
+            out.extend(CellSpec(train, test, method, level, self.identity)
                        for level in self.mutation_levels
                        for train in self.train_datasets
-                       for test in self.test_datasets)
+                       for test in self.test_datasets
+                       if not leaks(train, test))
         return out
 
     def as_dict(self) -> Dict[str, Any]:
@@ -135,6 +162,7 @@ class MatrixSpec:
             "mutation_levels": list(self.mutation_levels),
             "test_frac": self.test_frac,
             "split_seed": self.split_seed,
+            "identity": self.identity,
         }
 
     @staticmethod
@@ -153,7 +181,7 @@ class MatrixSpec:
 
 
 # ---------------------------------------------------------------------------
-# Cell execution (module-level → picklable for engine.map fan-out)
+# Cell partitions and scoring
 # ---------------------------------------------------------------------------
 
 def _concat_features(a: Any, b: Any) -> Any:
@@ -165,27 +193,124 @@ def _concat_features(a: Any, b: Any) -> Any:
     return list(a) + list(b)
 
 
-def _evaluate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Fit the cell's classifier and score it: the engine.map job body.
+def _partitions(cell: CellSpec, spec: MatrixSpec, config: ReproConfig,
+                train_ds: Dataset, test_ds: Dataset
+                ) -> List[Tuple[List[int], List[int]]]:
+    """The cell's (train, test) index partitions, in pooling order."""
+    if cell.scenario == "cross":
+        return [(list(range(len(train_ds))), list(range(len(test_ds))))]
+    if cell.scenario == "cv":
+        return [(list(tr), list(va)) for tr, va in folds(train_ds, config)]
+    return [stratified_split_indices(train_ds.labels(), spec.test_frac,
+                                     spec.split_seed)]
 
-    ``payload`` is fully self-contained (stage specs plus materialized
-    feature batches), so serial and parallel execution are byte-identical
-    and a worker process needs no shared state beyond the module imports.
-    """
+
+def _train_side(train_ds: Dataset, indices: List[int],
+                mutants: List[Mutant]) -> Tuple[List[Sample], List[int]]:
+    """A training side's samples plus its leak-safe mutants (origin on
+    this side, by name and source digest), and those mutants' indices."""
+    samples = [train_ds.samples[i] for i in indices]
+    keep = leak_safe_indices(mutants, samples) if mutants else []
+    return samples + [mutants[i].sample for i in keep], keep
+
+
+@dataclass
+class _MethodFeatures:
+    """Features for every dataset under one embedding backend."""
+
+    feat_name: str
+    feat_cfg: Any
+    clf_name: str
+    clf_cfg: Any
+    per_dataset: Dict[str, Any] = field(default_factory=dict)
+    per_mutants: Dict[Tuple[str, int], Any] = field(default_factory=dict)
+
+
+def _config_hash(*parts: Any) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def _cell_payload(cell: CellSpec, spec: MatrixSpec, config: ReproConfig,
+                  datasets: Dict[str, Dataset],
+                  mutant_sets: Dict[Tuple[str, int], List[Mutant]],
+                  mf: Optional[_MethodFeatures],
+                  static_preds: Optional[Mapping[str, List[str]]] = None,
+                  ) -> Dict[str, Any]:
+    """One cell's fit jobs (one per partition) and pooled scoring
+    inputs.  A learned cell with an empty train or test side gets no
+    jobs; the static backend's predictions come in ``y_pred``."""
+    train_ds = datasets[cell.train_dataset]
+    test_ds = datasets[cell.test_dataset]
+    parts = _partitions(cell, spec, config, train_ds, test_ds)
+    test_samples = [test_ds.samples[i] for _, test_idx in parts
+                    for i in test_idx]
+    payload: Dict[str, Any] = {
+        "jobs": [],
+        "y_test": [s.binary for s in test_samples],
+        "test_classes": [s.label for s in test_samples],
+        "class_names": sorted({s.label for s in test_ds.samples
+                               if not s.is_correct}),
+    }
+    protocol = (("cv", config.folds) if cell.scenario == "cv"
+                else (spec.test_frac, spec.split_seed))
+
+    if cell.method == "static":
+        # Training-free backend: the analyzer scored every sample of the
+        # test dataset up front; the cell just slices the held-out side
+        # so its support matches the learned identity cells exactly.
+        preds = (static_preds or {})[cell.test_dataset]
+        payload["y_pred"] = [preds[i] for _, test_idx in parts
+                             for i in test_idx]
+        trained, train_digest = [], "static:untrained"
+        hashed: Tuple[Any, ...] = ("static", config.nprocs)
+    else:
+        mutants = mutant_sets.get((cell.train_dataset, cell.mutation_level),
+                                  [])
+        train_features = mf.per_dataset[cell.train_dataset]
+        test_features = mf.per_dataset[cell.test_dataset]
+        for train_idx, test_idx in parts:
+            samples, keep = _train_side(train_ds, train_idx, mutants)
+            if not samples or not test_idx:
+                payload["jobs"] = []
+                break
+            X_train = take(train_features, train_idx)
+            if keep:
+                X_train = _concat_features(X_train, take(mf.per_mutants[
+                    (cell.train_dataset, cell.mutation_level)], keep))
+            payload["jobs"].append(FitJob(
+                mf.clf_name, mf.clf_cfg, X_train,
+                [s.binary for s in samples], take(test_features, test_idx)))
+        # Provenance covers every sample that trains in some partition.
+        trained, _ = _train_side(
+            train_ds, sorted({i for tr, _ in parts for i in tr}), mutants)
+        train_digest = Dataset(
+            f"{train_ds.name}-train+mut{cell.mutation_level}"
+            if cell.mutation_level > 0 else f"{train_ds.name}-train",
+            trained).content_digest()
+        hashed = (mf.feat_name, mf.feat_cfg, mf.clf_name, mf.clf_cfg,
+                  cell.mutation_level)
+    payload.update(n_train=len(trained), provenance={
+        "train_digest": train_digest,
+        "test_digest": Dataset(f"{test_ds.name}-test",
+                               test_samples).content_digest(),
+        "config_hash": _config_hash(*hashed, *protocol, config.seed),
+        "seed": config.seed,
+    })
+    return payload
+
+
+def _score_cell(payload: Dict[str, Any],
+                y_pred: Optional[List[str]]) -> Dict[str, Any]:
+    """Score a cell's pooled predictions once.  ``y_pred`` is ``None``
+    when nothing could be fit or scored: a valid, fully-null cell whose
+    supports still count the test side; scores are never fake zeros."""
     y_test = list(payload["y_test"])
     test_classes = list(payload["test_classes"])
-    if "y_pred" in payload:
-        # Training-free backend (the static analyzer): predictions were
-        # computed per dataset and sliced per cell — just score them.
-        y_pred = list(payload["y_pred"])
-        overall = binary_summary(y_test, y_pred)
-        per_class = per_class_binary_report(test_classes, y_pred,
-                                            classes=payload["class_names"])
-        return {"overall": overall, "per_class": per_class}
-    if len(payload["y_train"]) == 0 or len(y_test) == 0:
-        # Nothing to fit or nothing to score: a valid, fully-null cell.
-        # Supports still reflect the (possibly non-empty) test side; the
-        # scores are undefined, never fake zeros.
+    if y_pred is None:
         overall = binary_summary([], [])
         overall["support"] = len(y_test)
         per_class = {
@@ -194,14 +319,17 @@ def _evaluate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                   "accuracy": None, "support": test_classes.count(cls)}
             for cls in payload["class_names"]}
         return {"overall": overall, "per_class": per_class}
-    _, y_pred = fit_predict(payload["clf_name"], payload["clf_cfg"],
-                            payload["X_train"], payload["y_train"],
-                            payload["X_test"])
-    y_pred = list(y_pred)
-    overall = binary_summary(y_test, y_pred)
-    per_class = per_class_binary_report(test_classes, y_pred,
-                                        classes=payload["class_names"])
-    return {"overall": overall, "per_class": per_class}
+    return {"overall": binary_summary(y_test, y_pred),
+            "per_class": per_class_binary_report(
+                test_classes, y_pred, classes=payload["class_names"])}
+
+
+def cell_report(cell: Dict[str, Any]) -> MetricReport:
+    """The paper-table metrics (:class:`MetricReport`) of a cell doc."""
+    overall = cell["overall"]
+    return compute_metrics(ConfusionCounts(
+        tp=overall["TP"], tn=overall["TN"], fp=overall["FP"],
+        fn=overall["FN"]))
 
 
 def _static_predict_worker(payload: Tuple[str, str, int]) -> str:
@@ -221,26 +349,6 @@ def _static_predict_worker(payload: Tuple[str, str, int]) -> str:
 # Matrix runner
 # ---------------------------------------------------------------------------
 
-def _config_hash(*parts: Any) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
-@dataclass
-class _MethodFeatures:
-    """Features for every dataset under one embedding backend."""
-
-    feat_name: str
-    feat_cfg: Any
-    clf_name: str
-    clf_cfg: Any
-    per_dataset: Dict[str, Any] = field(default_factory=dict)
-    per_mutants: Dict[Tuple[str, int], Any] = field(default_factory=dict)
-
-
 def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
                profile: str = "custom") -> Dict[str, Any]:
     """Execute every cell of ``spec``; return the versioned artifact doc.
@@ -248,8 +356,8 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
     Feature extraction runs once per (dataset, backend) on the process
     default engine (:func:`~repro.engine.set_default_engine` picks its
     workers and cache directory), and cells slice the shared batches,
-    so adding grid axes costs classifier fits, not recompiles.  Cell
-    jobs themselves fan out via ``engine.map``.
+    so adding grid axes costs classifier fits, not recompiles.  Every
+    partition of every cell is one fit job of one ``engine.map``.
     """
     config = config or ReproConfig.smoke()
     engine = default_engine()
@@ -258,20 +366,10 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
     datasets: Dict[str, Dataset] = {name: config.dataset(name)
                                     for name in dataset_names}
     digests = {name: ds.content_digest() for name, ds in datasets.items()}
+    cells = spec.cells(datasets)
 
-    # Deterministic stratified splits for identity (train == test) cells.
-    splits: Dict[str, Tuple[List[int], List[int]]] = {}
-    for name in spec.train_datasets:
-        if name in spec.test_datasets:
-            splits[name] = stratified_split_indices(
-                datasets[name].labels(), spec.test_frac, spec.split_seed)
-
-    # Mutation augmentation: L mutants per correct sample of each train
-    # side (full suite for cross cells, train split for identity cells
-    # — the split part is a subset, so one mutant set per (name, level)
-    # keyed on the origin sample covers both via filtering).  The
-    # Mutant objects are kept whole: their ``origin`` field drives the
-    # identity-cell leak guard.
+    # Mutation augmentation: one mutant set per (train suite, level);
+    # each partition admits the mutants whose ``origin`` it trains on.
     mutation = MutationEngine(seed=config.seed)
     mutant_sets: Dict[Tuple[str, int], List[Mutant]] = {}
     for name in spec.train_datasets:
@@ -283,22 +381,22 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
     # Training-free static backend: one verdict per sample, computed once
     # per dataset on the engine and sliced per cell — no features, no fit.
     static_preds: Dict[str, List[str]] = {}
-    if "static" in spec.methods:
-        for name in sorted({c.test_dataset for c in spec.cells()
-                            if c.method == "static"}):
-            jobs = [(s.name, s.source, config.nprocs)
-                    for s in datasets[name].samples]
-            static_preds[name] = list(
-                engine.map(_static_predict_worker, jobs))
+    for name in sorted({c.test_dataset for c in cells
+                        if c.method == "static"}):
+        jobs = [(s.name, s.source, config.nprocs)
+                for s in datasets[name].samples]
+        static_preds[name] = list(engine.map(_static_predict_worker, jobs))
 
     # Featurize once per (backend, dataset) on the engine.
     methods: Dict[str, _MethodFeatures] = {}
     for method in spec.methods:
         if method == "static":
             continue
-        feat_name, feat_cfg, clf_name, clf_cfg = stage_specs(method, config)
-        mf = _MethodFeatures(feat_name, feat_cfg, clf_name, clf_cfg)
-        featurizer = FEATURIZERS.create(feat_name, feat_cfg)
+        mf = _MethodFeatures(*stage_specs(
+            "ir2vec" if method == NO_GA_METHOD else method, config))
+        if method == NO_GA_METHOD:
+            mf.clf_cfg = replace(mf.clf_cfg, use_ga=False)
+        featurizer = FEATURIZERS.create(mf.feat_name, mf.feat_cfg)
         for name in dataset_names:
             mf.per_dataset[name] = featurize_dataset(
                 featurizer, datasets[name], engine=engine)
@@ -310,15 +408,15 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
                 engine=engine)
         methods[method] = mf
 
-    cells = spec.cells()
-    payloads = [_cell_payload(cell, spec, config, datasets, splits,
-                              mutant_sets, methods.get(cell.method),
-                              static_preds)
+    payloads = [_cell_payload(cell, spec, config, datasets, mutant_sets,
+                              methods.get(cell.method), static_preds)
                 for cell in cells]
-    results = engine.map(_evaluate_cell, payloads)
+    results = iter(fit_all([job for p in payloads for job in p["jobs"]]))
 
     cell_docs: List[Dict[str, Any]] = []
-    for cell, payload, result in zip(cells, payloads, results):
+    for cell, payload in zip(cells, payloads):
+        y_pred = ([p for _ in payload["jobs"] for p in next(results)[0]]
+                  if payload["jobs"] else payload.get("y_pred"))
         cell_docs.append({
             "id": cell.cell_id,
             "train_dataset": cell.train_dataset,
@@ -326,10 +424,9 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
             "method": cell.method,
             "mutation_level": cell.mutation_level,
             "scenario": cell.scenario,
-            "n_train": len(payload["y_train"]),
+            "n_train": payload["n_train"],
             "n_test": len(payload["y_test"]),
-            "overall": result["overall"],
-            "per_class": result["per_class"],
+            **_score_cell(payload, y_pred),
             "provenance": payload["provenance"],
         })
 
@@ -353,107 +450,13 @@ def run_matrix(spec: MatrixSpec, config: Optional[ReproConfig] = None,
     return doc
 
 
-def _cell_payload(cell: CellSpec, spec: MatrixSpec, config: ReproConfig,
-                  datasets: Dict[str, Dataset],
-                  splits: Dict[str, Tuple[List[int], List[int]]],
-                  mutant_sets: Dict[Tuple[str, int], List[Mutant]],
-                  mf: Optional[_MethodFeatures],
-                  static_preds: Optional[Dict[str, List[str]]] = None,
-                  ) -> Dict[str, Any]:
-    """Materialize one cell's self-contained train/test job payload."""
-    train_ds = datasets[cell.train_dataset]
-    test_ds = datasets[cell.test_dataset]
-
-    if cell.scenario == "split":
-        train_idx, test_idx = splits[cell.train_dataset]
-    else:
-        train_idx = list(range(len(train_ds)))
-        test_idx = list(range(len(test_ds)))
-
-    if cell.method == "static":
-        # Training-free backend: the analyzer scored every sample of the
-        # test dataset up front; the cell just slices the held-out side
-        # so its support matches the learned identity cells exactly.
-        preds = (static_preds or {})[cell.test_dataset]
-        test_samples = [test_ds.samples[i] for i in test_idx]
-        return {
-            "y_train": [],
-            "y_pred": [preds[i] for i in test_idx],
-            "y_test": [s.binary for s in test_samples],
-            "test_classes": [s.label for s in test_samples],
-            "class_names": sorted({s.label for s in test_ds.samples
-                                   if not s.is_correct}),
-            "provenance": {
-                "train_digest": "static:untrained",
-                "test_digest": Dataset(f"{test_ds.name}-test",
-                                       test_samples).content_digest(),
-                "config_hash": _config_hash(
-                    "static", config.nprocs, spec.test_frac,
-                    spec.split_seed, config.seed),
-                "seed": config.seed,
-            },
-        }
-
-    train_features = mf.per_dataset[cell.train_dataset]
-    test_features = mf.per_dataset[cell.test_dataset]
-
-    train_samples = [train_ds.samples[i] for i in train_idx]
-    X_train = take(train_features, train_idx)
-    y_train = [s.binary for s in train_samples]
-
-    kept_samples: List[Any] = []
-    if cell.mutation_level > 0:
-        mutants = mutant_sets[(cell.train_dataset, cell.mutation_level)]
-        # Identity cells train on a split: only admit mutants whose
-        # origin sample is on the train side, or held-out information
-        # would leak into training through its mutated copies.  The
-        # guard matches origin name *and* source digest (see
-        # leak_safe_indices) so name collisions never leak either.
-        keep = leak_safe_indices(mutants, train_samples)
-        if keep:
-            mutant_features = take(
-                mf.per_mutants[(cell.train_dataset,
-                                cell.mutation_level)], keep)
-            kept_samples = [mutants[i].sample for i in keep]
-            X_train = _concat_features(X_train, mutant_features)
-            y_train = y_train + [s.binary for s in kept_samples]
-    train_digest_ds = Dataset(
-        f"{train_ds.name}-train+mut{cell.mutation_level}"
-        if cell.mutation_level > 0 else f"{train_ds.name}-train",
-        train_samples + kept_samples)
-
-    test_samples = [test_ds.samples[i] for i in test_idx]
-    class_names = sorted({s.label for s in test_ds.samples
-                          if not s.is_correct})
-    return {
-        "clf_name": mf.clf_name,
-        "clf_cfg": mf.clf_cfg,
-        "X_train": X_train,
-        "y_train": y_train,
-        "X_test": take(test_features, test_idx),
-        "y_test": [s.binary for s in test_samples],
-        "test_classes": [s.label for s in test_samples],
-        "class_names": class_names,
-        "provenance": {
-            "train_digest": train_digest_ds.content_digest(),
-            "test_digest": Dataset(f"{test_ds.name}-test",
-                                   test_samples).content_digest(),
-            "config_hash": _config_hash(
-                mf.feat_name, mf.feat_cfg, mf.clf_name, mf.clf_cfg,
-                cell.mutation_level, spec.test_frac, spec.split_seed,
-                config.seed),
-            "seed": config.seed,
-        },
-    }
-
-
 def _generalization(cell_docs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Cross-dataset deltas: cross-cell F1 minus the matching identity
     cell's F1, per (method, mutation level, train dataset) — the
     train-MBI→test-CorrBench/Hypre generalization gap of the paper."""
     identity: Dict[Tuple[str, int, str], Optional[float]] = {}
     for doc in cell_docs:
-        if doc["scenario"] == "split":
+        if doc["scenario"] != "cross":
             key = (doc["method"], doc["mutation_level"], doc["train_dataset"])
             identity[key] = doc["overall"]["f1"]
     out: List[Dict[str, Any]] = []

@@ -13,7 +13,6 @@ from repro.frontend import cast as A
 from repro.frontend.sema import (
     Environment,
     MPI_STATUS_FIELDS,
-    MPI_STATUS_TYPE,
     SemaError,
     lower_ctype,
 )

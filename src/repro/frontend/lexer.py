@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 
 KEYWORDS = frozenset({

@@ -14,7 +14,7 @@ include before compilation, exactly like the paper.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 class PreprocessError(ValueError):

@@ -24,7 +24,6 @@ from repro.ir.types import (
     Type,
     VOID,
     ArrayType,
-    ptr,
 )
 from repro.mpi.api import MPI_CONSTANTS, MPI_FUNCTIONS, MPI_POINTER_CONSTANTS
 

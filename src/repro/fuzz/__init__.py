@@ -34,7 +34,11 @@ from repro.fuzz.report import (
     save_fuzz_report,
     validate_fuzz_report,
 )
-from repro.fuzz.triage import classify_failure, failure_stage, is_input_fault
+from repro.pipeline.triage import (
+    classify_failure,
+    failure_stage,
+    is_input_fault,
+)
 
 __all__ = [
     "FuzzConfig", "run_campaign", "replay_corpus",

@@ -33,9 +33,9 @@ from repro.fuzz.grammar import (
 )
 from repro.fuzz.oracles import ORACLE_NAMES, OracleBench, first_false_alarm
 from repro.fuzz.reduce import ddmin_lines
-from repro.fuzz.triage import classify_failure
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
+from repro.pipeline.triage import classify_failure
 
 _OBS_PROGRAMS = METRICS.counter(
     "repro_fuzz_programs_total",

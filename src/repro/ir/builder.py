@@ -26,8 +26,8 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.module import BasicBlock, Function
-from repro.ir.types import PointerType, Type
-from repro.ir.values import Constant, Value
+from repro.ir.types import Type
+from repro.ir.values import Value
 
 
 class IRBuilder:

@@ -28,7 +28,7 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.values import Constant, ConstantString, UndefValue, Value
+from repro.ir.values import Value
 
 
 def _operand(v: Value) -> str:

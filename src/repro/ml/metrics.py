@@ -12,7 +12,7 @@ conventional specificity ``TN/(TN+FP)``, which is what we compute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 

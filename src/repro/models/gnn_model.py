@@ -7,7 +7,7 @@ Cross-entropy loss, Adam with lr 4e-4, 10 epochs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from repro.graphs.programl import EDGE_TYPES, NODE_TYPES, ProgramGraph
 from repro.graphs.vocab import GraphVocabulary, build_vocabulary
 from repro.nn.batching import MERGED_EDGE_TYPE, GraphBatch, batch_graphs
 from repro.nn.gnn import (
-    GATv2Conv,
     HeteroGATLayer,
     global_max_pool,
     global_mean_pool,

@@ -36,7 +36,7 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.types import ArrayType, FloatType, IntType, PointerType, StructType, Type
+from repro.ir.types import ArrayType, IntType, PointerType, StructType, Type
 from repro.ir.values import Argument, Constant, ConstantString, GlobalVariable, UndefValue, Value
 
 

@@ -14,7 +14,7 @@ from repro.ir.instructions import (
     SelectInst,
 )
 from repro.ir.module import Function, Module
-from repro.ir.types import FloatType, IntType, PointerType
+from repro.ir.types import FloatType, IntType
 from repro.ir.values import Constant, ConstantString, Value
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst
+from repro.ir.instructions import Instruction, PhiInst
 from repro.ir.module import Module
 
 

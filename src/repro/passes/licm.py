@@ -10,8 +10,6 @@ where the loop body never runs, turning a guarded division into a trap
 
 from __future__ import annotations
 
-from typing import List, Set
-
 from repro.ir.instructions import (
     BinaryInst,
     CastInst,

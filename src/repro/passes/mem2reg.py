@@ -7,7 +7,7 @@ over the dominator tree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.ir.analysis import (
     compute_dominators,
@@ -15,7 +15,7 @@ from repro.ir.analysis import (
     predecessor_map,
     reachable_blocks,
 )
-from repro.ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst, StoreInst
+from repro.ir.instructions import AllocaInst, LoadInst, PhiInst, StoreInst
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import UndefValue, Value
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.ir.module import Module
 from repro.passes.constfold import fold_constants

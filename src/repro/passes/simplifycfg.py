@@ -4,8 +4,8 @@ branch threading through empty forwarding blocks."""
 from __future__ import annotations
 
 from repro.ir.analysis import reachable_blocks
-from repro.ir.instructions import BranchInst, CondBranchInst, PhiInst
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.instructions import BranchInst, CondBranchInst
+from repro.ir.module import Function, Module
 
 
 def remove_unreachable_blocks(fn: Function) -> bool:

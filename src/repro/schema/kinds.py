@@ -47,7 +47,7 @@ _CELL_SCHEMA = {
         "test_dataset": {"type": "string"},
         "method": {"type": "string"},
         "mutation_level": {"type": "integer"},
-        "scenario": {"enum": ["split", "cross"]},
+        "scenario": {"enum": ["split", "cv", "cross"]},
         "n_train": {"type": "integer"},
         "n_test": {"type": "integer"},
         "overall": _METRIC_BLOCK,
@@ -92,6 +92,7 @@ MATRIX_SCHEMA = {
                                     "items": {"type": "integer"}},
                 "test_frac": {"type": "number"},
                 "split_seed": {"type": "integer"},
+                "identity": {"enum": ["split", "cv"]},
             },
         },
         "datasets": {

@@ -59,11 +59,13 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.frontend import CompileError
 from repro.obs import enable_all
 from repro.obs.log import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER, new_id
 from repro.pipeline.artifact import ArtifactError
+from repro.pipeline.triage import is_input_fault
 from repro.serve.batching import MicroBatcher, QueueFullError
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
@@ -299,13 +301,10 @@ class DetectionServer(HTTPService):
         Anything else is a server fault and propagates to a 500 so
         clients and load balancers know to retry.
         """
-        from repro.frontend import CompileError
-        from repro.fuzz.triage import is_input_fault
-
+        dispatched_at = time.time()
         model = self.registry.current
         loop = asyncio.get_running_loop()
         raw = [(q.name, q.source) for q in items]
-        dispatched_at = time.time()
         parents: Dict[str, str] = {}      # trace_id → submitting span id
         for q in items:
             wait = max(0.0, dispatched_at - q.submitted_at)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.ir.instructions import CallInst, CastInst, GEPInst, Instruction
+from repro.ir.instructions import CallInst, CastInst, GEPInst
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, ConstantString
 from repro.mpi.api import CallClass, DATATYPE_INFO, MPI_CONSTANTS, MPI_FUNCTIONS

@@ -17,17 +17,16 @@ branch arms compared (equal multisets are accepted).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.ir.instructions import (
     CallInst,
     CondBranchInst,
-    Instruction,
     LoadInst,
     StoreInst,
 )
 from repro.ir.module import BasicBlock, Function, Module
-from repro.mpi.api import COLLECTIVE_NAMES, CallClass, MPI_FUNCTIONS
+from repro.mpi.api import CallClass, MPI_FUNCTIONS
 from repro.verify.base import ToolVerdict, VerificationTool
 
 _RANK_SOURCES = {"MPI_Comm_rank", "MPI_Comm_size"}

@@ -5,9 +5,10 @@ import pytest
 
 from repro.datasets.labels import CORR_LABELS, MBI_LABELS
 from repro.eval import (
+    MatrixSpec,
     ReproConfig,
-    run_cross,
-    run_intra_cv,
+    cell_report,
+    run_matrix,
     run_pair_ablation,
     run_single_ablation,
 )
@@ -46,17 +47,66 @@ def test_fig3_counts(cfg):
 
 def test_intra_cv_aggregates_all_folds(cfg):
     ds = cfg.mbi()
-    report, y_true, y_pred = run_intra_cv("ir2vec", ds, cfg)
-    assert len(y_true) == len(ds)
+    spec = MatrixSpec(train_datasets=("mbi",), test_datasets=("mbi",),
+                      mutation_levels=(0,), identity="cv")
+    (cell,) = run_matrix(spec, cfg)["cells"]
+    assert cell["scenario"] == "cv"
+    assert cell["n_test"] == len(ds)
+    report = cell_report(cell)
     assert report.counts.total == len(ds)
     assert 0.0 <= report.accuracy <= 1.0
 
 
 def test_cross_direction_matters(cfg):
-    a = run_cross("ir2vec", cfg.mbi(), cfg.corrbench(), cfg)
-    b = run_cross("ir2vec", cfg.corrbench(), cfg.mbi(), cfg)
-    assert a.counts.total == len(cfg.corrbench())
-    assert b.counts.total == len(cfg.mbi())
+    spec = MatrixSpec(train_datasets=("mbi", "corrbench"),
+                      test_datasets=("mbi", "corrbench"),
+                      mutation_levels=(0,))
+    cells = {(c["train_dataset"], c["test_dataset"]): c
+             for c in run_matrix(spec, cfg)["cells"]}
+    a, b = cells[("mbi", "corrbench")], cells[("corrbench", "mbi")]
+    assert a["scenario"] == b["scenario"] == "cross"
+    assert a["n_test"] == cell_report(a).counts.total == len(cfg.corrbench())
+    assert b["n_test"] == cell_report(b).counts.total == len(cfg.mbi())
+
+
+def test_cross_cells_never_score_training_samples(cfg):
+    """Mix holds every MBI and CorrBench sample, so a Mix-trained model
+    scored on MBI would score what it trained on: no such cell is
+    emitted, while Mix's own identity cell holds out by fold."""
+    spec = MatrixSpec(train_datasets=("mbi", "corrbench", "mix"),
+                      test_datasets=("mbi", "corrbench", "mix"),
+                      mutation_levels=(0,), identity="cv")
+    doc = run_matrix(spec, cfg, profile="smoke")
+    pairs = {(c["train_dataset"], c["test_dataset"]): c["scenario"]
+             for c in doc["cells"]}
+    assert ("mix", "mbi") not in pairs
+    assert pairs == {("mbi", "mbi"): "cv", ("mbi", "corrbench"): "cross",
+                     ("corrbench", "mbi"): "cross",
+                     ("corrbench", "corrbench"): "cv", ("mix", "mix"): "cv"}
+    assert [g["train_dataset"] for g in doc["generalization"]] == [
+        "mbi", "corrbench"]
+
+
+def test_table2_folds_fan_out_and_match_serial():
+    """Table II's CV, cross and Mix cells run as one fit job per fold
+    on a ``workers=2`` engine, and render byte for byte as serially."""
+    from repro.engine import EngineConfig, ExecutionEngine, set_default_engine
+    from repro.ml.genetic import GAConfig
+
+    tiny = ReproConfig(folds=2, mbi_subsample=40, corr_subsample=30,
+                       gnn_epochs=1,
+                       ga=GAConfig(population_size=10, generations=1))
+    serial = E.render_table2(E.table2_model_results(tiny))
+    engine = ExecutionEngine(EngineConfig(workers=2))
+    set_default_engine(engine)
+    try:
+        parallel = E.render_table2(E.table2_model_results(tiny))
+        # 2 methods x (3 identity cells x 2 folds + 2 cross cells)
+        assert engine.counters["tasks"] >= 16
+    finally:
+        set_default_engine(None)
+        engine.close()
+    assert parallel == serial
 
 
 def test_single_ablation_excludes_label(cfg):

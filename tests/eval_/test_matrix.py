@@ -66,6 +66,8 @@ def test_spec_rejects_bad_axes():
 def test_cell_scenario_classification():
     assert CellSpec("mbi", "mbi", "ir2vec", 0).scenario == "split"
     assert CellSpec("mbi", "corrbench", "ir2vec", 0).scenario == "cross"
+    assert CellSpec("mbi", "mbi", "ir2vec", 0, "cv").scenario == "cv"
+    assert CellSpec("mbi", "corrbench", "ir2vec", 0, "cv").scenario == "cross"
 
 
 def test_profile_grids():
@@ -190,7 +192,7 @@ def test_cell_payload_survives_empty_mutant_keep_list():
     (take() must never see an empty float index array)."""
     import numpy as np
 
-    from repro.datasets.loader import Dataset, Sample
+    from repro.datasets.loader import Dataset, Sample, stratified_split_indices
     from repro.datasets.mutation import Mutant
     from repro.eval.matrix import CellSpec, _cell_payload, _MethodFeatures
 
@@ -200,26 +202,30 @@ def test_cell_payload_survives_empty_mutant_keep_list():
 
     ds = Dataset("T", [mk("a.c", "Correct"), mk("b.c", "Call Ordering"),
                        mk("c.c", "Correct"), mk("d.c", "Call Ordering")])
-    held_out_mutant = Mutant(sample=mk("Mutant-drop_call-c.c",
-                                       "Call Ordering"),
-                             operator="drop_call", origin="c.c")
     mf = _MethodFeatures("ir2vec", None, "decision-tree", None,
                          per_dataset={"t": np.arange(8.0).reshape(4, 2)},
                          per_mutants={("t", 1): np.ones((1, 2))})
     spec = MatrixSpec(train_datasets=("t",), test_datasets=("t",),
                       mutation_levels=(0, 1))
-    payload = _cell_payload(
-        CellSpec("t", "t", "ir2vec", 1), spec, ReproConfig.smoke(),
-        {"t": ds}, {"t": ([0, 1], [2, 3])},      # origin c.c held out
-        {("t", 1): [held_out_mutant]}, mf)
-    assert payload["y_train"] == ["Correct", "Incorrect"]   # no mutants
-    assert payload["X_train"].shape == (2, 2)
-    on_train = _cell_payload(
-        CellSpec("t", "t", "ir2vec", 1), spec, ReproConfig.smoke(),
-        {"t": ds}, {"t": ([2, 3], [0, 1])},      # origin c.c on train side
-        {("t", 1): [held_out_mutant]}, mf)
-    assert on_train["y_train"] == ["Correct", "Incorrect", "Incorrect"]
-    assert on_train["X_train"].shape == (3, 2)
+    train_idx, test_idx = stratified_split_indices(
+        ds.labels(), spec.test_frac, spec.split_seed)
+    train_y = [ds.samples[i].binary for i in train_idx]
+
+    def job_with_mutant_of(origin):
+        mutant = Mutant(sample=mk(f"Mutant-drop_call-{origin.name}",
+                                  "Call Ordering"),
+                        operator="drop_call", origin=origin.name)
+        (job,) = _cell_payload(
+            CellSpec("t", "t", "ir2vec", 1), spec, ReproConfig.smoke(),
+            {"t": ds}, {("t", 1): [mutant]}, mf)["jobs"]
+        return job
+
+    held_out = job_with_mutant_of(ds.samples[test_idx[0]])
+    assert held_out.y_train == train_y                       # no mutants
+    assert held_out.X_train.shape == (len(train_idx), 2)
+    on_train = job_with_mutant_of(ds.samples[train_idx[0]])
+    assert on_train.y_train == train_y + ["Incorrect"]
+    assert on_train.X_train.shape == (len(train_idx) + 1, 2)
 
 
 def test_matrix_artifact_roundtrip(tiny_doc, tmp_path):

@@ -120,30 +120,37 @@ def test_per_class_rejects_mismatched_lengths():
 
 
 def test_matrix_cell_with_empty_test_set_survives():
-    from repro.eval.matrix import _evaluate_cell
+    from repro.eval.matrix import _score_cell
 
-    result = _evaluate_cell({
-        "clf_name": "decision-tree", "clf_cfg": None,
-        "X_train": np.zeros((0, 4)), "y_train": [],
-        "X_test": np.zeros((0, 4)), "y_test": [],
-        "test_classes": [], "class_names": ["Call Ordering"],
-    })
+    result = _score_cell({"y_test": [], "test_classes": [],
+                          "class_names": ["Call Ordering"]}, None)
     assert result["overall"]["f1"] is None
     assert result["overall"]["support"] == 0
     assert result["per_class"]["Call Ordering"]["f1"] is None
 
 
 def test_matrix_cell_with_empty_train_set_reports_null_not_crash():
-    from repro.eval.matrix import _evaluate_cell
+    from repro.datasets.loader import Dataset, Sample
+    from repro.eval import MatrixSpec, ReproConfig
+    from repro.eval.matrix import (
+        CellSpec,
+        _cell_payload,
+        _MethodFeatures,
+        _score_cell,
+    )
 
-    result = _evaluate_cell({
-        "clf_name": "decision-tree", "clf_cfg": None,
-        "X_train": np.zeros((0, 4)), "y_train": [],
-        "X_test": np.zeros((2, 4)),
-        "y_test": ["Incorrect", "Correct"],
-        "test_classes": ["Call Ordering", "Correct"],
-        "class_names": ["Call Ordering", "Message Race"],
-    })
+    test = Dataset("t", [Sample("a.c", "int a;", "Call Ordering", "MBI"),
+                         Sample("b.c", "int b;", "Correct", "MBI")])
+    mf = _MethodFeatures("ir2vec", None, "decision-tree", None,
+                         per_dataset={"e": np.zeros((0, 4)),
+                                      "t": np.zeros((2, 4))})
+    payload = _cell_payload(
+        CellSpec("e", "t", "ir2vec", 0),
+        MatrixSpec(train_datasets=("e",), test_datasets=("t",)),
+        ReproConfig.smoke(), {"e": Dataset("e", []), "t": test}, {}, mf)
+    assert payload["jobs"] == []          # nothing to fit
+    result = _score_cell(
+        dict(payload, class_names=["Call Ordering", "Message Race"]), None)
     # No model could be fit: scores are null, but supports still count
     # the (non-empty) test side honestly.
     assert result["overall"]["f1"] is None

@@ -550,3 +550,31 @@ def test_server_fault_is_a_500_not_a_400(artifact_v1):
         assert payload["error"]["code"] == "internal"
         assert "MemoryError" in payload["error"]["message"]
         client.close()
+
+
+def test_serving_a_check_imports_neither_fuzz_campaign_nor_eval(artifact_v1):
+    """The batch path imports its triage helpers up front: serving one
+    check in a fresh process loads neither the fuzz campaign stack nor
+    the evaluation harness."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import json, sys\n"
+        "from repro.serve import BackgroundServer, ServeClient, ServeConfig\n"
+        f"with BackgroundServer({artifact_v1!r}, ServeConfig(port=0)) as h:\n"
+        "    client = ServeClient('127.0.0.1', h.port)\n"
+        f"    status, _ = client.check({CHECK_SRC!r})\n"
+        "    client.close()\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m in "
+        "('repro.fuzz.harness', 'repro.eval'))]))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == [200, []]
