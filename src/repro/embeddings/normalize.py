@@ -34,8 +34,3 @@ def normalize_features(features: np.ndarray, strategy: str = "vector",
         denom = np.where(denom == 0, 1.0, denom)
         return features / denom
     raise ValueError(f"unknown normalization {strategy!r}")
-
-
-def index_reference(train_features: np.ndarray) -> np.ndarray:
-    """Training matrix to pass as ``reference`` for index normalization."""
-    return np.asarray(train_features, dtype=np.float64)

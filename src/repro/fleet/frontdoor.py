@@ -165,13 +165,6 @@ def rendezvous_order(digest: str, replicas: Sequence[Replica],
     return sorted(replicas, key=weight, reverse=True)
 
 
-class _ReplicaShed(Exception):
-    """A replica answered 429 for this forward."""
-
-    def __init__(self, retry_after: Optional[str]):
-        self.retry_after = retry_after
-
-
 class FleetFrontDoor(HTTPService):
     """Router + supervisor on one event loop."""
 

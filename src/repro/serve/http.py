@@ -363,6 +363,10 @@ class HTTPService:
             # (pathologically long header/request lines): drop the
             # connection rather than crash the handler task.
             pass
+        except asyncio.CancelledError:
+            # The loop is shutting down with this connection still open
+            # (an idle keep-alive client): a normal close, not an error.
+            pass
         finally:
             writer.close()
             try:

@@ -578,3 +578,28 @@ def test_serving_a_check_imports_neither_fuzz_campaign_nor_eval(artifact_v1):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert json.loads(out.strip().splitlines()[-1]) == [200, []]
+
+
+def test_stop_with_idle_keep_alive_client_is_clean(artifact_v1):
+    """Leaving a server while a keep-alive client's connection is still
+    open closes that connection quietly: nothing reaches stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "from repro.serve import BackgroundServer, ServeClient, ServeConfig\n"
+        f"with BackgroundServer({artifact_v1!r}, ServeConfig(port=0)) as h:\n"
+        "    client = ServeClient('127.0.0.1', h.port)\n"
+        f"    status, _ = client.check({CHECK_SRC!r})\n"
+        "print(status)\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "200"
+    assert done.stderr == ""

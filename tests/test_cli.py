@@ -162,12 +162,31 @@ def test_experiment_fig3(capsys):
 
 
 def test_experiment_choices_come_from_registry():
+    """The parser lists the registry's names from a static tuple, so
+    building it (``--help``) never imports the experiment registry."""
+    import json
+    import subprocess
+    import sys
+
+    import repro
+    from repro.cli import EXPERIMENT_NAMES
     from repro.eval.experiments import EXPERIMENTS
 
     sub = next(a for a in build_parser()._actions
                if a.dest == "command").choices["experiment"]
     name = next(a for a in sub._actions if a.dest == "name")
     assert list(name.choices) == sorted(EXPERIMENTS)
+    assert EXPERIMENT_NAMES == tuple(sorted(EXPERIMENTS))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, sys\n"
+             "from repro.cli import build_parser\n"
+             "build_parser()\n"
+             "print(json.dumps('repro.eval.experiments' in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out.strip().splitlines()[-1]) is False
 
 
 def test_experiment_prints_registry_rendering(capsys):
